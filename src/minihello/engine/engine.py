@@ -98,7 +98,7 @@ class FrameMeta:
 class RuntimeClass:
     """A loaded class: IR code plus any native method bindings."""
 
-    __slots__ = ("key", "code", "consts", "natives")
+    __slots__ = ("key", "code", "consts", "natives", "_field_slots", "_bodies")
 
     def __init__(self, key: ClassKey, code: ir.ClassCode, consts: list[bytes],
                  natives: dict | None = None):
@@ -106,6 +106,10 @@ class RuntimeClass:
         self.code = code
         self.consts = consts
         self.natives = natives or {}
+        self._field_slots = {}
+        for i, (fname, _) in enumerate(code.fields):
+            self._field_slots.setdefault(fname, i)  # the first one wins
+        self._bodies = {}  # method name -> machine.compile_method(...)
 
     def has(self, bit: int) -> bool:
         return self.code.has(bit)
@@ -117,10 +121,15 @@ class RuntimeClass:
         return self.natives.get(name)
 
     def field_index(self, name: str) -> int | None:
-        for i, (fname, _) in enumerate(self.code.fields):
-            if fname == name:
-                return i
-        return None
+        return self._field_slots.get(name)
+
+    def compiled(self, mc: ir.MethodCode):
+        """The (body, suspends) pair of one of this class's methods,
+        compiled the first time it runs."""
+        body = self._bodies.get(mc.name)
+        if body is None:
+            body = self._bodies[mc.name] = machine.compile_method(mc)
+        return body
 
 
 def _builtin_runtime_classes() -> dict[ClassKey, RuntimeClass]:
@@ -291,8 +300,11 @@ class Engine:
     def install_image(self, image: RunpackImage, origin: str = "local-disk") -> None:
         self.packstore.install(image, origin)
         for code in image.classes:
-            self.classes[ClassKey(image.package, code.name)] = RuntimeClass(
-                ClassKey(image.package, code.name), code, image.constants)
+            key = ClassKey(image.package, code.name)
+            rc = self.classes.get(key)
+            if rc is not None and rc.code is code and rc.consts is image.constants:
+                continue  # the same image again: keep its compiled methods
+            self.classes[key] = RuntimeClass(key, code, image.constants)
 
     def ensure_class(self, key: ClassKey, fetch_from: str | None, ctx):
         rc = self.classes.get(key)
@@ -423,9 +435,11 @@ class Engine:
 
     def _run_body(self, rc: RuntimeClass, mc: ir.MethodCode, this_ref,
                   args: list, ctx):
+        body, suspends = rc.compiled(mc)
         locals_ = list(args) + [None] * (mc.n_slots - len(args))
         frame = machine.Frame(this_ref, locals_, rc.consts, ctx)
-        return (yield from machine.exec_method_body(self, frame, mc.body))
+        done = (yield from body(self, frame)) if suspends else body(self, frame)
+        return None if done is None else done[0]
 
     # --------------------------------------------------------------- creation
 
@@ -530,11 +544,12 @@ class Engine:
         except EngineError as err:
             self.log_error(err.code, f"queued {method}: {err.message}")
 
-    def queued_eval_ir(self, qref: ObjectRef, caller_frame, body_node):
-        """The <=> operator. The expression evaluates when it reaches the
-        queue head; for a local queue it runs in the caller's frame on the
-        queue's lane, for a remote queue a barrier marker drains the queue
-        first and the expression evaluates locally on return."""
+    def queued_eval_ir(self, qref: ObjectRef, caller_frame, body):
+        """The <=> operator. `body` is the compiled expression, a generator
+        function of (engine, frame). It evaluates when it reaches the queue
+        head; for a local queue it runs in the caller's frame on the queue's
+        lane, for a remote queue a barrier marker drains the queue first and
+        the expression evaluates locally on return."""
         ctx = caller_frame.ctx
         if qref is None:
             raise EngineError(E_NULL_REF, "<=> on null queue")
@@ -542,13 +557,13 @@ class Engine:
             payload = self._payload_invoke(OP_BARRIER, ctx, [("value", qref)])
             fut = self.send_request(qref.host, frames.INVOKE, payload)
             yield fut
-            return (yield from machine.eval_expr(self, caller_frame, body_node))
+            return (yield from body(self, caller_frame))
         queue = self.resolve_queue(qref)
         fut = Future()
         self._arm_deadline(fut, self.config.call_timeout_ms)
 
         def factory():
-            return machine.eval_expr(self, caller_frame, body_node)
+            return body(self, caller_frame)
 
         self.submit(queue, Request(factory, fut, label="queued-eval"))
         return (yield fut)
@@ -757,16 +772,38 @@ class Engine:
                      timeout_ms: int | None = None) -> Future:
         if self.port is None:
             raise EngineError(E_HOST_UNREACHABLE, "engine has no network")
-        corr = self.next_corr()
-        frame = frames.Frame(kind, corr, payload)
         fut = Future()
-        next_hop = self.port.send(dst, frame)  # raises HostUnreachable
         timeout = timeout_ms if timeout_ms is not None else self.config.call_timeout_ms
-        timer = self.scheduler.call_later(
-            timeout, lambda: self._timeout_pending(corr))
-        self.pending[corr] = _PendingCall(fut, timer, dst, next_hop,
-                                          next_hop == dst)
+        self._send_pending(dst, frames.Frame(kind, self.next_corr(), payload),
+                           fut, timeout)
         return fut
+
+    def _send_pending(self, dst: str, frame: frames.Frame, fut: Future,
+                      timeout_ms: int) -> None:
+        """Register `fut` as the pending call of `frame`, then send it.
+
+        The entry exists before `send` runs, because over TCP the reply can
+        reach the reader thread before `send` returns. The timeout is armed
+        after `send`, and only while the call is still open, so that the
+        simulator draws its jitter for the frame first, as it always has.
+        If `send` raises, the entry and any pack buffer go away again."""
+        corr = frame.corr
+        entry = _PendingCall(fut, None, dst, None, False)
+        self.pending[corr] = entry
+        try:
+            next_hop = self.port.send(dst, frame)  # raises HostUnreachable
+        except BaseException:
+            self.pending.pop(corr, None)
+            self._pack_buffers.pop(corr, None)
+            raise
+        entry.next_hop, entry.direct = next_hop, next_hop == dst
+        if corr in self.pending:
+            entry.timer = self.scheduler.call_later(
+                timeout_ms, lambda: self._timeout_pending(corr))
+
+    def _cancel_timer(self, entry: _PendingCall) -> None:
+        if entry.timer is not None:  # None while its frame is being sent
+            self.scheduler.cancel(entry.timer)
 
     def send_oneway(self, dst: str, kind: int, payload: bytes) -> None:
         if self.port is None:
@@ -784,7 +821,7 @@ class Engine:
         for corr, entry in list(self.pending.items()):
             if entry.next_hop == neighbor and not entry.direct:
                 self.pending.pop(corr, None)
-                self.scheduler.cancel(entry.timer)
+                self._cancel_timer(entry)
                 entry.future.fail(EngineError(
                     E_HOST_UNREACHABLE, f"route via {neighbor} lost"))
 
@@ -1044,7 +1081,7 @@ class Engine:
         entry = self.pending.pop(frame.corr, None)
         if entry is None:
             return
-        self.scheduler.cancel(entry.timer)
+        self._cancel_timer(entry)
         try:
             value = decode_value_prefix(Reader(frame.payload))
         except (MalformedEncoding, ShortRead) as exc:
@@ -1056,7 +1093,7 @@ class Engine:
         entry = self.pending.pop(frame.corr, None)
         if entry is None:
             return
-        self.scheduler.cancel(entry.timer)
+        self._cancel_timer(entry)
         r = Reader(frame.payload)
         code = r.wstr()
         remote_code = r.wstr() or None
@@ -1082,14 +1119,11 @@ class Engine:
             corr = self.next_corr()
             w = Writer()
             w.wstr(package)
-            frame = frames.Frame(frames.FETCH_PACK, corr, w.getvalue())
-            next_hop = self.port.send(origin, frame)
-            self.fetch_frames_sent += 1
-            timer = self.scheduler.call_later(
-                self.config.fetch_timeout_ms, lambda: self._timeout_pending(corr))
-            self.pending[corr] = _PendingCall(fut, timer, origin, next_hop,
-                                              next_hop == origin)
             self._pack_buffers[corr] = (package, [])
+            self._send_pending(origin,
+                               frames.Frame(frames.FETCH_PACK, corr, w.getvalue()),
+                               fut, self.config.fetch_timeout_ms)
+            self.fetch_frames_sent += 1
         except EngineError as err:
             fut.fail(err)
         return fut
@@ -1130,7 +1164,7 @@ class Engine:
         pending = self.pending.pop(frame.corr, None)
         if pending is None:
             return
-        self.scheduler.cancel(pending.timer)
+        self._cancel_timer(pending)
         try:
             image = deserialize(b"".join(chunks))
             if image.package != package:

@@ -150,6 +150,54 @@ class M {
         assert fut.result() == 1
 
 
+# main bodies and what main returns, or the fault code it raises
+PINNED = {
+    "div_truncates": ("int a = -7; return a / 2;", -3),
+    "mod_takes_dividend_sign": ("int a = -7; return a % 2;", -1),
+    "mod_by_negative": ("int a = 7; return a % -2;", 1),
+    "mod_by_zero": ("int x = 5; int z = 0; return x % z;", "ArithmeticFault"),
+    "and_or_short_circuit": ("""
+        int i = 0;
+        bool a = false && i++ > 0;
+        bool b = true || i++ > 0;
+        bool c = true && i++ >= 0;
+        bool d = false || i++ >= 0;
+        return i;""", 2),
+    "return_from_for_in_while": ("""
+        int n = 0;
+        while (true) {
+            for (int i = 0; i < 10; i++) {
+                n++;
+                if (i == 3) return n * 10 + i;
+            }
+        }
+        return -1;""", 43),
+    "incr_field_and_int_element": ("""
+        Box b = new Box();
+        b.v++;
+        b.v++;
+        int[] a = create int[3];
+        a[1]++;
+        return b.v * 10 + a[1] * 100 + a[0] + a[2];""", 120),
+}
+
+
+class TestPinnedSemantics:
+    @pytest.mark.parametrize("body, want", PINNED.values(), ids=PINNED.keys())
+    def test_main_body(self, body, want):
+        fut, _ = run_main_text(f"""
+package p;
+class Box {{ public int v; public Box() {{}} }}
+class M {{ static public int main(char[][] argv) {{ {body} }} }}
+""")
+        if isinstance(want, str):
+            with pytest.raises(EngineError) as exc:
+                fut.result()
+            assert exc.value.code == want
+        else:
+            assert fut.result() == want
+
+
 class TestLanguageCore:
     def test_string_concat_and_append(self):
         fut, engine = run_main_text("""

@@ -40,6 +40,31 @@ external class Box {
 """, "a", ["b"])
         assert fut.result() == 7
 
+    def test_remote_fields_in_loop_condition_step_and_compound_assign(self):
+        # every r.x below is a $getf or $setf round trip to b: the loop
+        # suspends in its condition, its step (a post-increment), its body
+        # and a compound assignment
+        fut, scen = run_program("""
+package rl;
+external class R {
+    external public R() {}
+    public int x;
+    static public int main(char[][] argv) {
+        R r = create (hello(argv[0])) R();
+        int s = 0;
+        for (r.x = 0; r.x < 5; r.x++) {
+            s = s + r.x;
+            r.x += 0;
+        }
+        return s * 100 + r.x;
+    }
+}
+""", "a", ["b"])
+        assert fut.result() == 1005
+        on_b = [r for r in scen.hosts["b"].engine.partitions[0].objects.values()
+                if r.cls.name == "R"]
+        assert len(on_b) == 1 and on_b[0].fields[0] == 5
+
     def test_remote_object_state_lives_on_remote_host(self):
         image = compile_text("""
 package rs;
