@@ -82,7 +82,9 @@ class Router:
     def shutdown(self) -> None:
         self._stopped = True
         for name in sorted(self.neighbors):
-            conn = self.neighbors[name]
+            conn = self.neighbors.get(name)
+            if conn is None:  # a reader thread dropped it as its peer closed
+                continue
             try:
                 conn.close()
             except Exception:
