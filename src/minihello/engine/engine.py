@@ -811,6 +811,7 @@ class Engine:
         self.port.send(dst, frames.Frame(kind, self.next_corr(), payload))
 
     def _timeout_pending(self, corr: int) -> None:
+        self._pack_buffers.pop(corr, None)
         entry = self.pending.pop(corr, None)
         if entry is not None:
             entry.future.fail(EngineError(E_TIMEOUT, f"call {corr} timed out"))

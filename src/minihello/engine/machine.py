@@ -7,11 +7,11 @@ Every closure takes the engine and the Frame as its arguments and captures
 only the IR, so one compiled body serves any host.
 
 Most nodes cannot suspend: literals, locals, arithmetic, comparisons, array
-access, `create T[n]` and the control flow built from them. They compile to
-plain functions. A node that may wait on a network future compiles to a
-generator function that yields only the futures the engine yields: field
-access (the object may live on another host), calls, `new` and `create (h)`,
-`<=>`, `.+`, and intrinsics that may block. A parent is a generator only
+access, `create T[n]`, intrinsic calls, `#>` and the control flow built from
+them. They compile to plain functions. A node that may wait on a network
+future compiles to a generator function that yields only the futures the
+engine yields: field access (the object may live on another host), method
+calls, `new` and `create (h)`, `<=>` and `.+`. A parent is a generator only
 when one of its children is. Each compile function returns a pair
 (fn, suspends), so the parent knows which children to `yield from`.
 
@@ -97,13 +97,6 @@ _MASK = (1 << 64) - 1
 # Chars are immutable, so reads share one instance per code.
 _CHARS = tuple(Char(code) for code in range(256))
 
-# Intrinsics that always return a plain value. A call to any other hook
-# (exec_read blocks on a pipe) compiles to a generator that drives the
-# intrinsic's result if it is one.
-_PLAIN_INTRINSICS = frozenset(
-    ("sizear", "parse_int", "print", "hello", "exec_open", "write_stdout"))
-
-
 def _wrap(n: int) -> int:
     """wrap_i64 in one expression: adding 2**63 maps the 64-bit range onto
     [0, 2**64), where the mask wraps it."""
@@ -162,30 +155,6 @@ _BINOPS = {
     "ne": lambda a, b: not _eq(a, b),
     "concat": _concat,
 }
-
-
-def _plain_bin(op, left, right):
-    """A binary node with plain operands. The commonest operators are
-    written out here, sparing a call per evaluation."""
-    if op == "add":
-        return lambda e, f: ((left(e, f) + right(e, f) + _BIAS) & _MASK) - _BIAS
-    if op == "sub":
-        return lambda e, f: ((left(e, f) - right(e, f) + _BIAS) & _MASK) - _BIAS
-    if op == "mul":
-        return lambda e, f: ((left(e, f) * right(e, f) + _BIAS) & _MASK) - _BIAS
-    if op in ("lt", "le", "gt", "ge"):
-        cmp = getattr(operator, op)
-
-        def compare(e, f):
-            a = left(e, f)
-            b = right(e, f)
-            try:
-                return cmp(a, b)
-            except TypeError:  # a Char has no ordering of its own
-                return cmp(_as_int(a), _as_int(b))
-        return compare
-    fn = _BINOPS[op]
-    return lambda e, f: fn(left(e, f), right(e, f))
 
 
 def _read_index(arr, idx):
@@ -290,14 +259,7 @@ def _index(node):
     arr, as_ = _expr(node.arr)
     idx, is_ = _expr(node.idx)
     if not (as_ or is_):
-        def read(e, f):
-            a = arr(e, f)
-            i = idx(e, f)
-            if a.__class__ is Array and 0 <= i < len(a.items):
-                return a.items[i]
-            return _read_index(a, i)  # char arrays, and the faults
-
-        return read, False
+        return (lambda e, f: _read_index(arr(e, f), idx(e, f))), False
 
     def gen(e, f):
         a = (yield from arr(e, f)) if as_ else arr(e, f)
@@ -310,9 +272,9 @@ def _index(node):
 def _bin(node):
     left, ls = _expr(node.left)
     right, rs = _expr(node.right)
-    if not (ls or rs):
-        return _plain_bin(node.op, left, right), False
     op = _BINOPS[node.op]
+    if not (ls or rs):
+        return (lambda e, f: op(left(e, f), right(e, f))), False
 
     def gen(e, f):
         a = (yield from left(e, f)) if ls else left(e, f)
@@ -379,7 +341,7 @@ def _post_incr(node):
         def incr_local(e, f):
             locals_ = f.locals
             old = locals_[slot]
-            locals_[slot] = ((old + delta + _BIAS) & _MASK) - _BIAS
+            locals_[slot] = _wrap(old + delta)
             return old
 
         return incr_local, False
@@ -432,15 +394,11 @@ def _call_static(node):
 def _call_builtin(node):
     args, as_ = _values(node.args)
     hook = node.hook
-    if hook in _PLAIN_INTRINSICS and not as_:
+    if not as_:
         return (lambda e, f: e.call_intrinsic(hook, args(e, f), f.ctx)), False
 
     def call(e, f):
-        a = (yield from args(e, f)) if as_ else args(e, f)
-        result = e.call_intrinsic(hook, a, f.ctx)
-        if hasattr(result, "send"):
-            result = yield from result
-        return result
+        return e.call_intrinsic(hook, (yield from args(e, f)), f.ctx)
 
     return call, True
 
@@ -560,12 +518,7 @@ def _store(target):
         idx, is_ = _expr(target.idx)
         if not (as_ or is_):
             def put_index(e, f, value):
-                a = arr(e, f)
-                i = idx(e, f)
-                if a.__class__ is Array and 0 <= i < len(a.items):
-                    a.items[i] = value
-                else:
-                    _write_index(a, i, value)  # char arrays, and the faults
+                _write_index(arr(e, f), idx(e, f), value)
 
             return put_index, False
 
@@ -705,7 +658,7 @@ def _assign(node):
         def add_local(e, f):
             v = value(e, f)
             locals_ = f.locals
-            locals_[slot] = ((locals_[slot] + sign * v + _BIAS) & _MASK) - _BIAS
+            locals_[slot] = _wrap(locals_[slot] + sign * v)
 
         return add_local, False
     put, ps = _store(target)

@@ -10,7 +10,7 @@ import pytest
 
 from minihello.bio import Writer
 from minihello.engine.engine import Engine, EngineConfig, FrameMeta
-from minihello.errors import E_HOST_UNREACHABLE, EngineError
+from minihello.errors import E_HOST_UNREACHABLE, E_TIMEOUT, EngineError
 from minihello.net import frames
 from minihello.net.wirevalues import encode_value
 from minihello.runpack import serialize
@@ -118,6 +118,20 @@ def test_call_still_open_after_send_gets_a_timeout():
     (corr,) = engine.pending
     assert engine.pending[corr].next_hop == "b"
     assert [t[0] for t in scheduler.live_timers()] == [250]
+
+
+def test_timed_out_fetch_drops_its_pack_buffer():
+    engine, scheduler = make_engine(lambda frame: pack_data(frame)[:1])
+    fut = engine.fetch_pack("b", "fetched")
+    assert not fut.done()
+    assert len(engine._pack_buffers) == 1
+    (timer,) = scheduler.live_timers()
+    timer[1]()  # the fetch times out before its last chunk arrives
+    with pytest.raises(EngineError) as exc:
+        fut.result()
+    assert exc.value.code == E_TIMEOUT
+    assert engine.pending == {}
+    assert engine._pack_buffers == {}
 
 
 def test_unreachable_send_leaves_nothing_pending():
