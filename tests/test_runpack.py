@@ -1,14 +1,18 @@
 """Runpack image tests: determinism, round-trip, integrity, and the store."""
 
+import hashlib
 import os
 
 import pytest
 
 from minihello.errors import EngineError
 from minihello.frontend import check, load_units, parse_package
-from minihello.runpack import (ImageFormatError, PackStore, compile_package,
-                               deserialize, serialize, ORIGIN_NETWORK)
+from minihello.runpack import (ImageFormatError, PackStore, RunpackImage,
+                               compile_package, compute_hash, deserialize,
+                               serialize, ORIGIN_NETWORK)
+from minihello.runpack import ir
 from minihello.runpack.image import MAGIC
+from minihello.values import ClassKey
 
 from conftest import SAMPLES, compile_text
 
@@ -16,6 +20,126 @@ from conftest import SAMPLES, compile_text
 def _image(sample):
     return compile_package(check(parse_package(load_units(
         os.path.join(SAMPLES, sample)))))
+
+
+BOX = ClassKey("corpus", "Bäx")
+
+
+def corpus_image():
+    """A hand-built package whose bodies use every IR node kind, every
+    operator, every type base, i64 extremes, a negative `++` delta, `create`
+    with and without a host, and `if`/`for`/`return`/variable declarations
+    with their optional parts both present and left out."""
+    box = ir.TypeDesc("class", 0, BOX)
+    one = ir.IrInt(1)
+    local0, local1, local2 = ir.IrLocal(0), ir.IrLocal(1), ir.IrLocal(2)
+    main = ir.IrBlock([
+        ir.IrVarDecl(0, ir.TD_INT, ir.IrInt(-2 ** 63)),
+        ir.IrVarDecl(1, box, None),
+        ir.IrVarDecl(2, ir.TypeDesc("char", 2),
+                     ir.IrNewArray(ir.TD_CHAR, [ir.IrInt(2), ir.IrInt(3)])),
+        ir.IrAssign(local1, "set", ir.IrNew(BOX, [ir.IrInt(2 ** 63 - 1)])),
+        ir.IrAssign(local1, "set", ir.IrCreate(None, BOX, [])),
+        ir.IrAssign(local1, "set", ir.IrCreate(
+            ir.IrThisHost(), BOX, [ir.IrBool(True), ir.IrNull()])),
+        ir.IrAssign(ir.IrIndex(local2, ir.IrInt(0)), "concat", ir.IrStr(0)),
+        ir.IrAssign(ir.IrFieldGet(local1, 1, "größe"), "addi", ir.IrChar(255)),
+        ir.IrAssign(local0, "subi", ir.IrChar(0)),
+        ir.IrExprStmt(ir.IrPostIncr(local0, -1)),
+        ir.IrExprStmt(ir.IrPostIncr(ir.IrFieldGet(ir.IrThis(), 0, "n"), -128)),
+        ir.IrExprStmt(ir.IrPostIncr(ir.IrIndex(local2, one), 127)),
+        ir.IrIf(ir.IrLogic("and", ir.IrBool(False),
+                           ir.IrUn("not", ir.IrBool(True))),
+                ir.IrNop(), None),
+        ir.IrIf(ir.IrLogic("or", ir.IrBool(True), ir.IrBool(False)),
+                ir.IrBlock([]), ir.IrReturn(None)),
+        ir.IrWhile(ir.IrBin("lt", local0, ir.IrInt(10)),
+                   ir.IrExprStmt(ir.IrPostIncr(local0, 1))),
+        ir.IrFor(None, None, None, ir.IrBlock([])),
+        ir.IrFor(ir.IrVarDecl(3, ir.TD_INT, ir.IrInt(0)),
+                 ir.IrBin("le", ir.IrLocal(3), ir.IrInt(3)),
+                 ir.IrExprStmt(ir.IrPostIncr(ir.IrLocal(3), 1)),
+                 ir.IrBlock([ir.IrNop()])),
+        ir.IrExprStmt(ir.IrCallMethod(local1, "name", [])),
+        ir.IrExprStmt(ir.IrCallStatic(BOX, "helper", [
+            ir.IrTernary(ir.IrBool(True), one, ir.IrUn("neg", one))])),
+        ir.IrExprStmt(ir.IrCallBuiltin("print", [ir.IrStr(1)])),
+        ir.IrExprStmt(ir.IrIterate(ir.IrHostsRoot(), "print", [ir.IrStr(2)])),
+        ir.IrExprStmt(ir.IrQueuedEval(
+            ir.IrCreate(None, ClassKey("", "queue"), []), one)),
+        ir.IrPost(local1, ir.IrThis(), "bump", [ir.IrInt(5), local0]),
+        ir.IrReturn(ir.IrBin("sub", ir.IrInt(0), ir.IrInt(0))),
+    ])
+    ops = [ir.IrExprStmt(ir.IrBin(op, ir.IrInt(i), ir.IrInt(-i)))
+           for i, op in enumerate(("add", "sub", "mul", "div", "mod", "lt",
+                                   "le", "gt", "ge", "eq", "ne", "concat"))]
+    ops.append(ir.IrReturn(local0))
+    helper = ir.MethodCode("helper", ir.MQ_STATIC, [
+        ir.IrParam("x", ir.TD_INT, False),
+        ir.IrParam("s", ir.TypeDesc("char", 1), True),
+        ir.IrParam("b", ir.TypeDesc("class", 1, BOX), False)],
+        ir.TD_BOOL, True, 3, ir.IrBlock(ops))
+    ctor = ir.MethodCode("Bäx", ir.MQ_PUBLIC | ir.MQ_CTOR, [], ir.TD_VOID,
+                         False, 0, ir.IrBlock([]))
+    entry = ir.MethodCode("main", ir.MQ_STATIC | ir.MQ_PUBLIC, [], ir.TD_INT,
+                          False, 4, main)
+    cls = ir.ClassCode("Bäx", ir.CQ_EXTERNAL | ir.CQ_PUBLIC,
+                       [("n", ir.TD_INT), ("größe", ir.TD_CHAR),
+                        ("flag", ir.TD_BOOL), ("next", box)],
+                       [ctor, entry, helper])
+    empty = ir.ClassCode("Empty", 0, [], [])
+    return RunpackImage("corpus", [cls, empty], [b"hello", b"\x00\xff", b""])
+
+
+def _node_types(node, out):
+    out.add(type(node))
+    for attr in node.__slots__:
+        value = getattr(node, attr)
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ir.IrNode):
+                _node_types(child, out)
+    return out
+
+
+# (SHA-256 of the serialized image, content hash) per package. These pin
+# the .rpk format: a change to either number changes what every host reads.
+GOLDEN = {
+    "hello_world": (
+        "6e1745b18a9bedd92a933b5138ae5d52311e7aac0a3203bd35677b4e992adab0",
+        "12294adf972f889672ed064bba76bac76f94f2ed029dc11b7ba41020793d5286"),
+    "shell_world": (
+        "3aff40424f037ea68de11049849e3ea6fb09d8862b31eb49d79c8aa804fbc653",
+        "455d426199a835c44efe312f16309ab2879dc5cf67da92c5d4b58a7f6e55e458"),
+    "corpus": (
+        "4de819d1c3fcead7ac3721ad4b23f36daac8cd0edb75b28da5011fbdb92ca901",
+        "68d2bf1d1f0267b2a5b8cd33c0d9c6080c7d7036e4a6f8fc11bf49fcc13f5920"),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_image_bytes_and_content_hash(self, name):
+        image = corpus_image() if name == "corpus" else _image(name)
+        data = serialize(image)
+        assert (hashlib.sha256(data).hexdigest(),
+                compute_hash(image).hex()) == GOLDEN[name]
+        again = deserialize(data)
+        assert again.content_hash.hex() == GOLDEN[name][1]
+        assert serialize(again) == data
+
+    def test_corpus_round_trips_to_equal_trees(self):
+        image = corpus_image()
+        again = deserialize(serialize(image))
+        assert again.classes == image.classes
+        assert again.constants == image.constants
+
+    def test_corpus_uses_every_node_kind(self):
+        used = set()
+        for cls in corpus_image().classes:
+            for m in cls.methods:
+                _node_types(m.body, used)
+        assert used == set(ir.IrNode.__subclasses__())
+        assert len(used) == 34
 
 
 class TestCompile:
@@ -60,20 +184,17 @@ class TestSerialization:
             deserialize(bytes(data))
         assert exc.value.code == "HashMismatch"
 
-    def test_every_single_byte_flip_rejected_or_equal(self):
-        # sample a spread of positions; a flip is either detected or
-        # round-trips to the identical original (never silently accepted)
-        data = bytearray(serialize(compile_text("package tiny;")))
+    def test_every_single_byte_flip_rejected(self):
+        data = serialize(compile_text("package tiny;"))
+        codes = {}
         for pos in range(len(data)):
             mutated = bytearray(data)
             mutated[pos] ^= 0xFF
-            try:
-                img = deserialize(bytes(mutated))
-            except ImageFormatError:
-                continue
-            assert serialize(img) == bytes(data)
-        # at minimum the magic, version, and body flips must have raised
-        assert True
+            with pytest.raises(ImageFormatError) as exc:
+                deserialize(bytes(mutated))
+            codes[exc.value.code] = codes.get(exc.value.code, 0) + 1
+        assert codes == {"BadMagic": 4, "VersionUnsupported": 2,
+                         "TruncatedImage": 20, "HashMismatch": 44}
 
     def test_empty_bytes_truncated(self):
         with pytest.raises(ImageFormatError) as exc:
