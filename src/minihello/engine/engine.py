@@ -135,21 +135,20 @@ class RuntimeClass:
 def _builtin_runtime_classes() -> dict[ClassKey, RuntimeClass]:
     host_code = ir.ClassCode("host", ir.CQ_EXTERNAL | ir.CQ_PUBLIC, [], [
         ir.MethodCode("name", ir.MQ_PUBLIC | ir.MQ_EXTERNAL, [],
-                      ir.TypeDesc("char", 1), False, 0, ir.IrBlock([])),
+                      ir.TypeDesc("char", 1), False, 0),
         ir.MethodCode("print", ir.MQ_PUBLIC | ir.MQ_EXTERNAL,
                       [ir.IrParam("str", ir.TypeDesc("char", 1), True)],
-                      ir.TD_VOID, False, 1, ir.IrBlock([])),
+                      ir.TD_VOID, False, 1),
     ])
     group_code = ir.ClassCode(
         "host_group", ir.CQ_EXTERNAL | ir.CQ_GROUP | ir.CQ_PUBLIC,
         [("current_host", ir.TypeDesc("class", 0, HOST_KEY))], [
             ir.MethodCode("children", ir.MQ_PUBLIC | ir.MQ_EXTERNAL, [],
-                          ir.TypeDesc("class", 1, HOST_GROUP_KEY), True, 0,
-                          ir.IrBlock([])),
+                          ir.TypeDesc("class", 1, HOST_GROUP_KEY), True, 0),
             ir.MethodCode("print",
                           ir.MQ_PUBLIC | ir.MQ_EXTERNAL | ir.MQ_ITERATOR,
                           [ir.IrParam("str", ir.TypeDesc("char", 1), True)],
-                          ir.TD_VOID, False, 1, ir.IrBlock([])),
+                          ir.TD_VOID, False, 1),
         ])
     queue_code = ir.ClassCode("queue", ir.CQ_EXTERNAL | ir.CQ_PUBLIC,
                               [("qid", ir.TD_INT)], [])

@@ -257,6 +257,12 @@ class Router:
 
     def _register_neighbor(self, conn, name: str) -> None:
         self.neighbors[name] = conn
+        if self._stopped:
+            # shutdown() ran on another thread after this handshake passed
+            # its check and may have missed the connection: close it here.
+            self.neighbors.pop(name, None)
+            conn.close()
+            return
         self.conn_names[id(conn)] = name
         self.missed[name] = 0
         self.liveness_ms[name] = self.scheduler.now_ms()

@@ -6,6 +6,11 @@ method bodies. All integers big-endian. The content hash is SHA-256 over
 the serialized name/class-table/constants/bodies sections (everything but
 the magic, version, and the hash section itself), so identical packages
 compile to byte-identical, identically-hashed images.
+
+The class table is written and read through the field codecs of `ir`, and
+each method body is one length-prefixed `ir.encode` tree. `serialize` builds
+the four hashed sections once; `deserialize` checks the hash before it
+decodes anything, then checks every reference as it decodes.
 """
 
 from __future__ import annotations
@@ -53,115 +58,60 @@ class RunpackImage:
         return None
 
 
-# --- section writers ----------------------------------------------------------
+# --- sections -------------------------------------------------------------------
 
-def _write_classes(image: RunpackImage) -> bytes:
-    w = Writer()
-    w.u16(len(image.classes))
-    for cls in image.classes:
-        w.wstr(cls.name)
-        w.u8(cls.quals)
-        w.u16(len(cls.fields))
-        for fname, fty in cls.fields:
-            w.wstr(fname)
-            ir.write_type(w, fty)
-        w.u16(len(cls.methods))
-        for m in cls.methods:
-            w.wstr(m.name)
-            w.u8(m.quals)
-            w.u8(len(m.params))
-            for p in m.params:
-                w.wstr(p.name)
-                ir.write_type(w, p.ty)
-                w.u8(1 if p.copy else 0)
-            ir.write_type(w, m.ret)
-            w.u8(1 if m.ret_copy else 0)
-            w.u16(m.n_slots)
-    return w.getvalue()
+PARAM = ir.struct(ir.IrParam, ir.STR, ir.TYPE, ir.BOOL)
+# A method's body travels in the bodies section, not in the class table.
+METHOD = ir.struct(ir.MethodCode, ir.STR, ir.U8, ir.list_of(PARAM, ir.U8),
+                   ir.TYPE, ir.BOOL, ir.U16)
+CLASS = ir.struct(ir.ClassCode, ir.STR, ir.U8,
+                  ir.list_of(ir.pair(ir.STR, ir.TYPE)), ir.list_of(METHOD))
+CLASS_TABLE = ir.list_of(CLASS)
+CONSTANTS = ir.list_of(ir.BYTES, ir.U32)
 
 
-def _write_constants(image: RunpackImage) -> bytes:
-    w = Writer()
-    w.u32(len(image.constants))
-    for c in image.constants:
-        w.lp_bytes(c)
-    return w.getvalue()
-
-
-def _write_bodies(image: RunpackImage) -> bytes:
-    w = Writer()
+def _sections(image: RunpackImage) -> list[bytes]:
+    """The hashed sections in order: package name, class table, constant
+    pool, method bodies."""
+    name, classes, constants, bodies = Writer(), Writer(), Writer(), Writer()
+    ir.STR.write(name, image.package)
+    CLASS_TABLE.write(classes, image.classes)
+    CONSTANTS.write(constants, image.constants)
     for cls in image.classes:
         for m in cls.methods:
-            bw = Writer()
-            ir.write_node(bw, m.body)
-            w.lp_bytes(bw.getvalue())
-    return w.getvalue()
+            body = Writer()
+            ir.encode(body, m.body)
+            bodies.lp_bytes(body.buf)
+    return [name.getvalue(), classes.getvalue(), constants.getvalue(),
+            bodies.getvalue()]
 
 
-def _hashed_sections(image: RunpackImage) -> bytes:
+def _digest(sections: list[bytes]) -> bytes:
     w = Writer()
-    w.wstr(image.package)
-    name_sec = w.getvalue()
-    body = Writer()
-    body.lp_bytes(name_sec)
-    body.lp_bytes(_write_classes(image))
-    body.lp_bytes(_write_constants(image))
-    body.lp_bytes(_write_bodies(image))
-    return body.getvalue()
+    for section in sections:
+        w.lp_bytes(section)
+    return hashlib.sha256(w.buf).digest()
 
 
 def compute_hash(image: RunpackImage) -> bytes:
-    return hashlib.sha256(_hashed_sections(image)).digest()
+    return _digest(_sections(image))
 
 
 def serialize(image: RunpackImage) -> bytes:
-    hashed = _hashed_sections(image)
-    digest = hashlib.sha256(hashed).digest()
-    r = Reader(hashed)
-    name_sec = r.lp_bytes()
-    classes_sec = r.lp_bytes()
-    constants_sec = r.lp_bytes()
-    bodies_sec = r.lp_bytes()
-    w = Writer()
-    w.raw(MAGIC)
-    w.u16(image.version)
-    w.lp_bytes(name_sec)
-    w.lp_bytes(digest)
-    w.lp_bytes(classes_sec)
-    w.lp_bytes(constants_sec)
-    w.lp_bytes(bodies_sec)
+    sections = _sections(image)
+    w = Writer().raw(MAGIC).u16(image.version)
+    w.lp_bytes(sections[0]).lp_bytes(_digest(sections))
+    for section in sections[1:]:
+        w.lp_bytes(section)
     return w.getvalue()
 
 
-# --- section readers ------------------------------------------------------------
-
-def _read_classes(data: bytes) -> list[ir.ClassCode]:
+def _read_section(codec: ir.Codec, data: bytes, what: str):
     r = Reader(data)
-    classes = []
-    for _ in range(r.u16()):
-        name = r.wstr()
-        quals = r.u8()
-        fields = []
-        for _ in range(r.u16()):
-            fields.append((r.wstr(), ir.read_type(r)))
-        methods = []
-        for _ in range(r.u16()):
-            mname = r.wstr()
-            mquals = r.u8()
-            params = []
-            for _ in range(r.u8()):
-                pname = r.wstr()
-                pty = ir.read_type(r)
-                params.append(ir.IrParam(pname, pty, r.u8() != 0))
-            ret = ir.read_type(r)
-            ret_copy = r.u8() != 0
-            n_slots = r.u16()
-            methods.append(ir.MethodCode(mname, mquals, params, ret, ret_copy,
-                                         n_slots, ir.IrBlock([])))
-        classes.append(ir.ClassCode(name, quals, fields, methods))
+    value = codec.read(r)
     if not r.at_end():
-        raise ImageFormatError("MalformedImage", "trailing bytes in class table")
-    return classes
+        raise ImageFormatError("MalformedImage", f"trailing bytes in {what}")
+    return value
 
 
 def deserialize(data: bytes) -> RunpackImage:
@@ -175,41 +125,33 @@ def deserialize(data: bytes) -> RunpackImage:
             raise ImageFormatError("VersionUnsupported", f"version {version}")
         name_sec = r.lp_bytes()
         digest = r.lp_bytes()
-        classes_sec = r.lp_bytes()
-        constants_sec = r.lp_bytes()
-        bodies_sec = r.lp_bytes()
+        sections = [name_sec, r.lp_bytes(), r.lp_bytes(), r.lp_bytes()]
     except ShortRead as exc:
         raise ImageFormatError("TruncatedImage", str(exc)) from exc
 
-    recount = Writer()
-    recount.lp_bytes(name_sec)
-    recount.lp_bytes(classes_sec)
-    recount.lp_bytes(constants_sec)
-    recount.lp_bytes(bodies_sec)
-    actual = hashlib.sha256(recount.getvalue()).digest()
+    actual = _digest(sections)
     if actual != digest:
         raise ImageFormatError("HashMismatch",
                                f"header {digest.hex()[:12]}.. body {actual.hex()[:12]}..")
 
+    _, classes_sec, constants_sec, bodies_sec = sections
     try:
-        package = Reader(name_sec).wstr()
-        classes = _read_classes(classes_sec)
-        cr = Reader(constants_sec)
-        constants = [cr.lp_bytes() for _ in range(cr.u32())]
+        package = _read_section(ir.STR, name_sec, "package name")
+        classes = _read_section(CLASS_TABLE, classes_sec, "class table")
+        constants = _read_section(CONSTANTS, constants_sec, "constant pool")
         br = Reader(bodies_sec)
         for cls in classes:
             for m in cls.methods:
-                body_bytes = br.lp_bytes()
-                body = ir.read_node(Reader(body_bytes))
-                if not isinstance(body, ir.IrBlock):
-                    raise ImageFormatError("MalformedImage", "method body is not a block")
-                ir.validate_refs(body, len(constants), max(m.n_slots, 1))
-                m.body = body
+                m.body = ir.decode_body(br.lp_bytes(), len(constants),
+                                        max(m.n_slots, 1))
         if not br.at_end():
             raise ImageFormatError("MalformedImage", "trailing bytes in bodies")
     except ShortRead as exc:
         raise ImageFormatError("TruncatedImage", str(exc)) from exc
-    except ir.IrFormatError as exc:
+    except (ir.IrFormatError, RecursionError, UnicodeDecodeError) as exc:
+        # The sender computes the content hash, so it does not vouch for the
+        # structure: a body nested past the recursion limit or a name that is
+        # not UTF-8 is malformed input, not a crash.
         raise ImageFormatError("MalformedImage", str(exc)) from exc
 
     return RunpackImage(package, classes, constants, digest, version)

@@ -1,14 +1,20 @@
 """Typed IR trees for compiled method bodies, with their binary codec.
 
-The IR is what a runpack image carries instead of native code: a
-tree-walked instruction form whose operators are already type-resolved
-(integer add vs string concat, and so on). Method and class references are
-name-based so images stay stable across hosts.
+The IR is what a runpack image carries instead of native code: a tree
+form whose operators are already type-resolved (integer add vs string
+concat, and so on), which `engine/machine.py` compiles to closures the
+first time a method runs. Method and class references are name-based so
+images stay stable across hosts.
+
+The codec is one table, NODE_TABLE, that gives each node class its tag and
+one field codec per dataclass field; `encode` and `decode` walk it, and
+`runpack/image.py` builds the class table from the same field codecs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from ..bio import Reader, Writer
 from ..values import ClassKey
@@ -282,7 +288,7 @@ class MethodCode:
     ret: TypeDesc
     ret_copy: bool
     n_slots: int
-    body: IrBlock
+    body: IrBlock = field(default_factory=lambda: IrBlock([]))
 
     def has(self, bit: int) -> bool:
         return bool(self.quals & bit)
@@ -306,283 +312,197 @@ class ClassCode:
 
 
 # --- binary codec ---------------------------------------------------------------
-
-_NODE_TYPES = [
-    IrInt, IrBool, IrChar, IrStr, IrNull, IrLocal, IrThis, IrThisHost,
-    IrHostsRoot, IrFieldGet, IrIndex, IrBin, IrLogic, IrUn, IrTernary,
-    IrPostIncr, IrCallMethod, IrCallStatic, IrCallBuiltin, IrNew, IrCreate,
-    IrNewArray, IrQueuedEval, IrIterate, IrBlock, IrVarDecl, IrAssign,
-    IrExprStmt, IrIf, IrWhile, IrFor, IrReturn, IrPost, IrNop,
-]
-_TAG_OF = {t: i for i, t in enumerate(_NODE_TYPES)}
-
-_BIN_OPS = ("add", "sub", "mul", "div", "mod", "lt", "le", "gt", "ge",
-            "eq", "ne", "concat")
-_LOGIC_OPS = ("and", "or")
-_UN_OPS = ("neg", "not")
-_ASSIGN_OPS = ("set", "addi", "subi", "concat")
-
+#
+# A Codec is a (write, read) pair: write(w, value) appends a value to a
+# Writer, read(r) takes one back from a Reader. A node is its u8 tag, which
+# is its index in NODE_TABLE, then its dataclass fields in order, each through
+# the codec the table gives it. Reading checks tags, op indices, constant-pool
+# indices and local slots as it goes, so a decoded body needs no second walk.
 
 class IrFormatError(Exception):
     pass
 
 
-def write_type(w: Writer, ty: TypeDesc) -> None:
-    w.u8(_BASES.index(ty.base))
-    w.u8(ty.depth)
-    if ty.base == "class":
-        w.wstr(ty.cls.package)
-        w.wstr(ty.cls.name)
+class Codec(NamedTuple):
+    write: Callable[[Writer, Any], Any]
+    read: Callable[[Reader], Any]
 
 
-def read_type(r: Reader) -> TypeDesc:
-    idx = r.u8()
-    if idx >= len(_BASES):
-        raise IrFormatError(f"bad type base {idx}")
-    base = _BASES[idx]
-    depth = r.u8()
-    cls = None
-    if base == "class":
-        cls = ClassKey(r.wstr(), r.wstr())
-    return TypeDesc(base, depth, cls)
+class BodyReader(Reader):
+    """Reader of one method body: knows the pool size and slot count to check."""
+    __slots__ = ("pool_size", "n_slots")
+
+    def __init__(self, data: bytes, pool_size: int, n_slots: int):
+        super().__init__(data)
+        self.pool_size = pool_size
+        self.n_slots = n_slots
 
 
-def _write_opt(w: Writer, node: IrNode | None) -> None:
-    if node is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        write_node(w, node)
+def _below(read, limit: str, what: str):
+    def read_checked(r: BodyReader) -> int:
+        value = read(r)
+        if value >= getattr(r, limit):
+            raise IrFormatError(f"{what} {value} out of range")
+        return value
+    return read_checked
 
 
-def _read_opt(r: Reader):
-    return read_node(r) if r.u8() else None
+U8 = Codec(Writer.u8, Reader.u8)
+U16 = Codec(Writer.u16, Reader.u16)
+U32 = Codec(Writer.u32, Reader.u32)
+I64 = Codec(Writer.i64, Reader.i64)
+BOOL = Codec(lambda w, v: w.u8(1 if v else 0), lambda r: r.u8() != 0)
+DELTA = Codec(lambda w, v: w.u8(v & 0xFF), lambda r: (r.u8() ^ 0x80) - 0x80)
+STR = Codec(Writer.wstr, Reader.wstr)
+BYTES = Codec(Writer.lp_bytes, Reader.lp_bytes)
+SLOT = Codec(Writer.u16, _below(Reader.u16, "n_slots", "slot"))
+POOL = Codec(Writer.u32, _below(Reader.u32, "pool_size", "constant index"))
 
 
-def _write_list(w: Writer, nodes: list[IrNode]) -> None:
-    w.u16(len(nodes))
-    for n in nodes:
-        write_node(w, n)
+def enum(*names: str) -> Codec:
+    """Codec of one of `names`, written as its u8 index."""
+    def read(r: Reader) -> str:
+        i = r.u8()
+        if i >= len(names):
+            raise IrFormatError(f"index {i} is not one of {names}")
+        return names[i]
+    return Codec(lambda w, name: w.u8(names.index(name)), read)
 
 
-def _read_list(r: Reader) -> list[IrNode]:
-    return [read_node(r) for _ in range(r.u16())]
+def optional(codec: Codec) -> Codec:
+    """Codec of a value or None, after a u8 presence flag."""
+    write, read = codec
+
+    def write_opt(w: Writer, value) -> None:
+        w.u8(0 if value is None else 1)
+        if value is not None:
+            write(w, value)
+    return Codec(write_opt, lambda r: read(r) if r.u8() else None)
 
 
-def _write_key(w: Writer, key: ClassKey) -> None:
-    w.wstr(key.package)
-    w.wstr(key.name)
+def list_of(codec: Codec, count: Codec = U16) -> Codec:
+    """Codec of a list: its length through `count`, then each item."""
+    write, read = codec
+    write_n, read_n = count
+
+    def write_list(w: Writer, items: list) -> None:
+        write_n(w, len(items))
+        for item in items:
+            write(w, item)
+    return Codec(write_list, lambda r: [read(r) for _ in range(read_n(r))])
 
 
-def _read_key(r: Reader) -> ClassKey:
-    return ClassKey(r.wstr(), r.wstr())
+def pair(first: Codec, second: Codec) -> Codec:
+    """Codec of a 2-tuple."""
+    def write(w: Writer, value: tuple) -> None:
+        first.write(w, value[0])
+        second.write(w, value[1])
+    return Codec(write, lambda r: (first.read(r), second.read(r)))
 
 
-def write_node(w: Writer, node: IrNode) -> None:
-    tag = _TAG_OF[type(node)]
+def struct(cls, *codecs: Codec) -> Codec:
+    """Codec of dataclass `cls`: its first len(codecs) fields in order, each
+    through its own codec. Reading passes them to `cls` positionally."""
+    writers = list(zip(cls.__match_args__, [c.write for c in codecs]))
+    readers = [c.read for c in codecs]
+
+    def write(w: Writer, obj) -> None:
+        for name, write_field in writers:
+            write_field(w, getattr(obj, name))
+    return Codec(write, lambda r: cls(*[read(r) for read in readers]))
+
+
+KEY = struct(ClassKey, STR, STR)
+
+
+def _type_codec() -> Codec:
+    """Codec of a TypeDesc: base, array depth, and the class key when the
+    base is 'class'."""
+    base_codec = enum(*_BASES)
+
+    def write(w: Writer, ty: TypeDesc) -> None:
+        base_codec.write(w, ty.base)
+        w.u8(ty.depth)
+        if ty.base == "class":
+            KEY.write(w, ty.cls)
+
+    def read(r: Reader) -> TypeDesc:
+        base = base_codec.read(r)
+        return TypeDesc(base, r.u8(), KEY.read(r) if base == "class" else None)
+    return Codec(write, read)
+
+
+TYPE = _type_codec()
+
+
+def encode(w: Writer, node: IrNode) -> None:
+    tag, write = _ENCODE[type(node)]
     w.u8(tag)
-    if isinstance(node, IrInt):
-        w.i64(node.value)
-    elif isinstance(node, IrBool):
-        w.u8(1 if node.value else 0)
-    elif isinstance(node, IrChar):
-        w.u8(node.code)
-    elif isinstance(node, IrStr):
-        w.u32(node.pool)
-    elif isinstance(node, (IrNull, IrThis, IrThisHost, IrHostsRoot, IrNop)):
-        pass
-    elif isinstance(node, IrLocal):
-        w.u16(node.slot)
-    elif isinstance(node, IrFieldGet):
-        write_node(w, node.obj)
-        w.u16(node.index)
-        w.wstr(node.name)
-    elif isinstance(node, IrIndex):
-        write_node(w, node.arr)
-        write_node(w, node.idx)
-    elif isinstance(node, IrBin):
-        w.u8(_BIN_OPS.index(node.op))
-        write_node(w, node.left)
-        write_node(w, node.right)
-    elif isinstance(node, IrLogic):
-        w.u8(_LOGIC_OPS.index(node.op))
-        write_node(w, node.left)
-        write_node(w, node.right)
-    elif isinstance(node, IrUn):
-        w.u8(_UN_OPS.index(node.op))
-        write_node(w, node.operand)
-    elif isinstance(node, IrTernary):
-        write_node(w, node.cond)
-        write_node(w, node.then)
-        write_node(w, node.other)
-    elif isinstance(node, IrPostIncr):
-        write_node(w, node.target)
-        w.u8(node.delta & 0xFF)
-    elif isinstance(node, IrCallMethod):
-        write_node(w, node.obj)
-        w.wstr(node.method)
-        _write_list(w, node.args)
-    elif isinstance(node, IrCallStatic):
-        _write_key(w, node.cls)
-        w.wstr(node.method)
-        _write_list(w, node.args)
-    elif isinstance(node, IrCallBuiltin):
-        w.wstr(node.hook)
-        _write_list(w, node.args)
-    elif isinstance(node, IrNew):
-        _write_key(w, node.cls)
-        _write_list(w, node.args)
-    elif isinstance(node, IrCreate):
-        _write_opt(w, node.host)
-        _write_key(w, node.cls)
-        _write_list(w, node.args)
-    elif isinstance(node, IrNewArray):
-        write_type(w, node.elem)
-        _write_list(w, node.dims)
-    elif isinstance(node, IrQueuedEval):
-        write_node(w, node.queue)
-        write_node(w, node.body)
-    elif isinstance(node, IrIterate):
-        write_node(w, node.group)
-        w.wstr(node.method)
-        _write_list(w, node.args)
-    elif isinstance(node, IrBlock):
-        _write_list(w, node.stmts)
-    elif isinstance(node, IrVarDecl):
-        w.u16(node.slot)
-        write_type(w, node.ty)
-        _write_opt(w, node.init)
-    elif isinstance(node, IrAssign):
-        write_node(w, node.target)
-        w.u8(_ASSIGN_OPS.index(node.op))
-        write_node(w, node.value)
-    elif isinstance(node, IrExprStmt):
-        write_node(w, node.expr)
-    elif isinstance(node, IrIf):
-        write_node(w, node.cond)
-        write_node(w, node.then)
-        _write_opt(w, node.other)
-    elif isinstance(node, IrWhile):
-        write_node(w, node.cond)
-        write_node(w, node.body)
-    elif isinstance(node, IrFor):
-        _write_opt(w, node.init)
-        _write_opt(w, node.cond)
-        _write_opt(w, node.step)
-        write_node(w, node.body)
-    elif isinstance(node, IrReturn):
-        _write_opt(w, node.value)
-    elif isinstance(node, IrPost):
-        write_node(w, node.queue)
-        write_node(w, node.target)
-        w.wstr(node.method)
-        _write_list(w, node.args)
-    else:
-        raise AssertionError(f"unhandled node {node!r}")
+    write(w, node)
 
 
-def read_node(r: Reader) -> IrNode:
+def decode(r: Reader) -> IrNode:
     tag = r.u8()
-    if tag >= len(_NODE_TYPES):
+    if tag >= len(_DECODE):
         raise IrFormatError(f"bad node tag {tag}")
-    cls = _NODE_TYPES[tag]
-    if cls is IrInt:
-        return IrInt(r.i64())
-    if cls is IrBool:
-        return IrBool(r.u8() != 0)
-    if cls is IrChar:
-        return IrChar(r.u8())
-    if cls is IrStr:
-        return IrStr(r.u32())
-    if cls is IrNull:
-        return IrNull()
-    if cls is IrThis:
-        return IrThis()
-    if cls is IrThisHost:
-        return IrThisHost()
-    if cls is IrHostsRoot:
-        return IrHostsRoot()
-    if cls is IrNop:
-        return IrNop()
-    if cls is IrLocal:
-        return IrLocal(r.u16())
-    if cls is IrFieldGet:
-        return IrFieldGet(read_node(r), r.u16(), r.wstr())
-    if cls is IrIndex:
-        return IrIndex(read_node(r), read_node(r))
-    if cls is IrBin:
-        op_idx = r.u8()
-        if op_idx >= len(_BIN_OPS):
-            raise IrFormatError("bad binary op")
-        return IrBin(_BIN_OPS[op_idx], read_node(r), read_node(r))
-    if cls is IrLogic:
-        op_idx = r.u8()
-        if op_idx >= len(_LOGIC_OPS):
-            raise IrFormatError("bad logic op")
-        return IrLogic(_LOGIC_OPS[op_idx], read_node(r), read_node(r))
-    if cls is IrUn:
-        op_idx = r.u8()
-        if op_idx >= len(_UN_OPS):
-            raise IrFormatError("bad unary op")
-        return IrUn(_UN_OPS[op_idx], read_node(r))
-    if cls is IrTernary:
-        return IrTernary(read_node(r), read_node(r), read_node(r))
-    if cls is IrPostIncr:
-        target = read_node(r)
-        raw = r.u8()
-        return IrPostIncr(target, raw - 256 if raw >= 128 else raw)
-    if cls is IrCallMethod:
-        return IrCallMethod(read_node(r), r.wstr(), _read_list(r))
-    if cls is IrCallStatic:
-        return IrCallStatic(_read_key(r), r.wstr(), _read_list(r))
-    if cls is IrCallBuiltin:
-        return IrCallBuiltin(r.wstr(), _read_list(r))
-    if cls is IrNew:
-        return IrNew(_read_key(r), _read_list(r))
-    if cls is IrCreate:
-        return IrCreate(_read_opt(r), _read_key(r), _read_list(r))
-    if cls is IrNewArray:
-        return IrNewArray(read_type(r), _read_list(r))
-    if cls is IrQueuedEval:
-        return IrQueuedEval(read_node(r), read_node(r))
-    if cls is IrIterate:
-        return IrIterate(read_node(r), r.wstr(), _read_list(r))
-    if cls is IrBlock:
-        return IrBlock(_read_list(r))
-    if cls is IrVarDecl:
-        return IrVarDecl(r.u16(), read_type(r), _read_opt(r))
-    if cls is IrAssign:
-        target = read_node(r)
-        op_idx = r.u8()
-        if op_idx >= len(_ASSIGN_OPS):
-            raise IrFormatError("bad assign op")
-        return IrAssign(target, _ASSIGN_OPS[op_idx], read_node(r))
-    if cls is IrExprStmt:
-        return IrExprStmt(read_node(r))
-    if cls is IrIf:
-        return IrIf(read_node(r), read_node(r), _read_opt(r))
-    if cls is IrWhile:
-        return IrWhile(read_node(r), read_node(r))
-    if cls is IrFor:
-        return IrFor(_read_opt(r), _read_opt(r), _read_opt(r), read_node(r))
-    if cls is IrReturn:
-        return IrReturn(_read_opt(r))
-    if cls is IrPost:
-        return IrPost(read_node(r), read_node(r), r.wstr(), _read_list(r))
-    raise AssertionError(f"unhandled tag {tag}")
+    return _DECODE[tag](r)
 
 
-def validate_refs(node: IrNode, pool_size: int, n_slots: int) -> None:
-    """Bounds-check pool indices and local slots after deserialization."""
-    if isinstance(node, IrStr) and node.pool >= pool_size:
-        raise IrFormatError(f"constant index {node.pool} out of range")
-    if isinstance(node, (IrLocal, IrVarDecl)) and node.slot >= n_slots:
-        raise IrFormatError(f"slot {node.slot} out of range")
-    for attr in getattr(node, "__slots__", ()):
-        child = getattr(node, attr, None)
-        if isinstance(child, IrNode):
-            validate_refs(child, pool_size, n_slots)
-        elif isinstance(child, list):
-            for item in child:
-                if isinstance(item, IrNode):
-                    validate_refs(item, pool_size, n_slots)
+def decode_body(data: bytes, pool_size: int, n_slots: int) -> IrBlock:
+    """Decode one method body, which must be one block and nothing more."""
+    r = BodyReader(data, pool_size, n_slots)
+    body = decode(r)
+    if not isinstance(body, IrBlock):
+        raise IrFormatError("method body is not a block")
+    if not r.at_end():
+        raise IrFormatError("trailing bytes in method body")
+    return body
+
+
+NODE = Codec(encode, decode)
+OPT = optional(NODE)
+NODES = list_of(NODE)
+
+# One entry per node class, in tag order: the class, then one codec per field.
+NODE_TABLE = (
+    (IrInt, I64),
+    (IrBool, BOOL),
+    (IrChar, U8),
+    (IrStr, POOL),
+    (IrNull,),
+    (IrLocal, SLOT),
+    (IrThis,),
+    (IrThisHost,),
+    (IrHostsRoot,),
+    (IrFieldGet, NODE, U16, STR),
+    (IrIndex, NODE, NODE),
+    (IrBin, enum("add", "sub", "mul", "div", "mod", "lt", "le", "gt", "ge",
+                 "eq", "ne", "concat"), NODE, NODE),
+    (IrLogic, enum("and", "or"), NODE, NODE),
+    (IrUn, enum("neg", "not"), NODE),
+    (IrTernary, NODE, NODE, NODE),
+    (IrPostIncr, NODE, DELTA),
+    (IrCallMethod, NODE, STR, NODES),
+    (IrCallStatic, KEY, STR, NODES),
+    (IrCallBuiltin, STR, NODES),
+    (IrNew, KEY, NODES),
+    (IrCreate, OPT, KEY, NODES),
+    (IrNewArray, TYPE, NODES),
+    (IrQueuedEval, NODE, NODE),
+    (IrIterate, NODE, STR, NODES),
+    (IrBlock, NODES),
+    (IrVarDecl, SLOT, TYPE, OPT),
+    (IrAssign, NODE, enum("set", "addi", "subi", "concat"), NODE),
+    (IrExprStmt, NODE),
+    (IrIf, NODE, NODE, OPT),
+    (IrWhile, NODE, NODE),
+    (IrFor, OPT, OPT, OPT, NODE),
+    (IrReturn, OPT),
+    (IrPost, NODE, NODE, STR, NODES),
+    (IrNop,),
+)
+
+_CODECS = [struct(cls, *codecs) for cls, *codecs in NODE_TABLE]
+_ENCODE = {entry[0]: (tag, codec.write)
+           for tag, (entry, codec) in enumerate(zip(NODE_TABLE, _CODECS))}
+_DECODE = [codec.read for codec in _CODECS]

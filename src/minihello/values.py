@@ -71,6 +71,13 @@ class CharArray:
         self.data = bytearray(data)
 
     @classmethod
+    def zeros(cls, n: int) -> "CharArray":
+        """A zero-filled array of n chars, allocated once and not copied."""
+        arr = cls.__new__(cls)
+        arr.data = bytearray(n)
+        return arr
+
+    @classmethod
     def from_str(cls, s: str) -> "CharArray":
         return cls(s.encode("utf-8"))
 

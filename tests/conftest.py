@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 
@@ -11,7 +12,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from minihello.engine.engine import TaskCtx  # noqa: E402
 from minihello.frontend import SourceUnit, check, load_units, parse_package  # noqa: E402
-from minihello.runpack import compile_package  # noqa: E402
+from minihello.bio import Reader, Writer  # noqa: E402
+from minihello.runpack import RunpackImage, compile_package, ir, serialize  # noqa: E402
 from minihello.simharness import Scenario  # noqa: E402
 from minihello.values import Array, CharArray, ObjectRef  # noqa: E402
 
@@ -46,6 +48,26 @@ def pytest_runtest_logreport(report):
     verdict = "PASS" if report.passed else "FAIL"
     name = report.nodeid.split("::")[-1]
     print(f"\nACCEPTANCE {marker} [{verdict}] {_CRITERION_TITLES[marker]} :: {name}")
+
+
+def image_with_body(body: bytes, package: str = "bad") -> bytes:
+    """A serialized image with a correct content hash whose one method, with
+    one slot and one constant in the pool, has the raw body bytes `body`."""
+    method = ir.MethodCode("m", ir.MQ_STATIC, [], ir.TD_VOID, False, 1,
+                           ir.IrBlock([]))
+    data = serialize(RunpackImage(package, [ir.ClassCode("C", 0, [], [method])],
+                                  [b"k"]))
+    r = Reader(data[6:])
+    name, _, classes, constants, _ = [r.lp_bytes() for _ in range(5)]
+    sections = [name, classes, constants, Writer().lp_bytes(body).getvalue()]
+    hashed = Writer()
+    for section in sections:
+        hashed.lp_bytes(section)
+    out = Writer().raw(data[:6]).lp_bytes(name)
+    out.lp_bytes(hashlib.sha256(hashed.getvalue()).digest())
+    for section in sections[1:]:
+        out.lp_bytes(section)
+    return out.getvalue()
 
 
 def compile_dir(path: str):

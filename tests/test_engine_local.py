@@ -179,6 +179,16 @@ PINNED = {
         int[] a = create int[3];
         a[1]++;
         return b.v * 10 + a[1] * 100 + a[0] + a[2];""", 120),
+    "zero_filled_chars": ("""
+        char[][] g = create char[2][3];
+        g[0][1] = 'a';
+        char[] s = create char[4];
+        s += g[1];
+        int zeros = 0;
+        for (int i = 0; i < sizear(s, 1); i++)
+            if (s[i] == g[1][0]) zeros++;
+        return zeros * 100 + sizear(s, 1) * 10 + (g[0][1] == g[1][1] ? 1 : 0);""",
+                          770),
 }
 
 

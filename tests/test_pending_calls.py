@@ -10,14 +10,15 @@ import pytest
 
 from minihello.bio import Writer
 from minihello.engine.engine import Engine, EngineConfig, FrameMeta
-from minihello.errors import E_HOST_UNREACHABLE, E_TIMEOUT, EngineError
+from minihello.errors import (E_HOST_UNREACHABLE, E_TIMEOUT, E_UNKNOWN_CLASS,
+                              EngineError)
 from minihello.net import frames
 from minihello.net.wirevalues import encode_value
 from minihello.runpack import serialize
 from minihello.runtime import Scheduler
 from minihello.values import ClassKey
 
-from conftest import compile_text
+from conftest import compile_text, image_with_body
 
 
 class ManualScheduler(Scheduler):
@@ -79,9 +80,9 @@ def reply_42(frame):
 IMAGE = compile_text("package fetched; class C { public int x; }")
 
 
-def pack_data(frame):
+def pack_data(frame, data=None):
     """The whole runpack as two PACK_DATA chunks, the last one flagged."""
-    data = serialize(IMAGE)
+    data = data or serialize(IMAGE)
     out = []
     for last, chunk in ((0, data[:10]), (1, data[10:])):
         w = Writer()
@@ -108,6 +109,23 @@ def test_pack_delivered_during_send_installs_it():
     assert engine.runtime_class(ClassKey("fetched", "C")) is not None
     assert engine.pending == {}
     assert engine._pack_buffers == {}
+    assert scheduler.live_timers() == []
+
+
+def test_malformed_pack_fails_the_fetch_and_leaves_nothing_behind():
+    # a correctly hashed image whose one body nests 50,000 unary nodes
+    nested = image_with_body(b"\x18\x00\x01\x1b" + b"\x0d\x00" * 50_000
+                             + b"\x00" + bytes(8), package="fetched")
+    engine, scheduler = make_engine(lambda frame: pack_data(frame, nested))
+    fut = engine.fetch_pack("b", "fetched")
+    assert fut.done()
+    with pytest.raises(EngineError) as exc:
+        fut.result()
+    assert exc.value.code == E_UNKNOWN_CLASS
+    assert "MalformedImage" in str(exc.value)
+    assert engine.pending == {}
+    assert engine._pack_buffers == {}
+    assert engine._fetch_inflight == {}
     assert scheduler.live_timers() == []
 
 

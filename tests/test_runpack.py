@@ -1,9 +1,11 @@
 """Runpack image tests: determinism, round-trip, integrity, and the store."""
 
+import dataclasses
 import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minihello.errors import EngineError
 from minihello.frontend import check, load_units, parse_package
@@ -14,7 +16,7 @@ from minihello.runpack import ir
 from minihello.runpack.image import MAGIC
 from minihello.values import ClassKey
 
-from conftest import SAMPLES, compile_text
+from conftest import SAMPLES, compile_text, image_with_body
 
 
 def _image(sample):
@@ -142,6 +144,44 @@ class TestGoldenBytes:
         assert len(used) == 34
 
 
+def _stmt(expr: bytes) -> bytes:
+    """Body bytes of a block holding one expression statement (tags 24, 27)."""
+    return b"\x18\x00\x01\x1b" + expr
+
+
+INT_1 = b"\x00" + (1).to_bytes(8, "big")  # IrInt(1), tag 0
+
+# Bodies of an image with one constant and a method of one slot. Each image
+# carries a correct content hash, so only the decoder stands between these
+# bytes and the engine.
+MALFORMED_BODIES = {
+    "bad_tag": _stmt(b"\x22"),                          # one past IrNop
+    "bad_op": _stmt(b"\x0b\x0c" + INT_1 + INT_1),        # IrBin, op 12 of 0-11
+    "pool_out_of_range": _stmt(b"\x03\x00\x00\x00\x01"),  # IrStr(1)
+    "slot_out_of_range": _stmt(b"\x05\x00\x01"),         # IrLocal(1)
+    "trailing_bytes": _stmt(INT_1) + b"\x21",
+    "not_a_block": b"\x21",                             # IrNop
+    # 50,000 nested IrUn nodes: deeper than any recursion limit the CLIs set
+    "deep_nesting": _stmt(b"\x0d\x00" * 50_000 + INT_1),
+    "bad_utf8": _stmt(b"\x12\x00\x02\xff\xfe\x00\x00"),  # IrCallBuiltin
+}
+
+
+class TestMalformedBodies:
+    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(),
+                             ids=MALFORMED_BODIES.keys())
+    def test_rejected_as_malformed(self, body):
+        with pytest.raises(ImageFormatError) as exc:
+            deserialize(image_with_body(body))
+        assert exc.value.code == "MalformedImage"
+
+    def test_in_range_references_accepted(self):
+        body = b"\x18\x00\x02\x1b\x05\x00\x00\x1b\x03\x00\x00\x00\x00"
+        image = deserialize(image_with_body(body))
+        assert image.classes[0].methods[0].body == ir.IrBlock(
+            [ir.IrExprStmt(ir.IrLocal(0)), ir.IrExprStmt(ir.IrStr(0))])
+
+
 class TestCompile:
     def test_hello_world_shape(self):
         image = _image("hello_world")
@@ -257,3 +297,111 @@ class TestPackStore:
         newer = compile_text("package p1; class B { }")
         store.install(newer)
         assert store.resolve("p1") is newer
+
+
+# --- codec round trip on random trees ----------------------------------------------
+
+SLOTS = 40
+POOL = 6
+names = st.text(max_size=6)  # any non-surrogate code point, so non-ASCII too
+keys = st.builds(ClassKey, names, names)
+types = st.one_of(
+    st.builds(ir.TypeDesc, st.sampled_from(("void", "int", "bool", "char")),
+              st.integers(0, 255)),
+    st.builds(ir.TypeDesc, st.just("class"), st.integers(0, 255), keys))
+i64 = st.one_of(st.sampled_from((-2 ** 63, -1, 0, 1, 2 ** 63 - 1)),
+                st.integers(-2 ** 63, 2 ** 63 - 1))
+
+# One strategy per node class, given the strategy for child nodes.
+NODE_STRATEGIES = {
+    ir.IrInt: lambda n: st.builds(ir.IrInt, i64),
+    ir.IrBool: lambda n: st.builds(ir.IrBool, st.booleans()),
+    ir.IrChar: lambda n: st.builds(ir.IrChar, st.integers(0, 255)),
+    ir.IrStr: lambda n: st.builds(ir.IrStr, st.integers(0, POOL - 1)),
+    ir.IrNull: lambda n: st.builds(ir.IrNull),
+    ir.IrLocal: lambda n: st.builds(ir.IrLocal, st.integers(0, SLOTS - 1)),
+    ir.IrThis: lambda n: st.builds(ir.IrThis),
+    ir.IrThisHost: lambda n: st.builds(ir.IrThisHost),
+    ir.IrHostsRoot: lambda n: st.builds(ir.IrHostsRoot),
+    ir.IrNop: lambda n: st.builds(ir.IrNop),
+    ir.IrFieldGet: lambda n: st.builds(ir.IrFieldGet, n, st.integers(0, 0xFFFF),
+                                       names),
+    ir.IrIndex: lambda n: st.builds(ir.IrIndex, n, n),
+    ir.IrBin: lambda n: st.builds(ir.IrBin, st.sampled_from((
+        "add", "sub", "mul", "div", "mod", "lt", "le", "gt", "ge", "eq", "ne",
+        "concat")), n, n),
+    ir.IrLogic: lambda n: st.builds(ir.IrLogic, st.sampled_from(("and", "or")),
+                                    n, n),
+    ir.IrUn: lambda n: st.builds(ir.IrUn, st.sampled_from(("neg", "not")), n),
+    ir.IrTernary: lambda n: st.builds(ir.IrTernary, n, n, n),
+    ir.IrPostIncr: lambda n: st.builds(ir.IrPostIncr, n, st.integers(-128, 127)),
+    ir.IrCallMethod: lambda n: st.builds(ir.IrCallMethod, n, names,
+                                         st.lists(n, max_size=3)),
+    ir.IrCallStatic: lambda n: st.builds(ir.IrCallStatic, keys, names,
+                                         st.lists(n, max_size=3)),
+    ir.IrCallBuiltin: lambda n: st.builds(ir.IrCallBuiltin, names,
+                                          st.lists(n, max_size=3)),
+    ir.IrNew: lambda n: st.builds(ir.IrNew, keys, st.lists(n, max_size=3)),
+    ir.IrCreate: lambda n: st.builds(ir.IrCreate, st.none() | n, keys,
+                                     st.lists(n, max_size=3)),
+    ir.IrNewArray: lambda n: st.builds(ir.IrNewArray, types,
+                                       st.lists(n, min_size=1, max_size=2)),
+    ir.IrQueuedEval: lambda n: st.builds(ir.IrQueuedEval, n, n),
+    ir.IrIterate: lambda n: st.builds(ir.IrIterate, n, names,
+                                      st.lists(n, max_size=3)),
+    ir.IrBlock: lambda n: st.builds(ir.IrBlock, st.lists(n, max_size=4)),
+    ir.IrVarDecl: lambda n: st.builds(ir.IrVarDecl, st.integers(0, SLOTS - 1),
+                                      types, st.none() | n),
+    ir.IrAssign: lambda n: st.builds(ir.IrAssign, n, st.sampled_from(
+        ("set", "addi", "subi", "concat")), n),
+    ir.IrExprStmt: lambda n: st.builds(ir.IrExprStmt, n),
+    ir.IrIf: lambda n: st.builds(ir.IrIf, n, n, st.none() | n),
+    ir.IrWhile: lambda n: st.builds(ir.IrWhile, n, n),
+    ir.IrFor: lambda n: st.builds(ir.IrFor, st.none() | n, st.none() | n,
+                                  st.none() | n, n),
+    ir.IrReturn: lambda n: st.builds(ir.IrReturn, st.none() | n),
+    ir.IrPost: lambda n: st.builds(ir.IrPost, n, n, names,
+                                   st.lists(n, max_size=3)),
+}
+
+LEAVES = (ir.IrInt, ir.IrBool, ir.IrChar, ir.IrStr, ir.IrNull, ir.IrLocal,
+          ir.IrThis, ir.IrThisHost, ir.IrHostsRoot, ir.IrNop)
+nodes = st.recursive(
+    st.one_of([NODE_STRATEGIES[cls](None) for cls in LEAVES]),
+    lambda n: st.one_of([make(n) for cls, make in NODE_STRATEGIES.items()
+                         if cls not in LEAVES]),
+    max_leaves=12)
+bodies = st.builds(ir.IrBlock, st.lists(nodes, max_size=4))
+
+
+@st.composite
+def images(draw):
+    params = draw(st.lists(st.builds(ir.IrParam, names, types, st.booleans()),
+                           max_size=3))
+    methods = [ir.MethodCode(draw(names), draw(st.integers(0, 255)), params,
+                             draw(types), draw(st.booleans()), SLOTS, body)
+               for body in draw(st.lists(bodies, min_size=1, max_size=2))]
+    fields = draw(st.lists(st.tuples(names, types), max_size=3))
+    cls = ir.ClassCode(draw(names), draw(st.integers(0, 255)), fields, methods)
+    constants = draw(st.lists(st.binary(max_size=8), min_size=POOL,
+                              max_size=POOL))
+    return RunpackImage(draw(names), [cls], constants)
+
+
+class TestCodecRoundTrip:
+    def test_strategies_and_table_cover_every_node_class(self):
+        every = set(ir.IrNode.__subclasses__())
+        assert set(NODE_STRATEGIES) == every
+        assert {entry[0] for entry in ir.NODE_TABLE} == every
+        for cls, *codecs in ir.NODE_TABLE:
+            assert len(codecs) == len(dataclasses.fields(cls)), cls
+
+    @settings(max_examples=100, deadline=None)
+    @given(images())
+    def test_decode_of_encode_is_equal_and_reencodes_identically(self, image):
+        data = serialize(image)
+        again = deserialize(data)
+        assert again.package == image.package
+        assert again.classes == image.classes
+        assert again.constants == image.constants
+        assert serialize(again) == data

@@ -10,11 +10,14 @@ import pytest
 
 from minihello.engine.engine import EngineConfig, TaskCtx
 from minihello.errors import EngineError
-from minihello.net.frames import PREAMBLE
+from minihello.net.frames import HELLO, HELLO_ACK, PREAMBLE, Frame
+from minihello.net.router import Router, _hello_payload
 from minihello.node import Node
 from minihello.runtime import Future, Request
 from minihello.stdlib import host_ref
 from minihello.values import ClassKey
+
+from test_pending_calls import make_engine, reply_42
 
 
 def make_node(name, **cfg) -> Node:
@@ -179,7 +182,34 @@ class TestTcpShell:
             b.shutdown()
 
 
+class StubConn:
+    """A connection whose `send_frame` first runs `on_send`, so a test can
+    put a call exactly where a reader thread may lose the CPU."""
+
+    def __init__(self, on_send):
+        self.on_send = on_send
+        self.sent = []
+        self.closed = False
+
+    def send_frame(self, frame):
+        self.sent.append(frame.kind)
+        self.on_send()
+
+    def close(self):
+        self.closed = True
+
+
 class TestGracefulShutdown:
+    def test_shutdown_during_handshake_closes_the_late_neighbor(self):
+        engine, scheduler = make_engine(reply_42)
+        router = Router("b", None, scheduler, engine.config, engine)
+        # shutdown() runs after HELLO_ACK went out, before b registers a
+        conn = StubConn(router.shutdown)
+        router._on_frame(conn, Frame(HELLO, 0, _hello_payload("a", 1, b"")))
+        assert conn.sent == [HELLO_ACK]
+        assert conn.closed
+        assert router.neighbor_names() == []
+
     def test_peer_removed_without_error_noise(self, hello_image):
         a = make_node("a")
         b = make_node("b")
