@@ -6,6 +6,7 @@ fixed here: wall-clock bounds where stated, exact byte comparison for data
 transfer, exact counting for frames and invocations.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -431,15 +432,23 @@ class TestCriterion09Security:
         assert eb.audit_count - before == 4  # create, invoke, read, write
 
 
+# SHA-256 of the two transcripts below; a change to wire bytes, routing or
+# scheduling order shows here
+BROADCAST_77_SHA256 = "95929c41720363a490cff581581859c596fa9daeda5970b71af7b11d7f6c891f"
+SHELL_11_SHA256 = "cfe4d3c09e786d62c9ef37c9584fafca937336d0e495d32e4c35c53b41bace77"
+
+
 class TestCriterion10DeterminismAndTransport:
     def test_sim_transcripts_byte_identical(self, rpks):
         topo1 = parse_topology_text(broadcast_topology(rpks["hello"]))
         r1 = run_scenario(topo1, seed=77).to_bytes()
         r2 = run_scenario(topo1, seed=77).to_bytes()
         assert r1 == r2
+        assert hashlib.sha256(r1).hexdigest() == BROADCAST_77_SHA256
         s1 = run_shell_scenario(rpks["shell"], "4", seed=11).to_bytes()
         s2 = run_shell_scenario(rpks["shell"], "4", seed=11).to_bytes()
         assert s1 == s2
+        assert hashlib.sha256(s1).hexdigest() == SHELL_11_SHA256
 
     def test_same_assertions_on_tcp_loopback(self, rpks):
         from minihello.engine.engine import EngineConfig
