@@ -36,7 +36,7 @@ from ..values import (Array, CharArray, ClassKey, ObjectRef, TAG_ARRAY,
                       TAG_OBJECT)
 from . import machine
 from .marshal import (from_wire, local_copy, marshal_args, marshal_result,
-                      to_wire)
+                      to_wire, write_args)
 from .objects import EventRecord, ObjectRecord, Partition
 
 HOST_KEY = ClassKey(STD_PACKAGE, "host")
@@ -375,11 +375,8 @@ class Engine:
             raise wrap_remote(EngineError(E_NULL_REF, f"'{method}' target is not an object"))
         if ref.host == self.host_name:
             return (yield from self.invoke_local(ref, method, args, ctx))
-        params = self.param_sigs(ref.cls, method)
-        wire_args = marshal_args(self, params, args, crossing=True, post=False)
-        payload = self._payload_invoke(OP_INVOKE, ctx, [
-            ("value", ref), ("str", method), ("values", wire_args)])
-        fut = self.send_request(ref.host, frames.INVOKE, payload)
+        fut = self.send_request(ref.host, frames.INVOKE,
+                                self._call_payload(ref, method, args, ctx))
         raw = yield fut
         return (yield from from_wire(self, raw, ref.host, ctx))
 
@@ -403,7 +400,7 @@ class Engine:
             call_args = list(args)
         else:
             call_args = marshal_args(self, list(mc.params) if mc else None,
-                                     args, crossing=False, post=False)
+                                     args, post=False)
         try:
             if native is not None:
                 result = native(self, ctx, ref, call_args)
@@ -416,7 +413,7 @@ class Engine:
         if from_remote:
             return result  # the reply path applies the crossing marshal
         ret_copy = mc.ret_copy if mc is not None else False
-        return marshal_result(self, result, ret_copy, crossing=False)
+        return marshal_result(self, result, ret_copy)
 
     def invoke_static(self, cls: ClassKey, method: str, args: list, ctx):
         rc = self.classes.get(cls)
@@ -425,12 +422,11 @@ class Engine:
         mc = rc.method(method)
         if mc is None or not mc.has(ir.MQ_STATIC):
             raise EngineError(E_UNKNOWN_METHOD, f"{cls} has no static '{method}'")
-        call_args = marshal_args(self, list(mc.params), args, crossing=False,
-                                 post=False)
+        call_args = marshal_args(self, list(mc.params), args, post=False)
         # faults in a static body propagate bare: there is no caller-callee
         # hop to wrap them for
         result = yield from self._run_body(rc, mc, None, call_args, ctx)
-        return marshal_result(self, result, mc.ret_copy, crossing=False)
+        return marshal_result(self, result, mc.ret_copy)
 
     def _run_body(self, rc: RuntimeClass, mc: ir.MethodCode, this_ref,
                   args: list, ctx):
@@ -457,8 +453,7 @@ class Engine:
         ref = self.alloc_object(cls, pid, defaults[:n_fields])
         ctor = rc.method(cls.name)
         if ctor is not None and ctor.has(ir.MQ_CTOR):
-            call_args = marshal_args(self, list(ctor.params), args,
-                                     crossing=False, post=False)
+            call_args = marshal_args(self, list(ctor.params), args, post=False)
             try:
                 yield from self._run_body(rc, ctor, ref, call_args, ctx)
             except EngineError as err:
@@ -471,8 +466,7 @@ class Engine:
             raise EngineError(E_ACCESS_VIOLATION,
                               f"class {cls} is not external")
         params = list(rc.method(cls.name).params) if rc and rc.method(cls.name) else None
-        wire_args = marshal_args(self, params, args, crossing=True, post=False)
-        w = Writer()
+        w = self._invoke_head(OP_CREATE, ctx)
         w.wstr(cls.package)
         w.wstr(cls.name)
         if pid is None:
@@ -481,9 +475,8 @@ class Engine:
         else:
             w.u8(1)
             w.u32(pid)
-        payload = self._payload_invoke(OP_CREATE, ctx, [
-            ("raw", w.getvalue()), ("values", wire_args)])
-        fut = self.send_request(host, frames.INVOKE, payload)
+        write_args(self, params, args, w.buf)
+        fut = self.send_request(host, frames.INVOKE, w.getvalue())
         raw = yield fut
         ref = yield from from_wire(self, raw, host, ctx)
         return ref
@@ -514,12 +507,12 @@ class Engine:
             raise EngineError(E_NULL_REF, "post to null queue")
         if qref.host != self.host_name:
             params = self.param_sigs(target.cls, method) if isinstance(target, ObjectRef) else None
-            wire_args = marshal_args(self, params, args, crossing=True, post=True)
-            wire_target = to_wire(self, target, False)
-            payload = self._payload_invoke(OP_POST, ctx, [
-                ("value", qref), ("value", wire_target), ("str", method),
-                ("values", wire_args)])
-            self.send_oneway(qref.host, frames.INVOKE, payload)
+            w = self._invoke_head(OP_POST, ctx)
+            w.raw(encode_value(qref))
+            to_wire(self, target, False, w.buf)
+            w.wstr(method)
+            write_args(self, params, args, w.buf)
+            self.send_oneway(qref.host, frames.INVOKE, w.getvalue())
             return
         queue = self.resolve_queue(qref)
         params = self.param_sigs(target.cls, method) if isinstance(target, ObjectRef) else None
@@ -529,7 +522,7 @@ class Engine:
             if mc is not None and not mc.has(ir.MQ_MESSAGE):
                 raise EngineError(E_ACCESS_VIOLATION,
                                   f"'{method}' is not a message method")
-        snap_args = marshal_args(self, params, args, crossing=False, post=True)
+        snap_args = marshal_args(self, params, args, post=True)
         ctx2 = TaskCtx(queue, ctx.origin)
 
         def factory():
@@ -553,8 +546,8 @@ class Engine:
         if qref is None:
             raise EngineError(E_NULL_REF, "<=> on null queue")
         if qref.host != self.host_name:
-            payload = self._payload_invoke(OP_BARRIER, ctx, [("value", qref)])
-            fut = self.send_request(qref.host, frames.INVOKE, payload)
+            fut = self.send_request(qref.host, frames.INVOKE,
+                                    self._barrier_payload(qref, ctx))
             yield fut
             return (yield from body(self, caller_frame))
         queue = self.resolve_queue(qref)
@@ -571,8 +564,8 @@ class Engine:
         """Engine-level <=>: enqueue a python thunk (callable or generator
         factory) and wait for its value."""
         if qref is not None and isinstance(qref, ObjectRef) and qref.host != self.host_name:
-            payload = self._payload_invoke(OP_BARRIER, ctx, [("value", qref)])
-            fut = self.send_request(qref.host, frames.INVOKE, payload)
+            fut = self.send_request(qref.host, frames.INVOKE,
+                                    self._barrier_payload(qref, ctx))
             yield fut
             value = thunk()
             if hasattr(value, "send"):
@@ -594,7 +587,7 @@ class Engine:
             w.u8(0)
             self._write_creds(w, ctx)
             w.raw(encode_value(qref))
-            w.raw(encode_value(to_wire(self, target, False)))
+            to_wire(self, target, False, w.buf)
             w.wstr(method)
             w.u16(arity)
             fut = self.send_request(qref.host, frames.EVENT_POST, w.getvalue())
@@ -617,7 +610,7 @@ class Engine:
             self._write_creds(w, ctx)
             w.u64(eid)
             w.u16(slot)
-            w.raw(encode_value(to_wire(self, value, False)))
+            to_wire(self, value, False, w.buf)
             fut = self.send_request(host, frames.EVENT_POST, w.getvalue())
             status = yield fut
             return "fired" if status == 1 else "pending"
@@ -700,12 +693,9 @@ class Engine:
 
             self.submit(queue, Request(factory, fut, label="traverse"))
             return fut
-        params = self.param_sigs(node_ref.cls, "$traverse")
-        wire_args = marshal_args(self, params,
-                                 self._traverse_args(method, args, tid, visited),
-                                 crossing=True, post=False)
-        payload = self._payload_invoke(OP_INVOKE, ctx, [
-            ("value", node_ref), ("str", "$traverse"), ("values", wire_args)])
+        payload = self._call_payload(
+            node_ref, "$traverse",
+            self._traverse_args(method, args, tid, visited), ctx)
         return self.send_request(node_ref.host, frames.INVOKE, payload)
 
     def send_traverse(self, node_ref: ObjectRef, method: str, args: list,
@@ -845,21 +835,24 @@ class Engine:
         for sid in sids:
             w.raw(sid)
 
-    def _payload_invoke(self, op: int, ctx, parts: list) -> bytes:
+    def _invoke_head(self, op: int, ctx) -> Writer:
+        """A writer holding the start of an INVOKE payload: the op and the
+        sender's credentials."""
         w = Writer()
         w.u8(op)
         self._write_creds(w, ctx)
-        for kind, value in parts:
-            if kind == "value":
-                w.raw(encode_value(value))
-            elif kind == "values":
-                w.u16(len(value))
-                for v in value:
-                    w.raw(encode_value(v))
-            elif kind == "str":
-                w.wstr(value)
-            elif kind == "raw":
-                w.raw(value)
+        return w
+
+    def _call_payload(self, ref: ObjectRef, method: str, args: list, ctx) -> bytes:
+        w = self._invoke_head(OP_INVOKE, ctx)
+        w.raw(encode_value(ref))
+        w.wstr(method)
+        write_args(self, self.param_sigs(ref.cls, method), args, w.buf)
+        return w.getvalue()
+
+    def _barrier_payload(self, qref: ObjectRef, ctx) -> bytes:
+        w = self._invoke_head(OP_BARRIER, ctx)
+        w.raw(encode_value(qref))
         return w.getvalue()
 
     @staticmethod
@@ -913,13 +906,15 @@ class Engine:
             self.log_error(err.code, f"reply to {meta.src} lost")
 
     def _completion_replier(self, meta: FrameMeta, corr: int):
+        """Answer a served request: its future resolves to the REPLY
+        payload, or fails with the error to send back."""
         def on_done(fut: Future) -> None:
             try:
-                value = fut.result()
+                payload = fut.result()
             except EngineError as err:
                 self._reply_error(meta, corr, err)
                 return
-            self._reply_value(meta, corr, value)
+            self._send_back(meta, frames.Frame(frames.REPLY, corr, payload))
         return on_done
 
     def _on_invoke(self, frame: frames.Frame, meta: FrameMeta) -> None:
@@ -1003,7 +998,7 @@ class Engine:
             fut.add_callback(self._completion_replier(meta, frame.corr))
 
             def factory():
-                return 1
+                return encode_value(1)
             try:
                 self.submit(queue, Request(factory, fut, label="barrier"))
             except EngineError as err:
@@ -1025,12 +1020,12 @@ class Engine:
                                                   args_materialized=True)
             rc = self.classes.get(target.cls)
             mc = rc.method(method) if rc else None
-            return to_wire(self, result, mc.ret_copy if mc else False)
+            return bytes(to_wire(self, result, mc.ret_copy if mc else False))
         return result
 
     def _run_sys_method(self, target, method: str, args: list, ctx):
         if method == "$echo":
-            return to_wire(self, args[0], False)
+            return bytes(to_wire(self, args[0], False))
         if method == "$traverse":
             method_name = args[0].to_str()
             call_args = list(args[1].items)
@@ -1038,14 +1033,14 @@ class Engine:
             visited = [v.to_str() for v in args[3].items]
             result = yield from groups.run_node(self, ctx, target, method_name,
                                                 call_args, tid, visited)
-            return to_wire(self, result, False)
+            return bytes(to_wire(self, result, False))
         if method == "$getf":
             record = self.deref(target)
             idx = self.field_index(record.cls, args[0].to_str(), -1)
             if idx < 0 or idx >= len(record.fields):
                 raise wrap_remote(EngineError(E_UNKNOWN_METHOD,
                                               f"no field {args[0].to_str()}"))
-            return to_wire(self, record.fields[idx], False)
+            return bytes(to_wire(self, record.fields[idx], False))
         if method == "$setf":
             record = self.deref(target)
             idx = self.field_index(record.cls, args[0].to_str(), -1)
@@ -1053,7 +1048,7 @@ class Engine:
                 raise wrap_remote(EngineError(E_UNKNOWN_METHOD,
                                               f"no field {args[0].to_str()}"))
             record.fields[idx] = args[1]
-            return None
+            return encode_value(None)
         raise EngineError(E_UNKNOWN_METHOD, method)
 
     def _task_remote_post(self, target, method: str, wire_args: list, ctx):
@@ -1075,7 +1070,7 @@ class Engine:
         if pid not in self.partitions:
             raise EngineError(E_UNKNOWN_OBJECT, f"no partition {pid}")
         ref = yield from self.create_object(key, ("partition", pid), args, ctx)
-        return ref
+        return encode_value(ref)
 
     def _on_reply(self, frame: frames.Frame) -> None:
         entry = self.pending.pop(frame.corr, None)

@@ -75,7 +75,7 @@ def new_array(elem: ir.TypeDesc, dims: list[int]):
             raise EngineError(E_INDEX, f"negative array size {d}")
     if len(dims) == 1:
         if elem.depth == 0 and elem.base == "char":
-            return CharArray.zeros(dims[0])
+            return CharArray.wrap(bytearray(dims[0]))
         fill = default_value(elem)
         return Array(_array_elem_tag(elem), [fill] * dims[0])
     inner = [new_array(elem, dims[1:]) for _ in range(dims[0])]

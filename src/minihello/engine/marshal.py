@@ -1,5 +1,5 @@
 """Argument and return-value marshaling: deep copy, reference translation,
-and conversion to/from wire graphs.
+and conversion to and from wire bytes.
 
 Rules, applied per parameter (and to return values under the return's copy
 flag):
@@ -16,14 +16,23 @@ flag):
   the original;
 - a non-external user object that would have to cross hosts is refused with
   NonCopyableValue.
+
+A value leaving the host is written to its wire bytes in one walk
+(`to_wire`); a value arriving is decoded into a tree whose objects are
+`WireObject` nodes, which `from_wire` turns into heap objects.
 """
 
 from __future__ import annotations
 
+import struct
+
 from ..errors import E_NON_COPYABLE, EngineError
 from ..frontend.types import STD_PACKAGE
+from ..net.wirevalues import write_value
 from ..runpack import ir
 from ..values import Array, CharArray, ObjectRef, WireObject
+
+_U16 = struct.Struct(">H")
 
 
 def _is_builtin(cls) -> bool:
@@ -71,43 +80,59 @@ def snapshot_arrays(engine, v):
     return v
 
 
-def to_wire(engine, v, copy: bool, memo: dict | None = None):
-    """Convert a runtime value into a self-contained wire value for a
-    cross-host transfer."""
-    if memo is None:
-        memo = {}
-    if isinstance(v, CharArray):
-        return CharArray(v.data)
-    if isinstance(v, Array):
-        return Array(v.elem_tag, [to_wire(engine, item, copy, memo) for item in v.items])
-    if isinstance(v, ObjectRef):
-        if v.host != engine.host_name or _is_builtin(v.cls):
-            return v
-        rc = engine.runtime_class(v.cls)
-        external = rc is not None and rc.has(ir.CQ_EXTERNAL)
-        if not copy:
-            if not external:
-                raise EngineError(
-                    E_NON_COPYABLE,
-                    f"{v.cls} is not external; it can neither cross hosts by "
-                    "value nor be referenced remotely")
-            return v
-        if not external:
-            raise EngineError(
-                E_NON_COPYABLE,
-                f"object of non-external class {v.cls} inside a copied graph "
-                "crossing hosts")
-        key = ("obj", v.partition, v.oid)
-        if key in memo:
-            return memo[key]
-        record = engine.deref(v)
-        node = WireObject(v.cls)
-        memo[key] = node
-        node.fields = [to_wire(engine, f, copy, memo) for f in record.fields]
-        return node
-    if isinstance(v, WireObject):  # already marshaled (relay)
-        return v
-    return v
+def to_wire(engine, v, copy: bool, out: bytearray | None = None) -> bytearray:
+    """Append the wire encoding of a value that leaves this host to `out`
+    (a new buffer when None) and return the buffer. The value is walked
+    once: a local object the rules send by value is written straight from
+    its heap record."""
+    if out is None:
+        out = bytearray()
+    host = engine.host_name
+    rules: dict[int, tuple] = {}  # id(cls) -> (cls, crosses by value)
+
+    def crossing(ref: ObjectRef):
+        if ref.host != host:
+            return None
+        rule = rules.get(id(ref.cls))
+        if rule is None:
+            rule = rules[id(ref.cls)] = (
+                ref.cls, _crosses_by_value(engine, ref.cls, copy))
+        return engine.deref(ref) if rule[1] else None
+
+    write_value(out, v, crossing)
+    return out
+
+
+def _crosses_by_value(engine, cls, copy: bool) -> bool:
+    """Whether a local object of `cls` leaves this host by value (or as a
+    reference); raises NonCopyableValue if it may not leave at all."""
+    if _is_builtin(cls):
+        return False
+    rc = engine.runtime_class(cls)
+    if rc is not None and rc.has(ir.CQ_EXTERNAL):
+        return copy
+    if copy:
+        raise EngineError(
+            E_NON_COPYABLE,
+            f"object of non-external class {cls} inside a copied graph "
+            "crossing hosts")
+    raise EngineError(
+        E_NON_COPYABLE,
+        f"{cls} is not external; it can neither cross hosts by value nor be "
+        "referenced remotely")
+
+
+def write_args(engine, params: list[ir.IrParam] | None, args: list,
+               out: bytearray) -> None:
+    """Append an argument list that leaves this host to `out`: its u16
+    count, then each argument under its parameter's copy flag.
+
+    `params` may be None when the callee's signature is not known locally;
+    arrays then travel by value and objects as references."""
+    out += _U16.pack(len(args))
+    for i, arg in enumerate(args):
+        copy = params[i].copy if params is not None and i < len(params) else False
+        to_wire(engine, arg, copy, out)
 
 
 def from_wire(engine, v, fetch_from: str | None, ctx, memo: dict | None = None):
@@ -142,19 +167,17 @@ def from_wire(engine, v, fetch_from: str | None, ctx, memo: dict | None = None):
 
 
 def marshal_args(engine, params: list[ir.IrParam] | None, args: list, *,
-                 crossing: bool, post: bool):
-    """Marshal an argument list for an invocation.
+                 post: bool):
+    """Marshal an argument list for an invocation on this host.
 
     `params` may be None when the callee's signature is not known locally;
-    arrays then travel by value and objects as references.
+    no argument is then copied.
     """
     memo: dict = {}
     out = []
     for i, arg in enumerate(args):
         copy = params[i].copy if params is not None and i < len(params) else False
-        if crossing:
-            out.append(to_wire(engine, arg, copy, memo))
-        elif copy:
+        if copy:
             out.append(local_copy(engine, arg, memo))
         elif post:
             out.append(snapshot_arrays(engine, arg))
@@ -163,23 +186,5 @@ def marshal_args(engine, params: list[ir.IrParam] | None, args: list, *,
     return out
 
 
-def marshal_result(engine, v, ret_copy: bool, *, crossing: bool):
-    if crossing:
-        return to_wire(engine, v, ret_copy)
-    if ret_copy:
-        return local_copy(engine, v)
-    return v
-
-
-def wire_node_count(v, seen: set | None = None) -> int:
-    """Number of distinct object nodes in a wire graph (diagnostics)."""
-    if seen is None:
-        seen = set()
-    if isinstance(v, WireObject):
-        if id(v) in seen:
-            return 0
-        seen.add(id(v))
-        return 1 + sum(wire_node_count(f, seen) for f in v.fields)
-    if isinstance(v, Array):
-        return sum(wire_node_count(item, seen) for item in v.items)
-    return 0
+def marshal_result(engine, v, ret_copy: bool):
+    return local_copy(engine, v) if ret_copy else v

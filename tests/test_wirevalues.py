@@ -2,12 +2,15 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minihello.bio import Reader
-from minihello.engine.engine import Engine, EngineConfig
+from minihello.engine.engine import Engine, EngineConfig, FrameMeta
+from minihello.engine.marshal import to_wire
+from minihello.net import frames
 from minihello.net.wirevalues import (MalformedEncoding, decode_value,
                                       decode_value_prefix, encode_value)
 from minihello.security import SID_LEN
@@ -403,3 +406,50 @@ class TestGoldenBytes:
     def test_decoded_corpus_encodes_to_the_same_bytes(self):
         for name, data in golden_corpus(golden_engine()).items():
             assert encode_value(decode_value(data)) == data, name
+
+
+class TestTruncation:
+    def test_every_strict_prefix_of_the_golden_encodings_is_malformed(self):
+        for name, data in golden_corpus(golden_engine()).items():
+            for end in range(len(data)):
+                with pytest.raises(MalformedEncoding):
+                    decode_value(data[:end])
+
+    def test_truncated_invoke_frame_logs_one_bad_frame(self):
+        payload = cyclic_invoke_payload(golden_engine())
+        receiver = Engine(EngineConfig("b"), ManualScheduler(), random.Random(2),
+                          CapturePort())
+        receiver.install_image(compile_text(GOLDEN_SRC, "Golden.hlo"))
+        for end in range(len(payload)):
+            before = len(receiver.error_log)
+            receiver.handle_wire_frame(
+                frames.Frame(frames.INVOKE, 9, payload[:end]), FrameMeta("a"))
+            assert [code for code, _ in receiver.error_log[before:]] == ["BadFrame"]
+            assert receiver.pending == {}
+        assert receiver.port.frames == []
+        assert all(q.idle() for q in receiver.queues.values())
+
+
+class TestCharArrayCopies:
+    SIZE = 4 << 20
+
+    def peak_bytes(self, fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_decoding_copies_the_bytes_once(self):
+        data = encode_value(CharArray(bytes(range(256)) * (self.SIZE // 256)))
+        value, peak = self.peak_bytes(lambda: decode_value(data))
+        assert bytes(value.data) == data[6:]
+        assert peak < 1.25 * self.SIZE
+
+    def test_sending_copies_the_bytes_once(self):
+        engine = golden_engine()
+        buf = CharArray(bytes(range(256)) * (self.SIZE // 256))
+        out, peak = self.peak_bytes(lambda: to_wire(engine, buf, False))
+        assert out[6:] == buf.data
+        assert peak < 1.25 * self.SIZE
