@@ -88,7 +88,8 @@ def to_wire(engine, v, copy: bool, out: bytearray | None = None) -> bytearray:
     if out is None:
         out = bytearray()
     host = engine.host_name
-    rules: dict[int, tuple] = {}  # id(cls) -> (cls, crosses by value)
+    # id(cls) -> (cls, crosses by value); holding cls keeps its id unique
+    rules: dict[int, tuple] = {}
 
     def crossing(ref: ObjectRef):
         if ref.host != host:
