@@ -1,5 +1,8 @@
 """Single-host engine semantics: main entry, faults, arrays, intrinsics."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from minihello.errors import EngineError
@@ -189,7 +192,34 @@ PINNED = {
             if (s[i] == g[1][0]) zeros++;
         return zeros * 100 + sizear(s, 1) * 10 + (g[0][1] == g[1][1] ? 1 : 0);""",
                           770),
+    # compound assignment evaluates its target twice, once to read and once
+    # to store: a[1] = a[0] + 5, i ends at 2, and pick runs twice
+    "compound_target_evaluated_twice": ("""
+        int[] a = create int[3];
+        a[0] = 7;
+        int i = 0;
+        a[i++] += 5;
+        Box b = new Box();
+        int[] calls = create int[1];
+        pick(b, calls).v += 1;
+        return a[1] * 1000 + a[2] * 100 + i * 20 + calls[0] * 5 + b.v * 2;""",
+                                        12052),
+    "queued_eval_writes_caller_local": ("""
+        queue q = create queue();
+        int i = 5;
+        int r = q <=> i++;
+        return r * 10 + i;""", 56),
+    "wrap_and_left_to_right_arguments": ("""
+        int big = 9223372036854775807;
+        int w = big + 1;
+        int i = 1;
+        return (w - 1 == big && w < 0 ? 1000 : 0) + two(i++, i++);""", 1012),
 }
+
+PINNED_HELPERS = """
+    static public Box pick(Box b, int[] calls) { calls[0]++; return b; }
+    static public int two(int x, int y) { return x * 10 + y; }
+"""
 
 
 class TestPinnedSemantics:
@@ -198,7 +228,8 @@ class TestPinnedSemantics:
         fut, _ = run_main_text(f"""
 package p;
 class Box {{ public int v; public Box() {{}} }}
-class M {{ static public int main(char[][] argv) {{ {body} }} }}
+class M {{ {PINNED_HELPERS}
+    static public int main(char[][] argv) {{ {body} }} }}
 """)
         if isinstance(want, str):
             with pytest.raises(EngineError) as exc:
@@ -206,6 +237,75 @@ class M {{ static public int main(char[][] argv) {{ {body} }} }}
             assert exc.value.code == want
         else:
             assert fut.result() == want
+
+
+# Bodies nested deeper than Python lets one function nest, and what main
+# returns
+DEEP = {
+    "45_nested_ifs": ("int s = 0; int i = 0;" + "".join(
+        f"if (s < {k + 1}) {{ s++; " for k in range(45))
+        + "i = s * 7;" + "}" * 45 + " return s * 1000 + i;", 45315),
+    "25_nested_loops_return": ("int s = 0;" + "".join(
+        f"for (int i{k} = 0; i{k} < 2; i{k}++) " for k in range(25))
+        + "{ s++; if (s == 77) return s * 3; } return s;", 231),
+    "120_increments": ("int i = 0; int r = " + " + ".join(["i++"] * 120)
+                       + "; return r * 1000 + i;", 7140120),
+    "90_field_increments": ("Box b = new Box(); b.v = 3; int r = "
+                            + " + ".join(["b.v++"] * 90)
+                            + "; return r * 1000 + b.v;", 4275093),
+    "40_queued_increments": ("queue q = create queue(); int i = 2; int r = "
+                             + " * ".join(["(q <=> i++)"] * 40)
+                             + "; return r + i;", -2894979756195839958),
+}
+
+
+class TestDeepBodies:
+    @pytest.mark.parametrize("body, want", DEEP.values(), ids=DEEP.keys())
+    def test_main_body(self, body, want):
+        fut, _ = run_main_text(f"""
+package p;
+class Box {{ public int v; public Box() {{}} }}
+class M {{ static public int main(char[][] argv) {{ {body} }} }}
+""")
+        assert fut.result() == want
+
+
+class TestBufferRelease:
+    def test_method_buffers_are_freed_when_its_body_returns(self):
+        # 4 MiB of buffers, and 4 MiB more of the snapshots that #> takes;
+        # with the cyclic collector off, only reference counting frees them
+        image = compile_text("""
+package p;
+external class Sink {
+    external public Sink() {}
+    public message void take(char[] data) { }
+    public external int fill() {
+        queue q = create queue();
+        char[][] bufs = create char[4][1048576];
+        for (int i = 0; i < 4; i++)
+            q #> (this, take(bufs[i]));
+        q <=> 1;
+        return sizear(bufs, 1);
+    }
+    static public int main(char[][] argv) {
+        Sink s = new Sink();
+        return s.fill();
+    }
+}
+""")
+        scen = single()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            fut = scen.run_main("solo", image, [])
+            scen.run()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert fut.result() == 4
+        assert peak > 8 << 20
+        assert current < 1 << 20
 
 
 class TestLanguageCore:
