@@ -98,13 +98,15 @@ class FrameMeta:
 class RuntimeClass:
     """A loaded class: IR code plus any native method bindings."""
 
-    __slots__ = ("key", "code", "consts", "natives", "_field_slots", "_bodies")
+    __slots__ = ("key", "code", "consts", "content_hash", "natives",
+                 "_field_slots", "_bodies")
 
     def __init__(self, key: ClassKey, code: ir.ClassCode, consts: list[bytes],
-                 natives: dict | None = None):
+                 natives: dict | None = None, content_hash: bytes = b""):
         self.key = key
         self.code = code
         self.consts = consts
+        self.content_hash = content_hash  # of the image, b"" for builtins
         self.natives = natives or {}
         self._field_slots = {}
         for i, (fname, _) in enumerate(code.fields):
@@ -128,7 +130,8 @@ class RuntimeClass:
         compiled the first time it runs."""
         body = self._bodies.get(mc.name)
         if body is None:
-            body = self._bodies[mc.name] = machine.compile_method(mc)
+            body = self._bodies[mc.name] = machine.compile_method(
+                mc, self.key, self.consts, self.content_hash)
         return body
 
 
@@ -303,7 +306,8 @@ class Engine:
             rc = self.classes.get(key)
             if rc is not None and rc.code is code and rc.consts is image.constants:
                 continue  # the same image again: keep its compiled methods
-            self.classes[key] = RuntimeClass(key, code, image.constants)
+            self.classes[key] = RuntimeClass(key, code, image.constants,
+                                             content_hash=image.content_hash)
 
     def ensure_class(self, key: ClassKey, fetch_from: str | None, ctx):
         rc = self.classes.get(key)
@@ -431,10 +435,9 @@ class Engine:
     def _run_body(self, rc: RuntimeClass, mc: ir.MethodCode, this_ref,
                   args: list, ctx):
         body, suspends = rc.compiled(mc)
-        locals_ = list(args) + [None] * (mc.n_slots - len(args))
-        frame = machine.Frame(this_ref, locals_, rc.consts, ctx)
-        done = (yield from body(self, frame)) if suspends else body(self, frame)
-        return None if done is None else done[0]
+        if suspends:
+            return (yield from body(self, this_ref, ctx, *args))
+        return body(self, this_ref, ctx, *args)
 
     # --------------------------------------------------------------- creation
 
@@ -536,28 +539,23 @@ class Engine:
         except EngineError as err:
             self.log_error(err.code, f"queued {method}: {err.message}")
 
-    def queued_eval_ir(self, qref: ObjectRef, caller_frame, body):
+    def queued_eval_ir(self, qref: ObjectRef, ctx, body):
         """The <=> operator. `body` is the compiled expression, a generator
-        function of (engine, frame). It evaluates when it reaches the queue
-        head; for a local queue it runs in the caller's frame on the queue's
+        function of no arguments over the caller's locals. It evaluates when
+        it reaches the queue head; for a local queue it runs on the queue's
         lane, for a remote queue a barrier marker drains the queue first and
         the expression evaluates locally on return."""
-        ctx = caller_frame.ctx
         if qref is None:
             raise EngineError(E_NULL_REF, "<=> on null queue")
         if qref.host != self.host_name:
             fut = self.send_request(qref.host, frames.INVOKE,
                                     self._barrier_payload(qref, ctx))
             yield fut
-            return (yield from body(self, caller_frame))
+            return (yield from body())
         queue = self.resolve_queue(qref)
         fut = Future()
         self._arm_deadline(fut, self.config.call_timeout_ms)
-
-        def factory():
-            return body(self, caller_frame)
-
-        self.submit(queue, Request(factory, fut, label="queued-eval"))
+        self.submit(queue, Request(body, fut, label="queued-eval"))
         return (yield fut)
 
     def queued_eval(self, qref: ObjectRef, thunk, ctx):

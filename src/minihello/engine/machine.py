@@ -1,44 +1,53 @@
-"""Closure compiler for runpack IR (Feeley & Lapalme, "Using Closures for
-Code Generation", 1987).
+"""Compiles runpack IR method bodies to Python functions.
 
-The engine compiles a method body into nested Python closures the first
-time the method runs, and caches the result on the method's RuntimeClass.
-Every closure takes the engine and the Frame as its arguments and captures
-only the IR, so one compiled body serves any host.
+The first time a method runs, `compile_method` writes its body as the source
+of one Python function and compiles it with `compile()`. The engine caches
+the function on the method's RuntimeClass, and a cache here shares it
+between engines: it is keyed by the image's content hash, the class and the
+method, so a host that loads or fetches a package it has seen before does
+not compile it again.
 
-Most nodes cannot suspend: literals, locals, arithmetic, comparisons, array
-access, `create T[n]`, intrinsic calls, `#>` and the control flow built from
-them. They compile to plain functions. A node that may wait on a network
-future compiles to a generator function that yields only the futures the
-engine yields: field access (the object may live on another host), method
-calls, `new` and `create (h)`, `<=>` and `.+`. A parent is a generator only
-when one of its children is. Each compile function returns a pair
-(fn, suspends), so the parent knows which children to `yield from`.
+The function is `f(e, this, ctx, l0=None, l1=None, ..., *_)`: the engine,
+the receiver (None in a static method), the task context and the arguments.
+Every IR local slot is a Python local `l<slot>`, parameters first, and the
+function returns the method's result. Its code object is named after the
+package, class and method.
 
-Expressions return their value. Statements return None to fall through to
-the next statement, or a one-element tuple holding the method's result once
-a `return` has run. Integer arithmetic wraps at 64 bits; division by zero
-and out-of-range indexing raise engine faults.
+A body with a node that may wait on a network future is a generator
+function, and `yield from` appears only at those nodes: field access (the
+object may live on another host), method and static calls, `new` and
+`create`, `<=>` and `.+`. A field access on an object of this host takes an
+inline path that makes no generator call. A `<=>` expression becomes a
+nested generator function that reads and writes the caller's locals through
+closure cells; the engine runs it on the queue's lane. Every other body is a
+plain function.
+
+Each operator is written once, as a template in `_BINOPS` and `_INT_BINOPS`
+or as one helper (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
+`_write_index`, `_append`): integers wrap at 64 bits, `/` and `%` truncate,
+and division by zero and out-of-range indexing raise engine faults.
+Comparisons are written as plain Python operators when both operands are
+ints by their IR type. Expressions evaluate left to right, as Python
+evaluates them; a store evaluates its value first and then its target.
+Compound assignment and `++` on an element or field evaluate the target's
+subexpressions twice, once to read and once to store.
+
+No reference cycle runs through a body's frame or cells, so a method's
+locals are freed by reference counting when it returns. A statement that
+holds its value in a temporary clears it when it ends, so no value outlives
+the statement that stores it.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
+import threading
 
 from ..errors import (E_ARITHMETIC, E_INDEX, E_NULL_REF, EngineError)
 from ..runpack import ir
 from ..values import (Array, Char, CharArray, TAG_ARRAY, TAG_BOOL, TAG_INT,
                       TAG_OBJECT, values_equal)
-
-
-class Frame:
-    __slots__ = ("this_ref", "locals", "consts", "ctx")
-
-    def __init__(self, this_ref, locals_, consts, ctx):
-        self.this_ref = this_ref
-        self.locals = locals_
-        self.consts = consts
-        self.ctx = ctx
 
 
 def default_value(ty: ir.TypeDesc):
@@ -82,20 +91,11 @@ def new_array(elem: ir.TypeDesc, dims: list[int]):
     return Array(TAG_ARRAY, inner)
 
 
-def compile_method(mc: ir.MethodCode):
-    """Compile a method body. Returns (body, suspends): body(engine, frame)
-    returns None, or (result,) if a return statement ran; when `suspends`
-    it is a generator function."""
-    return _stmt(mc.body)
-
-
-# --- values --------------------------------------------------------------------
+# --- what the generated code calls ---------------------------------------------
 
 _BIAS = 1 << 63
 _MASK = (1 << 64) - 1
 
-# Chars are immutable, so reads share one instance per code.
-_CHARS = tuple(Char(code) for code in range(256))
 
 def _wrap(n: int) -> int:
     """wrap_i64 in one expression: adding 2**63 maps the 64-bit range onto
@@ -141,20 +141,8 @@ def _compare(cmp):
     return op
 
 
-_BINOPS = {
-    "add": lambda a, b: _wrap(a + b),
-    "sub": lambda a, b: _wrap(a - b),
-    "mul": lambda a, b: _wrap(a * b),
-    "div": _div,
-    "mod": _mod,
-    "lt": _compare(operator.lt),
-    "le": _compare(operator.le),
-    "gt": _compare(operator.gt),
-    "ge": _compare(operator.ge),
-    "eq": _eq,
-    "ne": lambda a, b: not _eq(a, b),
-    "concat": _concat,
-}
+# Chars are immutable, so reads share one instance per code.
+_CHARS = tuple(Char(code) for code in range(256))
 
 
 def _read_index(arr, idx):
@@ -190,631 +178,494 @@ def _append(old, value) -> None:
     old.append(value)  # += appends in place
 
 
-def _as_generator(fn, suspends):
-    if suspends:
+def _get_field(e, o, name, hint, ctx):
+    """A field of an object on this host."""
+    record = e.deref(o)
+    if record.acl is not None:
+        e.check_local_object(o, record, write=False, ctx=ctx)
+    return record.fields[e.field_index(record.cls, name, hint)]
+
+
+def _set_field(e, o, name, hint, value, ctx) -> None:
+    record = e.deref(o)
+    if record.acl is not None:
+        e.check_local_object(o, record, write=True, ctx=ctx)
+    record.fields[e.field_index(record.cls, name, hint)] = value
+
+
+def _field_of(o, name):
+    """The object of a field access that did not take the local path."""
+    if o is None:
+        raise EngineError(E_NULL_REF, f"field '{name}' of null")
+    return o
+
+
+def _placement(e, href):
+    if href is None:
+        raise EngineError(E_NULL_REF, "create placement host is null")
+    if href.host == e.host_name:
+        return ("partition", 0)
+    return ("remote", href.host, None)
+
+
+_HELPERS = {
+    "_wrap": _wrap, "_div": _div, "_mod": _mod, "_concat": _concat,
+    "_eq": _eq, "_lt": _compare(operator.lt), "_le": _compare(operator.le),
+    "_gt": _compare(operator.gt), "_ge": _compare(operator.ge),
+    "_read_index": _read_index, "_write_index": _write_index,
+    "_append": _append, "_get_field": _get_field, "_set_field": _set_field,
+    "_field_of": _field_of, "_placement": _placement, "new_array": new_array,
+    "CharArray": CharArray, "_HEAP": ("heap",), "_PARTITION": ("partition", 0),
+    "_NEXT": object(),  # what a nested statement returns when it falls through
+}
+
+# Operator templates over the operands' source. Results of "add", "sub" and
+# "mul" wrap (see `_Source.wrap`).
+_BINOPS = {
+    "add": "{} + {}",
+    "sub": "{} - {}",
+    "mul": "{} * {}",
+    "div": "_div({}, {})",
+    "mod": "_mod({}, {})",
+    "lt": "_lt({}, {})",
+    "le": "_le({}, {})",
+    "gt": "_gt({}, {})",
+    "ge": "_ge({}, {})",
+    "eq": "_eq({}, {})",
+    "ne": "(not _eq({}, {}))",
+    "concat": "_concat({}, {})",
+}
+# The comparisons when both operands are ints.
+_INT_BINOPS = {"lt": "({} < {})", "le": "({} <= {})", "gt": "({} > {})",
+               "ge": "({} >= {})", "eq": "({} == {})", "ne": "({} != {})"}
+_WRAPPED = frozenset(("add", "sub", "mul"))
+_INT_RESULTS = _WRAPPED | {"div", "mod"}
+_INERT = (ir.IrInt, ir.IrBool, ir.IrChar, ir.IrNull, ir.IrLocal, ir.IrThis)
+# Deeper expressions and statements go to a nested function.
+_MAX_DEPTH = 16
+
+# Nodes that may wait on a network future.
+_SUSPENDING = (ir.IrFieldGet, ir.IrCallMethod, ir.IrCallStatic, ir.IrNew,
+               ir.IrCreate, ir.IrQueuedEval, ir.IrIterate)
+
+
+# --- compilation ---------------------------------------------------------------
+
+# (content hash, class key, method name) -> (function, suspends)
+_SHARED: dict = {}
+_SHARED_LIMIT = 4096
+_SHARED_LOCK = threading.Lock()  # the TCP runtime compiles on many threads
+
+
+def compile_method(mc: ir.MethodCode, cls, consts: list[bytes],
+                   content_hash: bytes = b""):
+    """Compile a method body of class `cls` (a ClassKey), whose image has
+    constant pool `consts`. Returns (fn, suspends); when `suspends`, fn is a
+    generator function. Bodies of an image with a content hash are shared."""
+    key = (content_hash, cls, mc.name) if content_hash else None
+    compiled = _SHARED.get(key) if key else None
+    if compiled is None:
+        compiled = _Source(mc, consts).function(
+            f"{cls.package}.{cls.name}.{mc.name}")
+        if key:
+            with _SHARED_LOCK:
+                if len(_SHARED) >= _SHARED_LIMIT:
+                    del _SHARED[next(iter(_SHARED))]  # the oldest goes
+                _SHARED[key] = compiled
+    return compiled
+
+
+def _walk(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in node.__slots__:
+            child = getattr(node, name)
+            if isinstance(child, ir.IrNode):
+                stack.append(child)
+            elif isinstance(child, list):
+                stack += [item for item in child if isinstance(item, ir.IrNode)]
+
+
+def _suspends(node) -> bool:
+    return any(isinstance(n, _SUSPENDING) for n in _walk(node))
+
+
+def _writes_local(node) -> bool:
+    return any(isinstance(n, ir.IrQueuedEval) or (
+        isinstance(n, ir.IrPostIncr) and isinstance(n.target, ir.IrLocal))
+        for n in _walk(node))
+
+
+def _value_may_go_last(target, value) -> bool:
+    """Whether a store into an element or field may evaluate its value after
+    the target's subexpressions with no one the wiser. It may when the value
+    is a local or a constant that they do not write; for an element, also
+    when they are locals and constants that the value does not write."""
+    if isinstance(target, ir.IrIndex):
+        parts = (target.arr, target.idx)
+        if all(isinstance(p, _INERT) for p in parts) and not _writes_local(value):
+            return True
+    else:
+        parts = (target.obj,)  # a null object faults before the value
+    return isinstance(value, _INERT) and not any(map(_writes_local, parts))
+
+
+def _int_slots(mc: ir.MethodCode) -> set[int]:
+    """The slots that are declared int wherever they are declared."""
+    types: dict[int, set] = {}
+    for slot, param in enumerate(mc.params):
+        types.setdefault(slot, set()).add(param.ty)
+    for node in _walk(mc.body):
+        if isinstance(node, ir.IrVarDecl):
+            types.setdefault(node.slot, set()).add(node.ty)
+    return {slot for slot, tys in types.items() if tys == {ir.TD_INT}}
+
+
+class _Scope:
+    """One Python function being written: the body, or a function nested in
+    it for a `<=>` expression or a deep expression or statement."""
+
+    def __init__(self, indent: str):
+        self.indent = indent
+        self.lines: list[str] = []
+        self.defs: list[str] = []  # nested functions, defined first
+        self.writes: set[int] = set()  # local slots this function assigns
+
+
+class _Source:
+    """Writes one method body as the source of a Python function."""
+
+    def __init__(self, mc: ir.MethodCode, consts: list[bytes]):
+        self.mc = mc
+        self.consts = consts
+        self.env = dict(_HELPERS)  # the function's globals
+        self.ids = itertools.count()
+        self.ints = _int_slots(mc)
+        self.scope = _Scope("    ")
+        self.depth = 0  # of the expression being written, in this function
+
+    def function(self, name: str):
+        mc = self.mc
+        suspends = _suspends(mc.body)
+        n_params = len(mc.params)
+        params = "".join(f", l{i}=None" for i in range(n_params))
+        self.block(mc.body, self.scope.indent)
+        lines = [f"def _body(e, this, ctx{params}, *_):"]
+        if mc.n_slots > n_params:  # a local read before any store reads None
+            lines.append("    " + " = ".join(
+                [f"l{i}" for i in range(n_params, mc.n_slots)] + ["None"]))
+        lines += self.scope.defs + self.scope.lines
+        if len(lines) == 1:
+            lines.append("    pass")
+        code = compile("\n".join(lines) + "\n", f"<hello {name}>", "exec")
+        exec(code, self.env)
+        fn = self.env.pop("_body")
+        fn.__code__ = fn.__code__.replace(co_name=name)
+        fn.__name__ = fn.__qualname__ = name
+        return fn, suspends
+
+    def const(self, value) -> str:
+        name = f"k{next(self.ids)}"
+        self.env[name] = value
+        return name
+
+    def temp(self) -> str:
+        return f"t{next(self.ids)}"
+
+    def wrap(self, value: str) -> str:
+        """`_wrap(value)`, with no call when the value is in range."""
+        t = self.temp()
+        return (f"({t} if {-_BIAS} <= ({t} := {value}) <= {_BIAS - 1}"
+                f" else _wrap({t}))")
+
+    def subject(self, node) -> tuple[str, str]:
+        """Source that evaluates `node`, and source that reads its value
+        again: a temporary, unless `node` is a local or a constant."""
+        if isinstance(node, _INERT):
+            value = self.expr(node)
+            return value, value
+        t = self.temp()
+        return f"({t} := {self.expr(node)})", t
+
+    def assigned(self, slot: int) -> str:
+        """The local of `slot`, which the function being written assigns."""
+        self.scope.writes.add(slot)
+        return f"l{slot}"
+
+    def emit(self, indent: str, line: str) -> None:
+        self.scope.lines.append(indent + line)
+
+    # --- expressions -----------------------------------------------------------
+
+    def expr(self, node) -> str:
+        if self.depth == _MAX_DEPTH:  # Python's parser nests only so deep
+            return self.call_nested(
+                lambda ind: self.emit(ind, f"return {self.expr(node)}"), node)
+        self.depth += 1
+        value = _EXPRS[type(node)](self, node)
+        self.depth -= 1
+        return value
+
+    def args(self, nodes) -> str:
+        return "[" + ", ".join(self.expr(n) for n in nodes) + "]"
+
+    def is_int(self, node) -> bool:
+        if isinstance(node, (ir.IrInt, ir.IrPostIncr)):
+            return True
+        if isinstance(node, ir.IrLocal):
+            return node.slot in self.ints
+        if isinstance(node, ir.IrBin):
+            return node.op in _INT_RESULTS
+        return isinstance(node, ir.IrUn) and node.op == "neg"
+
+    def field_get(self, node):
+        first, o = self.subject(node.obj)
+        name = repr(node.name)
+        return (f"(_get_field(e, {o}, {name}, {node.index}, ctx)"
+                f" if {first} is not None and {o}.host == e.host_name"
+                f" else (yield from e.remote_get_field("
+                f"_field_of({o}, {name}), {name}, ctx)))")
+
+    def bin(self, node):
+        both_int = self.is_int(node.left) and self.is_int(node.right)
+        template = (_INT_BINOPS.get(node.op) if both_int else None) \
+            or _BINOPS[node.op]
+        value = template.format(self.expr(node.left), self.expr(node.right))
+        return self.wrap(value) if node.op in _WRAPPED else value
+
+    def logic(self, node):
+        left, right = self.expr(node.left), self.expr(node.right)
+        if node.op == "and":
+            return f"({right} if {left} else False)"
+        return f"(True if {left} else {right})"
+
+    def un(self, node):
+        if node.op == "not":
+            return f"(not {self.expr(node.operand)})"
+        if isinstance(node.operand, ir.IrInt):  # a negative literal
+            return f"({_wrap(-node.operand.value)})"
+        return self.wrap(f"-{self.expr(node.operand)}")
+
+    def post_incr(self, node):
+        old = self.temp()
+        target, delta = node.target, node.delta
+        if isinstance(target, ir.IrLocal):
+            local = self.assigned(target.slot)
+            new = self.wrap(f"{old} + {delta}")
+            return f"(({old} := {local}), ({local} := {new}))[0]"
+        get = self.expr(target)
+        put = self.store(target, self.wrap(f"{old} + {delta}"))
+        return f"(({old} := {get}), {put})[0]"
+
+    def create(self, node):
+        placement = ("_PARTITION" if node.host is None
+                     else f"_placement(e, {self.expr(node.host)})")
+        return (f"(yield from e.create_object({self.const(node.cls)}, "
+                f"{placement}, {self.args(node.args)}, ctx))")
+
+    def queued_eval(self, node):
+        queue = self.expr(node.queue)
+        fn = self.nested(lambda ind: self.emit(
+            ind, f"return {self.expr(node.body)}"), node.body, True)
+        return f"(yield from e.queued_eval_ir({queue}, ctx, {fn}))"
+
+    def nested(self, write, node, generator: bool) -> str:
+        """Define a function of no arguments in the current one, over its
+        locals, and return its name. `write(indent)` emits the body, which
+        `node` is compiled from; the function is a generator function when
+        `generator` is true or the node may suspend."""
+        fn = f"f{next(self.ids)}"
+        outer, depth = self.scope, self.depth
+        inner = self.scope = _Scope(outer.indent + "    ")
+        self.depth = 0
+        try:
+            write(inner.indent)
+        finally:
+            self.scope, self.depth = outer, depth
+        outer.defs.append(f"{outer.indent}def {fn}():")
+        if inner.writes:
+            outer.defs.append(inner.indent + "nonlocal " + ", ".join(
+                f"l{slot}" for slot in sorted(inner.writes)))
+        outer.defs += inner.defs + inner.lines
+        if generator and not _suspends(node):
+            outer.defs.append(f"{inner.indent}yield  # a generator function")
         return fn
 
-    def gen(e, f):
-        return fn(e, f)
-        yield  # unreachable: makes this a generator function
+    def call_nested(self, write, node) -> str:
+        fn = self.nested(write, node, False)
+        return f"(yield from {fn}())" if _suspends(node) else f"{fn}()"
 
-    return gen
+    # --- stores ----------------------------------------------------------------
 
+    def store(self, target, value: str) -> str:
+        """An expression that stores the source `value` into `target`. It
+        evaluates the target's subexpressions, then `value`."""
+        if isinstance(target, ir.IrIndex):
+            return (f"_write_index({self.expr(target.arr)}, "
+                    f"{self.expr(target.idx)}, {value})")
+        if isinstance(target, ir.IrFieldGet):
+            first, o = self.subject(target.obj)
+            name = repr(target.name)
+            return (f"(_set_field(e, {o}, {name}, {target.index}, {value}, ctx)"
+                    f" if {first} is not None and {o}.host == e.host_name"
+                    f" else (yield from e.remote_set_field("
+                    f"_field_of({o}, {name}), {name}, {value}, ctx)))")
+        raise AssertionError(f"bad assignment target {target!r}")
 
-# --- expressions ---------------------------------------------------------------
+    # --- statements ------------------------------------------------------------
 
-def _expr(node):
-    return _EXPRS[type(node)](node)
+    def block(self, node, ind: str) -> None:
+        """Statements at one indentation; `pass` when there are none."""
+        start = len(self.scope.lines)
+        self.stmt(node, ind)
+        if len(self.scope.lines) == start:
+            self.emit(ind, "pass")
 
+    def stmt(self, node, ind: str) -> None:
+        if len(ind) - len(self.scope.indent) == 4 * _MAX_DEPTH and isinstance(
+                node, (ir.IrIf, ir.IrWhile, ir.IrFor)):
+            # Python allows 20 nested loops in a function and 100 indents
+            def write(inner):
+                self.stmt(node, inner)
+                self.emit(inner, "return _NEXT")
 
-def _const(value):
-    return (lambda e, f: value), False
+            t = self.temp()
+            self.emit(ind, f"if ({t} := {self.call_nested(write, node)})"
+                           " is not _NEXT:")
+            self.emit(ind + "    ", f"return {t}")
+            return
+        _STMTS[type(node)](self, node, ind)
 
+    def stmts(self, node, ind):
+        for stmt in node.stmts:
+            self.stmt(stmt, ind)
 
-def _local(node):
-    slot = node.slot
-    return (lambda e, f: f.locals[slot]), False
-
-
-def _str(node):
-    pool = node.pool
-    return (lambda e, f: CharArray(f.consts[pool])), False  # fresh each time
-
-
-def _values(nodes):
-    """A list of expressions evaluated left to right, as one node."""
-    items = [_expr(n) for n in nodes]
-    fns = tuple(fn for fn, _ in items)
-    if not any(s for _, s in items):
-        return (lambda e, f: [fn(e, f) for fn in fns]), False
-
-    def gen(e, f):
-        out = []
-        for fn, s in items:
-            out.append((yield from fn(e, f)) if s else fn(e, f))
-        return out
-
-    return gen, True
-
-
-def _field_get(node):
-    obj, os_ = _expr(node.obj)
-    name, hint = node.name, node.index
-
-    def get(e, f):
-        o = (yield from obj(e, f)) if os_ else obj(e, f)
-        if o is None:
-            raise EngineError(E_NULL_REF, f"field '{name}' of null")
-        if o.host == e.host_name:
-            record = e.deref(o)
-            if record.acl is not None:
-                e.check_local_object(o, record, write=False, ctx=f.ctx)
-            return record.fields[e.field_index(record.cls, name, hint)]
-        return (yield from e.remote_get_field(o, name, f.ctx))
-
-    return get, True
-
-
-def _index(node):
-    arr, as_ = _expr(node.arr)
-    idx, is_ = _expr(node.idx)
-    if not (as_ or is_):
-        return (lambda e, f: _read_index(arr(e, f), idx(e, f))), False
-
-    def gen(e, f):
-        a = (yield from arr(e, f)) if as_ else arr(e, f)
-        i = (yield from idx(e, f)) if is_ else idx(e, f)
-        return _read_index(a, i)
-
-    return gen, True
-
-
-def _bin(node):
-    left, ls = _expr(node.left)
-    right, rs = _expr(node.right)
-    op = _BINOPS[node.op]
-    if not (ls or rs):
-        return (lambda e, f: op(left(e, f), right(e, f))), False
-
-    def gen(e, f):
-        a = (yield from left(e, f)) if ls else left(e, f)
-        b = (yield from right(e, f)) if rs else right(e, f)
-        return op(a, b)
-
-    return gen, True
-
-
-def _logic(node):
-    left, ls = _expr(node.left)
-    right, rs = _expr(node.right)
-    is_and = node.op == "and"
-    if not (ls or rs):
-        if is_and:
-            return (lambda e, f: right(e, f) if left(e, f) else False), False
-        return (lambda e, f: True if left(e, f) else right(e, f)), False
-
-    def gen(e, f):
-        a = (yield from left(e, f)) if ls else left(e, f)
-        if is_and:
-            if not a:
-                return False
-        elif a:
-            return True
-        return (yield from right(e, f)) if rs else right(e, f)
-
-    return gen, True
-
-
-def _un(node):
-    operand, s = _expr(node.operand)
-    op = (lambda v: _wrap(-v)) if node.op == "neg" else (lambda v: not v)
-    if not s:
-        return (lambda e, f: op(operand(e, f))), False
-
-    def gen(e, f):
-        return op((yield from operand(e, f)))
-
-    return gen, True
-
-
-def _ternary(node):
-    cond, cs = _expr(node.cond)
-    then, ts = _expr(node.then)
-    other, os_ = _expr(node.other)
-    if not (cs or ts or os_):
-        return (lambda e, f: then(e, f) if cond(e, f) else other(e, f)), False
-
-    def gen(e, f):
-        c = (yield from cond(e, f)) if cs else cond(e, f)
-        if c:
-            return (yield from then(e, f)) if ts else then(e, f)
-        return (yield from other(e, f)) if os_ else other(e, f)
-
-    return gen, True
-
-
-def _post_incr(node):
-    delta = node.delta
-    if isinstance(node.target, ir.IrLocal):
-        slot = node.target.slot
-
-        def incr_local(e, f):
-            locals_ = f.locals
-            old = locals_[slot]
-            locals_[slot] = _wrap(old + delta)
-            return old
-
-        return incr_local, False
-    get, gs = _expr(node.target)
-    put, ps = _store(node.target)
-    if not (gs or ps):
-        def incr(e, f):
-            old = get(e, f)
-            put(e, f, _wrap(old + delta))
-            return old
-
-        return incr, False
-
-    def gen(e, f):
-        old = (yield from get(e, f)) if gs else get(e, f)
-        value = _wrap(old + delta)
-        if ps:
-            yield from put(e, f, value)
+    def var_decl(self, node, ind):
+        if node.init is not None:
+            value = self.expr(node.init)
         else:
-            put(e, f, value)
-        return old
+            default = default_value(node.ty)
+            value = repr(default) if default is None or isinstance(
+                default, (bool, int)) else self.const(default)
+        self.emit(ind, f"{self.assigned(node.slot)} = {value}")
 
-    return gen, True
-
-
-def _call_method(node):
-    obj, os_ = _expr(node.obj)
-    args, as_ = _values(node.args)
-    method = node.method
-
-    def call(e, f):
-        o = (yield from obj(e, f)) if os_ else obj(e, f)
-        a = (yield from args(e, f)) if as_ else args(e, f)
-        return (yield from e.invoke(o, method, a, f.ctx))
-
-    return call, True
-
-
-def _call_static(node):
-    args, as_ = _values(node.args)
-    cls, method = node.cls, node.method
-
-    def call(e, f):
-        a = (yield from args(e, f)) if as_ else args(e, f)
-        return (yield from e.invoke_static(cls, method, a, f.ctx))
-
-    return call, True
-
-
-def _call_builtin(node):
-    args, as_ = _values(node.args)
-    hook = node.hook
-    if not as_:
-        return (lambda e, f: e.call_intrinsic(hook, args(e, f), f.ctx)), False
-
-    def call(e, f):
-        return e.call_intrinsic(hook, (yield from args(e, f)), f.ctx)
-
-    return call, True
-
-
-def _new(node):
-    args, as_ = _values(node.args)
-    cls = node.cls
-
-    def new(e, f):
-        a = (yield from args(e, f)) if as_ else args(e, f)
-        return (yield from e.create_object(cls, ("heap",), a, f.ctx))
-
-    return new, True
-
-
-def _create(node):
-    host, hs = _expr(node.host) if node.host is not None else (None, False)
-    args, as_ = _values(node.args)
-    cls = node.cls
-
-    def create(e, f):
-        if host is None:
-            placement = ("partition", 0)
-        else:
-            href = (yield from host(e, f)) if hs else host(e, f)
-            if href is None:
-                raise EngineError(E_NULL_REF, "create placement host is null")
-            if href.host == e.host_name:
-                placement = ("partition", 0)
+    def assign(self, node, ind):
+        target, value, op = node.target, node.value, node.op
+        local = isinstance(target, ir.IrLocal)
+        if op == "set" and local:
+            self.emit(ind, f"{self.assigned(target.slot)} = {self.expr(value)}")
+            return
+        if op == "set" and _value_may_go_last(target, value):
+            self.emit(ind, self.store(target, self.expr(value)))
+            return
+        if op == "concat" and local and not _writes_local(value):
+            self.emit(ind, f"_append(l{target.slot}, {self.expr(value)})")
+            return
+        v = self.temp()  # the value first
+        self.emit(ind, f"{v} = {self.expr(value)}")
+        if op in ("addi", "subi"):  # the temporaries hold ints
+            sign = "+" if op == "addi" else "-"
+            if local:
+                name = self.assigned(target.slot)
+                self.emit(ind, f"{name} = {self.wrap(f'{name} {sign} {v}')}")
             else:
-                placement = ("remote", href.host, None)
-        a = (yield from args(e, f)) if as_ else args(e, f)
-        return (yield from e.create_object(cls, placement, a, f.ctx))
+                old = self.temp()
+                self.emit(ind, f"{old} = {self.expr(target)}")
+                self.emit(ind, self.store(target, self.wrap(f"{old} {sign} {v}")))
+            return
+        if op == "set":
+            self.emit(ind, self.store(target, v))
+        else:
+            self.emit(ind, f"_append({self.expr(target)}, {v})")
+        self.emit(ind, f"{v} = None")
 
-    return create, True
+    def expr_stmt(self, node, ind):
+        expr = node.expr
+        if isinstance(expr, ir.IrPostIncr) and isinstance(expr.target, ir.IrLocal):
+            name = self.assigned(expr.target.slot)
+            self.emit(ind, f"{name} = {self.wrap(f'{name} + {expr.delta}')}")
+        else:
+            self.emit(ind, self.expr(expr))
 
+    def if_(self, node, ind):
+        self.emit(ind, f"if {self.expr(node.cond)}:")
+        self.block(node.then, ind + "    ")
+        if node.other is not None:
+            self.emit(ind, "else:")
+            self.block(node.other, ind + "    ")
 
-def _new_array(node):
-    dims, ds = _values(node.dims)
-    elem = node.elem
-    if not ds:
-        return (lambda e, f: new_array(elem, dims(e, f))), False
+    def while_(self, node, ind):
+        self.emit(ind, f"while {self.expr(node.cond)}:")
+        self.block(node.body, ind + "    ")
 
-    def gen(e, f):
-        return new_array(elem, (yield from dims(e, f)))
+    def for_(self, node, ind):
+        if node.init is not None:
+            self.stmt(node.init, ind)
+        cond = "True" if node.cond is None else self.expr(node.cond)
+        self.emit(ind, f"while {cond}:")
+        self.block(node.body, ind + "    ")
+        if node.step is not None:
+            self.stmt(node.step, ind + "    ")
 
-    return gen, True
+    def return_(self, node, ind):
+        self.emit(ind, "return" if node.value is None
+                  else f"return {self.expr(node.value)}")
 
-
-def _queued_eval(node):
-    queue, qs = _expr(node.queue)
-    body = _as_generator(*_expr(node.body))
-
-    def queued(e, f):
-        q = (yield from queue(e, f)) if qs else queue(e, f)
-        return (yield from e.queued_eval_ir(q, f, body))
-
-    return queued, True
-
-
-def _iterate(node):
-    group, gs = _expr(node.group)
-    args, as_ = _values(node.args)
-    method = node.method
-
-    def iterate(e, f):
-        g = (yield from group(e, f)) if gs else group(e, f)
-        a = (yield from args(e, f)) if as_ else args(e, f)
-        yield from e.iterate(g, method, a, f.ctx)
-        return None
-
-    return iterate, True
+    def post(self, node, ind):
+        # #> enqueues and returns at once; it suspends only in its operands
+        self.emit(ind, f"e.post_message({self.expr(node.queue)}, "
+                       f"{self.expr(node.target)}, {node.method!r}, "
+                       f"{self.args(node.args)}, ctx)")
 
 
 _EXPRS = {
-    ir.IrInt: lambda n: _const(n.value),
-    ir.IrBool: lambda n: _const(n.value),
-    ir.IrChar: lambda n: _const(Char(n.code)),
-    ir.IrStr: _str,
-    ir.IrNull: lambda n: _const(None),
-    ir.IrLocal: _local,
-    ir.IrThis: lambda n: ((lambda e, f: f.this_ref), False),
-    ir.IrThisHost: lambda n: ((lambda e, f: e.this_host_ref()), False),
-    ir.IrHostsRoot: lambda n: ((lambda e, f: e.hosts_root_ref()), False),
-    ir.IrFieldGet: _field_get,
-    ir.IrIndex: _index,
-    ir.IrBin: _bin,
-    ir.IrLogic: _logic,
-    ir.IrUn: _un,
-    ir.IrTernary: _ternary,
-    ir.IrPostIncr: _post_incr,
-    ir.IrCallMethod: _call_method,
-    ir.IrCallStatic: _call_static,
-    ir.IrCallBuiltin: _call_builtin,
-    ir.IrNew: _new,
-    ir.IrCreate: _create,
-    ir.IrNewArray: _new_array,
-    ir.IrQueuedEval: _queued_eval,
-    ir.IrIterate: _iterate,
+    ir.IrInt: lambda s, n: repr(n.value) if n.value >= 0 else f"({n.value})",
+    ir.IrBool: lambda s, n: repr(n.value),
+    ir.IrChar: lambda s, n: s.const(Char(n.code)),
+    ir.IrStr: lambda s, n: f"CharArray({s.const(s.consts[n.pool])})",
+    ir.IrNull: lambda s, n: "None",
+    ir.IrLocal: lambda s, n: f"l{n.slot}",
+    ir.IrThis: lambda s, n: "this",
+    ir.IrThisHost: lambda s, n: "e.this_host_ref()",
+    ir.IrHostsRoot: lambda s, n: "e.hosts_root_ref()",
+    ir.IrFieldGet: _Source.field_get,
+    ir.IrIndex: lambda s, n: f"_read_index({s.expr(n.arr)}, {s.expr(n.idx)})",
+    ir.IrBin: _Source.bin,
+    ir.IrLogic: _Source.logic,
+    ir.IrUn: _Source.un,
+    ir.IrTernary: lambda s, n: (f"({s.expr(n.then)} if {s.expr(n.cond)}"
+                                f" else {s.expr(n.other)})"),
+    ir.IrPostIncr: _Source.post_incr,
+    ir.IrCallMethod: lambda s, n: (
+        f"(yield from e.invoke({s.expr(n.obj)}, {n.method!r}, "
+        f"{s.args(n.args)}, ctx))"),
+    ir.IrCallStatic: lambda s, n: (
+        f"(yield from e.invoke_static({s.const(n.cls)}, {n.method!r}, "
+        f"{s.args(n.args)}, ctx))"),
+    ir.IrCallBuiltin: lambda s, n: (
+        f"e.call_intrinsic({n.hook!r}, {s.args(n.args)}, ctx)"),
+    ir.IrNew: lambda s, n: (
+        f"(yield from e.create_object({s.const(n.cls)}, _HEAP, "
+        f"{s.args(n.args)}, ctx))"),
+    ir.IrCreate: _Source.create,
+    ir.IrNewArray: lambda s, n: f"new_array({s.const(n.elem)}, {s.args(n.dims)})",
+    ir.IrQueuedEval: _Source.queued_eval,
+    ir.IrIterate: lambda s, n: (
+        f"((yield from e.iterate({s.expr(n.group)}, {n.method!r}, "
+        f"{s.args(n.args)}, ctx)), None)[1]"),
 }
 
-
-# --- assignment targets ----------------------------------------------------------
-
-def _store(target):
-    """Compile a store into `target`: (put, suspends) with put(e, f, value).
-    The target's subexpressions are evaluated when the store runs."""
-    if isinstance(target, ir.IrLocal):
-        slot = target.slot
-
-        def put_local(e, f, value):
-            f.locals[slot] = value
-
-        return put_local, False
-    if isinstance(target, ir.IrIndex):
-        arr, as_ = _expr(target.arr)
-        idx, is_ = _expr(target.idx)
-        if not (as_ or is_):
-            def put_index(e, f, value):
-                _write_index(arr(e, f), idx(e, f), value)
-
-            return put_index, False
-
-        def put_index_gen(e, f, value):
-            a = (yield from arr(e, f)) if as_ else arr(e, f)
-            i = (yield from idx(e, f)) if is_ else idx(e, f)
-            _write_index(a, i, value)
-
-        return put_index_gen, True
-    if isinstance(target, ir.IrFieldGet):
-        obj, os_ = _expr(target.obj)
-        name, hint = target.name, target.index
-
-        def put_field(e, f, value):
-            o = (yield from obj(e, f)) if os_ else obj(e, f)
-            if o is None:
-                raise EngineError(E_NULL_REF, f"field '{name}' of null")
-            if o.host == e.host_name:
-                record = e.deref(o)
-                if record.acl is not None:
-                    e.check_local_object(o, record, write=True, ctx=f.ctx)
-                record.fields[e.field_index(record.cls, name, hint)] = value
-            else:
-                yield from e.remote_set_field(o, name, value, f.ctx)
-
-        return put_field, True
-    raise AssertionError(f"bad assignment target {target!r}")
-
-
-# --- statements ------------------------------------------------------------------
-
-_RETURN_NONE = (None,)
-
-
-def _stmt(node):
-    return _STMTS[type(node)](node)
-
-
-def _nop(e, f):
-    return None
-
-
-def _block(node):
-    items = [_stmt(s) for s in node.stmts]
-    if not any(s for _, s in items):
-        stmts = tuple(fn for fn, _ in items)
-        if not stmts:
-            return _nop, False
-        if len(stmts) == 1:
-            return stmts[0], False
-
-        def block(e, f):
-            for stmt in stmts:
-                done = stmt(e, f)
-                if done is not None:
-                    return done
-            return None
-
-        return block, False
-
-    def gen(e, f):
-        for stmt, s in items:
-            done = (yield from stmt(e, f)) if s else stmt(e, f)
-            if done is not None:
-                return done
-        return None
-
-    return gen, True
-
-
-def _var_decl(node):
-    slot = node.slot
-    if node.init is None:
-        value = default_value(node.ty)
-
-        def declare(e, f):
-            f.locals[slot] = value
-
-        return declare, False
-    init, s = _expr(node.init)
-    if not s:
-        def declare_init(e, f):
-            f.locals[slot] = init(e, f)
-
-        return declare_init, False
-
-    def gen(e, f):
-        f.locals[slot] = yield from init(e, f)
-
-    return gen, True
-
-
-def _assign(node):
-    value, vs = _expr(node.value)
-    target = node.target
-    if node.op == "set":
-        if isinstance(target, ir.IrLocal) and not vs:
-            slot = target.slot
-
-            def set_local(e, f):
-                f.locals[slot] = value(e, f)
-
-            return set_local, False
-        put, ps = _store(target)
-        if not (vs or ps):
-            def set_(e, f):
-                put(e, f, value(e, f))
-
-            return set_, False
-
-        def set_gen(e, f):
-            v = (yield from value(e, f)) if vs else value(e, f)
-            if ps:
-                yield from put(e, f, v)
-            else:
-                put(e, f, v)
-
-        return set_gen, True
-    get, gs = _expr(target)
-    if node.op == "concat":
-        if not (vs or gs):
-            def concat(e, f):
-                v = value(e, f)
-                _append(get(e, f), v)
-
-            return concat, False
-
-        def concat_gen(e, f):
-            v = (yield from value(e, f)) if vs else value(e, f)
-            _append((yield from get(e, f)) if gs else get(e, f), v)
-
-        return concat_gen, True
-    sign = 1 if node.op == "addi" else -1
-    if isinstance(target, ir.IrLocal) and not vs:
-        slot = target.slot
-
-        def add_local(e, f):
-            v = value(e, f)
-            locals_ = f.locals
-            locals_[slot] = _wrap(locals_[slot] + sign * v)
-
-        return add_local, False
-    put, ps = _store(target)
-    if not (vs or gs or ps):
-        def add(e, f):
-            v = value(e, f)
-            put(e, f, _wrap(get(e, f) + sign * v))
-
-        return add, False
-
-    def add_gen(e, f):
-        v = (yield from value(e, f)) if vs else value(e, f)
-        old = (yield from get(e, f)) if gs else get(e, f)
-        if ps:
-            yield from put(e, f, _wrap(old + sign * v))
-        else:
-            put(e, f, _wrap(old + sign * v))
-
-    return add_gen, True
-
-
-def _expr_stmt(node):
-    expr, s = _expr(node.expr)
-    if not s:
-        def run(e, f):
-            expr(e, f)
-
-        return run, False
-
-    def gen(e, f):
-        yield from expr(e, f)
-
-    return gen, True
-
-
-def _if(node):
-    cond, cs = _expr(node.cond)
-    then, ts = _stmt(node.then)
-    other, os_ = _stmt(node.other) if node.other is not None else (_nop, False)
-    if not (cs or ts or os_):
-        def if_(e, f):
-            if cond(e, f):
-                return then(e, f)
-            return other(e, f)
-
-        return if_, False
-
-    def gen(e, f):
-        c = (yield from cond(e, f)) if cs else cond(e, f)
-        if c:
-            return (yield from then(e, f)) if ts else then(e, f)
-        return (yield from other(e, f)) if os_ else other(e, f)
-
-    return gen, True
-
-
-def _while(node):
-    cond, cs = _expr(node.cond)
-    body, bs = _stmt(node.body)
-    if not (cs or bs):
-        def while_(e, f):
-            while cond(e, f):
-                done = body(e, f)
-                if done is not None:
-                    return done
-            return None
-
-        return while_, False
-
-    def gen(e, f):
-        while (yield from cond(e, f)) if cs else cond(e, f):
-            done = (yield from body(e, f)) if bs else body(e, f)
-            if done is not None:
-                return done
-        return None
-
-    return gen, True
-
-
-def _for(node):
-    # init and step are simple statements, which never return
-    init, is_ = _stmt(node.init) if node.init is not None else (_nop, False)
-    cond, cs = (_expr(node.cond) if node.cond is not None
-                else _const(True))
-    step, ss = _stmt(node.step) if node.step is not None else (_nop, False)
-    body, bs = _stmt(node.body)
-    if not (is_ or cs or ss or bs):
-        def for_(e, f):
-            init(e, f)
-            while cond(e, f):
-                done = body(e, f)
-                if done is not None:
-                    return done
-                step(e, f)
-            return None
-
-        return for_, False
-
-    def gen(e, f):
-        if is_:
-            yield from init(e, f)
-        else:
-            init(e, f)
-        while (yield from cond(e, f)) if cs else cond(e, f):
-            done = (yield from body(e, f)) if bs else body(e, f)
-            if done is not None:
-                return done
-            if ss:
-                yield from step(e, f)
-            else:
-                step(e, f)
-        return None
-
-    return gen, True
-
-
-def _return(node):
-    if node.value is None:
-        return (lambda e, f: _RETURN_NONE), False
-    value, s = _expr(node.value)
-    if not s:
-        return (lambda e, f: (value(e, f),)), False
-
-    def gen(e, f):
-        return ((yield from value(e, f)),)
-
-    return gen, True
-
-
-def _post(node):
-    # #> enqueues and returns at once; it suspends only in its operands
-    parts, s = _values([node.queue, node.target, *node.args])
-    method = node.method
-    if not s:
-        def post(e, f):
-            q, target, *args = parts(e, f)
-            e.post_message(q, target, method, args, f.ctx)
-
-        return post, False
-
-    def gen(e, f):
-        q, target, *args = yield from parts(e, f)
-        e.post_message(q, target, method, args, f.ctx)
-
-    return gen, True
-
-
 _STMTS = {
-    ir.IrBlock: _block,
-    ir.IrVarDecl: _var_decl,
-    ir.IrAssign: _assign,
-    ir.IrExprStmt: _expr_stmt,
-    ir.IrIf: _if,
-    ir.IrWhile: _while,
-    ir.IrFor: _for,
-    ir.IrReturn: _return,
-    ir.IrPost: _post,
-    ir.IrNop: lambda n: (_nop, False),
+    ir.IrBlock: _Source.stmts,
+    ir.IrVarDecl: _Source.var_decl,
+    ir.IrAssign: _Source.assign,
+    ir.IrExprStmt: _Source.expr_stmt,
+    ir.IrIf: _Source.if_,
+    ir.IrWhile: _Source.while_,
+    ir.IrFor: _Source.for_,
+    ir.IrReturn: _Source.return_,
+    ir.IrPost: _Source.post,
+    ir.IrNop: lambda s, n, ind: None,
 }

@@ -2,9 +2,9 @@
 
 The IR is what a runpack image carries instead of native code: a tree
 form whose operators are already type-resolved (integer add vs string
-concat, and so on), which `engine/machine.py` compiles to closures the
-first time a method runs. Method and class references are name-based so
-images stay stable across hosts.
+concat, and so on), which `engine/machine.py` compiles to Python
+functions the first time a method runs. Method and class references are
+name-based so images stay stable across hosts.
 
 The codec is one table, NODE_TABLE, that gives each node class its tag and
 one field codec per dataclass field; `encode` and `decode` walk it, and
