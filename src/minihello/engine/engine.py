@@ -16,9 +16,10 @@ from .. import groups
 from ..bio import Reader, ShortRead, Writer
 from ..errors import (E_ACCESS_DENIED, E_ACCESS_VIOLATION, E_HANDLE_CLOSED,
                       E_HASH_MISMATCH, E_HOST_UNREACHABLE, E_NO_MAIN,
-                      E_NULL_REF, E_PACK_NOT_FOUND, E_QUEUE_CLOSED, E_TIMEOUT,
-                      E_UNKNOWN_CLASS, E_UNKNOWN_METHOD, E_UNKNOWN_OBJECT,
-                      EngineError, wrap_remote)
+                      E_NON_COPYABLE, E_NULL_REF, E_PACK_NOT_FOUND,
+                      E_QUEUE_CLOSED, E_TIMEOUT, E_UNKNOWN_CLASS,
+                      E_UNKNOWN_METHOD, E_UNKNOWN_OBJECT, EngineError,
+                      wrap_remote)
 from ..frontend.types import QUEUE_KEY, STD_PACKAGE
 from ..net import frames
 from ..net.wirevalues import (MalformedEncoding, decode_value_prefix,
@@ -57,6 +58,17 @@ SYS_METHODS = {
     "$getf": (READ, (False,)),
     "$setf": (WRITE, (False, False)),
 }
+
+
+def _leaving(write, *args):
+    """Call `write` (to_wire or write_args) on values that leave this host.
+    A value nested deeper than the wire encoding allows is then a fault of
+    the sending task, NonCopyableValue, not an encoder error that would
+    escape the scheduler."""
+    try:
+        return write(*args)
+    except MalformedEncoding as exc:
+        raise EngineError(E_NON_COPYABLE, str(exc)) from None
 
 
 @dataclass
@@ -478,7 +490,7 @@ class Engine:
         else:
             w.u8(1)
             w.u32(pid)
-        write_args(self, params, args, w.buf)
+        _leaving(write_args, self, params, args, w.buf)
         fut = self.send_request(host, frames.INVOKE, w.getvalue())
         raw = yield fut
         ref = yield from from_wire(self, raw, host, ctx)
@@ -512,9 +524,9 @@ class Engine:
             params = self.param_sigs(target.cls, method) if isinstance(target, ObjectRef) else None
             w = self._invoke_head(OP_POST, ctx)
             w.raw(encode_value(qref))
-            to_wire(self, target, False, w.buf)
+            _leaving(to_wire, self, target, False, w.buf)
             w.wstr(method)
-            write_args(self, params, args, w.buf)
+            _leaving(write_args, self, params, args, w.buf)
             self.send_oneway(qref.host, frames.INVOKE, w.getvalue())
             return
         queue = self.resolve_queue(qref)
@@ -585,7 +597,7 @@ class Engine:
             w.u8(0)
             self._write_creds(w, ctx)
             w.raw(encode_value(qref))
-            to_wire(self, target, False, w.buf)
+            _leaving(to_wire, self, target, False, w.buf)
             w.wstr(method)
             w.u16(arity)
             fut = self.send_request(qref.host, frames.EVENT_POST, w.getvalue())
@@ -608,7 +620,7 @@ class Engine:
             self._write_creds(w, ctx)
             w.u64(eid)
             w.u16(slot)
-            to_wire(self, value, False, w.buf)
+            _leaving(to_wire, self, value, False, w.buf)
             fut = self.send_request(host, frames.EVENT_POST, w.getvalue())
             status = yield fut
             return "fired" if status == 1 else "pending"
@@ -845,7 +857,8 @@ class Engine:
         w = self._invoke_head(OP_INVOKE, ctx)
         w.raw(encode_value(ref))
         w.wstr(method)
-        write_args(self, self.param_sigs(ref.cls, method), args, w.buf)
+        _leaving(write_args, self, self.param_sigs(ref.cls, method), args,
+                 w.buf)
         return w.getvalue()
 
     def _barrier_payload(self, qref: ObjectRef, ctx) -> bytes:
@@ -1018,12 +1031,13 @@ class Engine:
                                                   args_materialized=True)
             rc = self.classes.get(target.cls)
             mc = rc.method(method) if rc else None
-            return bytes(to_wire(self, result, mc.ret_copy if mc else False))
+            return bytes(_leaving(to_wire, self, result,
+                                  mc.ret_copy if mc else False))
         return result
 
     def _run_sys_method(self, target, method: str, args: list, ctx):
         if method == "$echo":
-            return bytes(to_wire(self, args[0], False))
+            return bytes(_leaving(to_wire, self, args[0], False))
         if method == "$traverse":
             method_name = args[0].to_str()
             call_args = list(args[1].items)
@@ -1031,14 +1045,14 @@ class Engine:
             visited = [v.to_str() for v in args[3].items]
             result = yield from groups.run_node(self, ctx, target, method_name,
                                                 call_args, tid, visited)
-            return bytes(to_wire(self, result, False))
+            return bytes(_leaving(to_wire, self, result, False))
         if method == "$getf":
             record = self.deref(target)
             idx = self.field_index(record.cls, args[0].to_str(), -1)
             if idx < 0 or idx >= len(record.fields):
                 raise wrap_remote(EngineError(E_UNKNOWN_METHOD,
                                               f"no field {args[0].to_str()}"))
-            return bytes(to_wire(self, record.fields[idx], False))
+            return bytes(_leaving(to_wire, self, record.fields[idx], False))
         if method == "$setf":
             record = self.deref(target)
             idx = self.field_index(record.cls, args[0].to_str(), -1)

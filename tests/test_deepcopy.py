@@ -10,7 +10,7 @@ from minihello.engine.marshal import local_copy, to_wire
 from minihello.errors import EngineError
 from minihello.net.wirevalues import decode_value
 from minihello.values import (Array, CharArray, ClassKey, ObjectRef,
-                              TAG_OBJECT, WireObject)
+                              TAG_ARRAY, TAG_OBJECT, WireObject)
 
 from conftest import graphs_isomorphic, mesh_scenario, reachable_nodes, run_task
 
@@ -199,3 +199,51 @@ class TestCrossHostCopy:
         assert isinstance(out, CharArray)
         assert bytes(out.data) == payload
         assert out is not buf
+
+
+def linked_list(engine, n: int):
+    head = None
+    for i in range(n):
+        node = make_node(engine, i)
+        engine.deref(node).fields[0] = head
+        head = node
+    return head
+
+
+class TestTooDeepToCross:
+    # the wire encoding nests values at most 200 levels deep
+
+    def test_deep_copy_fails_the_task_and_the_scenario_runs_on(self, graph_image):
+        scen = graph_scenario(graph_image)
+        ea, eb = scen.hosts["a"].engine, scen.hosts["b"].engine
+        deep, short = linked_list(ea, 250), linked_list(ea, 3)
+
+        def copy(value):
+            def task(engine, ctx):
+                return (yield from engine.deep_copy(value, "b", ctx))
+            return task
+
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", copy(deep))
+        assert exc.value.code == "NonCopyableValue"
+        copy_ref = run_task(scen, "a", copy(short))
+        assert graphs_isomorphic(ea, short, eb, copy_ref)
+
+    def test_too_deep_reply_fails_the_caller(self, graph_image):
+        scen = graph_scenario(graph_image)
+        eb = scen.hosts["b"].engine
+        nested = Array(TAG_OBJECT, [])
+        for _ in range(250):
+            nested = Array(TAG_ARRAY, [nested])
+        holder = make_node(eb, 7)
+        eb.deref(holder).fields[3] = nested
+
+        def read(field):
+            def task(engine, ctx):
+                return (yield from engine.remote_get_field(holder, field, ctx))
+            return task
+
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", read("label"))
+        assert "NonCopyableValue" in (exc.value.code, exc.value.remote_code)
+        assert run_task(scen, "a", read("tag")) == 7
