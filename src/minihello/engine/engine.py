@@ -262,10 +262,6 @@ class Engine:
         self.queues[qid] = q
         return q
 
-    def queue_object_ref(self, queue: Queue) -> ObjectRef:
-        ref = self.alloc_object(QUEUE_KEY, 0, [queue.qid])
-        return ref
-
     def create_partition(self) -> int:
         pid = next(self._pid)
         self.partitions[pid] = Partition(pid)
@@ -302,9 +298,6 @@ class Engine:
             return self.deref(ref)
         except EngineError:
             return None
-
-    def set_object_acl(self, ref: ObjectRef, acl: CredentialSet | None) -> None:
-        self.deref(ref).acl = acl
 
     # ----------------------------------------------------------------- classes
 

@@ -168,9 +168,6 @@ class _Parser:
 
     # -- types --
 
-    def _at_type_start(self) -> bool:
-        return self.peek().kind in _PRIM_TYPES or self.at("ident")
-
     def parse_type(self) -> Type:
         tok = self.peek()
         if tok.kind in _PRIM_TYPES:

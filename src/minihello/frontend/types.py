@@ -118,7 +118,3 @@ class BuiltinFuncSig:
     params: tuple[Type, ...]
     ret: Type
     hook: str  # engine intrinsic id
-
-
-def class_type(sig: ClassSig) -> TClass:
-    return TClass(sig.key)

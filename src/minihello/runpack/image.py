@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bio import Reader, ShortRead, Writer
 from ..errors import E_HASH_MISMATCH, EngineError
@@ -43,12 +43,6 @@ class RunpackImage:
     constants: list[bytes]
     content_hash: bytes = b""
     version: int = FORMAT_VERSION
-    _by_name: dict = field(default_factory=dict, repr=False)
-
-    def find_class(self, name: str) -> ir.ClassCode | None:
-        if not self._by_name:
-            self._by_name = {c.name: c for c in self.classes}
-        return self._by_name.get(name)
 
     def find_main(self) -> tuple[ir.ClassCode, ir.MethodCode] | None:
         for cls in self.classes:

@@ -42,14 +42,6 @@ class TypeDesc:
     depth: int = 0
     cls: ClassKey | None = None
 
-    @property
-    def is_array(self) -> bool:
-        return self.depth > 0
-
-    @property
-    def is_object(self) -> bool:
-        return self.depth == 0 and self.base == "class"
-
 
 TD_VOID = TypeDesc("void")
 TD_INT = TypeDesc("int")

@@ -57,10 +57,6 @@ class ObjectRef:
     oid: int
     cls: ClassKey
 
-    @property
-    def in_heap(self) -> bool:
-        return self.partition is None
-
 
 class CharArray:
     """Mutable byte string; the runtime representation of char[]."""
