@@ -34,8 +34,8 @@ subexpressions twice, once to read and once to store.
 
 No reference cycle runs through a body's frame or cells, so a method's
 locals are freed by reference counting when it returns. A statement that
-holds its value in a temporary clears it when it ends, so no value outlives
-the statement that stores it.
+holds the value it stores in a temporary clears it when it ends; the other
+temporaries hold ints and object references.
 """
 
 from __future__ import annotations
@@ -240,7 +240,6 @@ _INT_BINOPS = {"lt": "({} < {})", "le": "({} <= {})", "gt": "({} > {})",
                "ge": "({} >= {})", "eq": "({} == {})", "ne": "({} != {})"}
 _WRAPPED = frozenset(("add", "sub", "mul"))
 _INT_RESULTS = _WRAPPED | {"div", "mod"}
-_INERT = (ir.IrInt, ir.IrBool, ir.IrChar, ir.IrNull, ir.IrLocal, ir.IrThis)
 # Deeper expressions and statements go to a nested function.
 _MAX_DEPTH = 16
 
@@ -290,26 +289,6 @@ def _walk(node):
 
 def _suspends(node) -> bool:
     return any(isinstance(n, _SUSPENDING) for n in _walk(node))
-
-
-def _writes_local(node) -> bool:
-    return any(isinstance(n, ir.IrQueuedEval) or (
-        isinstance(n, ir.IrPostIncr) and isinstance(n.target, ir.IrLocal))
-        for n in _walk(node))
-
-
-def _value_may_go_last(target, value) -> bool:
-    """Whether a store into an element or field may evaluate its value after
-    the target's subexpressions with no one the wiser. It may when the value
-    is a local or a constant that they do not write; for an element, also
-    when they are locals and constants that the value does not write."""
-    if isinstance(target, ir.IrIndex):
-        parts = (target.arr, target.idx)
-        if all(isinstance(p, _INERT) for p in parts) and not _writes_local(value):
-            return True
-    else:
-        parts = (target.obj,)  # a null object faults before the value
-    return isinstance(value, _INERT) and not any(map(_writes_local, parts))
 
 
 def _int_slots(mc: ir.MethodCode) -> set[int]:
@@ -380,15 +359,6 @@ class _Source:
         return (f"({t} if {-_BIAS} <= ({t} := {value}) <= {_BIAS - 1}"
                 f" else _wrap({t}))")
 
-    def subject(self, node) -> tuple[str, str]:
-        """Source that evaluates `node`, and source that reads its value
-        again: a temporary, unless `node` is a local or a constant."""
-        if isinstance(node, _INERT):
-            value = self.expr(node)
-            return value, value
-        t = self.temp()
-        return f"({t} := {self.expr(node)})", t
-
     def assigned(self, slot: int) -> str:
         """The local of `slot`, which the function being written assigns."""
         self.scope.writes.add(slot)
@@ -421,10 +391,10 @@ class _Source:
         return isinstance(node, ir.IrUn) and node.op == "neg"
 
     def field_get(self, node):
-        first, o = self.subject(node.obj)
-        name = repr(node.name)
+        o, name = self.temp(), repr(node.name)
         return (f"(_get_field(e, {o}, {name}, {node.index}, ctx)"
-                f" if {first} is not None and {o}.host == e.host_name"
+                f" if ({o} := {self.expr(node.obj)}) is not None"
+                f" and {o}.host == e.host_name"
                 f" else (yield from e.remote_get_field("
                 f"_field_of({o}, {name}), {name}, ctx)))")
 
@@ -506,10 +476,10 @@ class _Source:
             return (f"_write_index({self.expr(target.arr)}, "
                     f"{self.expr(target.idx)}, {value})")
         if isinstance(target, ir.IrFieldGet):
-            first, o = self.subject(target.obj)
-            name = repr(target.name)
+            o, name = self.temp(), repr(target.name)
             return (f"(_set_field(e, {o}, {name}, {target.index}, {value}, ctx)"
-                    f" if {first} is not None and {o}.host == e.host_name"
+                    f" if ({o} := {self.expr(target.obj)}) is not None"
+                    f" and {o}.host == e.host_name"
                     f" else (yield from e.remote_set_field("
                     f"_field_of({o}, {name}), {name}, {value}, ctx)))")
         raise AssertionError(f"bad assignment target {target!r}")
@@ -546,9 +516,7 @@ class _Source:
         if node.init is not None:
             value = self.expr(node.init)
         else:
-            default = default_value(node.ty)
-            value = repr(default) if default is None or isinstance(
-                default, (bool, int)) else self.const(default)
+            value = self.const(default_value(node.ty))
         self.emit(ind, f"{self.assigned(node.slot)} = {value}")
 
     def assign(self, node, ind):
@@ -556,12 +524,6 @@ class _Source:
         local = isinstance(target, ir.IrLocal)
         if op == "set" and local:
             self.emit(ind, f"{self.assigned(target.slot)} = {self.expr(value)}")
-            return
-        if op == "set" and _value_may_go_last(target, value):
-            self.emit(ind, self.store(target, self.expr(value)))
-            return
-        if op == "concat" and local and not _writes_local(value):
-            self.emit(ind, f"_append(l{target.slot}, {self.expr(value)})")
             return
         v = self.temp()  # the value first
         self.emit(ind, f"{v} = {self.expr(value)}")
