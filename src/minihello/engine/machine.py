@@ -20,7 +20,9 @@ object may live on another host), method and static calls, `new` and
 inline path that makes no generator call. A `<=>` expression becomes a
 nested generator function that reads and writes the caller's locals through
 closure cells; the engine runs it on the queue's lane. Every other body is a
-plain function.
+plain function. An expression or statement nested deeper than Python lets one
+function nest (about 200 parentheses, 20 loops and 100 indents) goes on in a
+nested function of the same kind.
 
 Each operator is written once, as a template in `_BINOPS` and `_INT_BINOPS`
 or as one helper (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
@@ -307,9 +309,8 @@ class _Scope:
     it for a `<=>` expression or a deep expression or statement."""
 
     def __init__(self, indent: str):
-        self.indent = indent
+        self.indent = indent  # of the function's body
         self.lines: list[str] = []
-        self.defs: list[str] = []  # nested functions, defined first
         self.writes: set[int] = set()  # local slots this function assigns
 
 
@@ -324,6 +325,9 @@ class _Source:
         self.ints = _int_slots(mc)
         self.scope = _Scope("    ")
         self.depth = 0  # of the expression being written, in this function
+        # Nested functions, all defined at the top of the body's function,
+        # so that Python's limit of 100 indents does not bound the nesting.
+        self.defs: list[str] = []
 
     def function(self, name: str):
         mc = self.mc
@@ -335,7 +339,7 @@ class _Source:
         if mc.n_slots > n_params:  # a local read before any store reads None
             lines.append("    " + " = ".join(
                 [f"l{i}" for i in range(n_params, mc.n_slots)] + ["None"]))
-        lines += self.scope.defs + self.scope.lines
+        lines += self.defs + self.scope.lines
         if len(lines) == 1:
             lines.append("    pass")
         code = compile("\n".join(lines) + "\n", f"<hello {name}>", "exec")
@@ -442,25 +446,25 @@ class _Source:
         return f"(yield from e.queued_eval_ir({queue}, ctx, {fn}))"
 
     def nested(self, write, node, generator: bool) -> str:
-        """Define a function of no arguments in the current one, over its
-        locals, and return its name. `write(indent)` emits the body, which
-        `node` is compiled from; the function is a generator function when
-        `generator` is true or the node may suspend."""
+        """Define a function of no arguments at the top of the body's
+        function, over its locals, and return its name. `write(indent)`
+        emits its body, which `node` is compiled from; it is a generator
+        function when `generator` is true or the node may suspend."""
         fn = f"f{next(self.ids)}"
         outer, depth = self.scope, self.depth
-        inner = self.scope = _Scope(outer.indent + "    ")
+        inner = self.scope = _Scope("        ")
         self.depth = 0
         try:
             write(inner.indent)
         finally:
             self.scope, self.depth = outer, depth
-        outer.defs.append(f"{outer.indent}def {fn}():")
+        self.defs.append(f"    def {fn}():")
         if inner.writes:
-            outer.defs.append(inner.indent + "nonlocal " + ", ".join(
+            self.defs.append("        nonlocal " + ", ".join(
                 f"l{slot}" for slot in sorted(inner.writes)))
-        outer.defs += inner.defs + inner.lines
+        self.defs += inner.lines
         if generator and not _suspends(node):
-            outer.defs.append(f"{inner.indent}yield  # a generator function")
+            self.defs.append("        yield  # a generator function")
         return fn
 
     def call_nested(self, write, node) -> str:

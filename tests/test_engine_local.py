@@ -1,6 +1,7 @@
 """Single-host engine semantics: main entry, faults, arrays, intrinsics."""
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -268,6 +269,18 @@ class Box {{ public int v; public Box() {{}} }}
 class M {{ static public int main(char[][] argv) {{ {body} }} }}
 """)
         assert fut.result() == want
+
+    def test_2000_term_sum_under_the_cli_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 20_000))  # as het and hee do
+        try:
+            fut, _ = run_main_text("""
+package p;
+class M { static public int main(char[][] argv) { int s = 3; return %s; } }
+""" % " + ".join(["s"] * 2000))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert fut.result() == 6000
 
 
 class TestBufferRelease:
