@@ -24,13 +24,14 @@ plain function. An expression or statement nested deeper than Python lets one
 function nest (about 200 parentheses, 20 loops and 100 indents) goes on in a
 nested function of the same kind.
 
-Each operator is written once, as a template in `_BINOPS` and `_INT_BINOPS`
-or as one helper (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
-`_write_index`, `_append`): integers wrap at 64 bits, `/` and `%` truncate,
-and division by zero and out-of-range indexing raise engine faults.
-Comparisons are written as plain Python operators when both operands are
-ints by their IR type. Expressions evaluate left to right, as Python
-evaluates them; a store evaluates its value first and then its target.
+Each operator is one template in `_BINOPS`, calling one helper where it
+needs one (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
+`_write_index`, `_append`): integers wrap at 64 bits (`_wrap` runs only when
+a result leaves the range), `/` and `%` truncate, and division by zero and
+out-of-range indexing raise engine faults. When both operands are ints by
+their IR type, the comparisons are plain Python operators (`_INT_BINOPS`).
+Expressions evaluate left to right, as Python evaluates them; a store
+evaluates its value first and then its target.
 Compound assignment and `++` on an element or field evaluate the target's
 subexpressions twice, once to read and once to store.
 
@@ -202,11 +203,14 @@ def _field_of(o, name):
     return o
 
 
+_PARTITION = ("partition", 0)
+
+
 def _placement(e, href):
     if href is None:
         raise EngineError(E_NULL_REF, "create placement host is null")
     if href.host == e.host_name:
-        return ("partition", 0)
+        return _PARTITION
     return ("remote", href.host, None)
 
 
@@ -217,7 +221,7 @@ _HELPERS = {
     "_read_index": _read_index, "_write_index": _write_index,
     "_append": _append, "_get_field": _get_field, "_set_field": _set_field,
     "_field_of": _field_of, "_placement": _placement, "new_array": new_array,
-    "CharArray": CharArray, "_HEAP": ("heap",), "_PARTITION": ("partition", 0),
+    "CharArray": CharArray, "_HEAP": ("heap",), "_PARTITION": _PARTITION,
     "_NEXT": object(),  # what a nested statement returns when it falls through
 }
 
@@ -340,8 +344,6 @@ class _Source:
             lines.append("    " + " = ".join(
                 [f"l{i}" for i in range(n_params, mc.n_slots)] + ["None"]))
         lines += self.defs + self.scope.lines
-        if len(lines) == 1:
-            lines.append("    pass")
         code = compile("\n".join(lines) + "\n", f"<hello {name}>", "exec")
         exec(code, self.env)
         fn = self.env.pop("_body")
