@@ -254,6 +254,120 @@ class TestFaults:
         assert "neighbor-removed" in kinds
 
 
+QUEUE = ClassKey("standard", "queue")
+COUNTER = ClassKey("qtest", "Counter")
+
+
+def remote_queue(engine, closed=False):
+    """A queue on `engine` and a reference to it; closed when asked."""
+    queue = engine.new_queue(label="target")
+    if closed:
+        queue.state = "closed"
+    return engine.alloc_object(QUEUE, 0, [queue.qid])
+
+
+def frames_from(scen, host, kind) -> int:
+    return sum(1 for _t, src, _dst, k, _n, _i in scen.network.frame_log
+               if src == host and k == kind)
+
+
+class TestServedRequests:
+    """How a host answers an INVOKE, CREATE, BARRIER or POST it cannot
+    serve: refused by the access check, or refused by a closed queue."""
+
+    def test_barrier_on_closed_remote_queue_fails_queue_closed(self):
+        scen = mesh_scenario(["a", "b"], seed=5, call_timeout_ms=3_000)
+        qref = remote_queue(scen.hosts["b"].engine, closed=True)
+
+        def task(engine, ctx):
+            yield from engine.queued_eval(qref, lambda: 1, ctx)
+
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", task)
+        assert exc.value.code == "QueueClosed"
+        assert frames_from(scen, "b", "ERROR") == 1
+
+    def test_invoke_on_closed_service_queue_times_out(self):
+        scen = mesh_scenario(["a", "b"], seed=6, call_timeout_ms=3_000)
+        eb = scen.hosts["b"].engine
+        eb.service_queue.state = "closed"
+
+        def task(engine, ctx):
+            return (yield from engine.invoke(host_ref("b"), "name", [], ctx))
+
+        start = scen.core.now
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", task)
+        assert exc.value.code == "Timeout"
+        assert scen.core.now - start >= 3_000
+        assert [(code, text.split(": ")[:2]) for code, text in eb.error_log] \
+            == [("BadFrame", ["INVOKE", "QueueClosed"])]
+
+    def test_two_barriers_in_a_row_on_an_open_remote_queue(self):
+        scen = mesh_scenario(["a", "b"], seed=7)
+        qref = remote_queue(scen.hosts["b"].engine)
+
+        def task(engine, ctx):
+            first = yield from engine.queued_eval(qref, lambda: 5, ctx)
+            second = yield from engine.queued_eval(qref, lambda: 7, ctx)
+            return first + second
+
+        assert run_task(scen, "a", task) == 12
+
+    def test_post_to_closed_remote_queue_is_logged(self, counter_image):
+        scen = mesh_scenario(["a", "b"], seed=8)
+        eb = scen.hosts["b"].engine
+        eb.install_image(counter_image)
+        target = eb.alloc_object(COUNTER, 0, [0])
+        qref = remote_queue(eb, closed=True)
+
+        def task(engine, ctx):
+            engine.post_message(qref, target, "poke", [], ctx)
+            return 0
+
+        assert run_task(scen, "a", task) == 0
+        assert eb.error_log == [("QueueClosed", "remote post poke dropped")]
+        assert frames_from(scen, "b", "ERROR") == 0
+        assert eb.deref(target).fields == [0]
+
+    @pytest.mark.parametrize("op", ["invoke", "create", "barrier", "post"])
+    def test_access_denied(self, counter_image, op):
+        scen = Scenario(seed=9)
+        scen.add_host("a")
+        scen.add_host("b", lockdown=True)
+        scen.link("a", "b")
+        scen.start()
+        scen.hosts["a"].engine.install_image(counter_image)
+        eb = scen.hosts["b"].engine
+        eb.install_image(counter_image)
+        target = eb.alloc_object(COUNTER, 0, [0])
+        qref = remote_queue(eb)
+
+        def task(engine, ctx):
+            if op == "invoke":
+                yield from engine.invoke(target, "read", [], ctx)
+            elif op == "create":
+                yield from engine.create_object(COUNTER, ("remote", "b", None),
+                                                [], ctx)
+            elif op == "barrier":
+                yield from engine.queued_eval(qref, lambda: 1, ctx)
+            else:
+                engine.post_message(qref, target, "poke", [], ctx)
+            return "sent"
+
+        if op == "post":
+            assert run_task(scen, "a", task) == "sent"
+            assert eb.error_log == [("AccessDenied", "remote post poke dropped")]
+            assert frames_from(scen, "b", "ERROR") == 0
+        else:
+            with pytest.raises(EngineError) as exc:
+                run_task(scen, "a", task)
+            assert exc.value.code == "AccessDenied"
+            assert eb.error_log == []
+            assert frames_from(scen, "b", "ERROR") == 1
+        assert eb.deref(target).fields == [0]
+
+
 class TestPackFetch:
     def test_remote_create_fetches_once_then_executes(self, counter_image):
         scen = mesh_scenario(["a", "b"], seed=0)
