@@ -4,6 +4,23 @@ Owns the heap, partitions, queues, events, pack store, and security map;
 executes IR through the machine module; and speaks the INVOKE/REPLY wire
 protocol through a router port. All potentially-blocking operations are
 generators that yield Futures, driven by the active scheduler.
+
+The RPC core does each job at one site:
+- a request leaves through `send_request` (a runpack fetch through
+  `fetch_pack`); `_send_pending` registers its pending call before the frame
+  is sent and arms its timeout after;
+- `handle_wire_frame` dispatches every arriving frame by kind;
+- a served INVOKE, CREATE or BARRIER is queued by `_serve`, which answers
+  with the task's REPLY payload or with the ERROR it fails with; a POST has
+  no answer, and its refusals are only logged;
+- a REPLY, ERROR or final PACK_DATA claims its open call through
+  `_take_pending`, which cancels the call's timer and counts in
+  `orphaned_replies` each reply that no open call claims;
+- ERROR payloads are written and read by `frames.error_payload` and
+  `frames.read_error`, which the router uses too.
+It stays in this module and class because `bench/tracing.py` wraps
+`Engine.handle_wire_frame` and `Engine._run_body` in the class's own
+namespace, and the codec and marshaling functions in this module's.
 """
 
 from __future__ import annotations
@@ -15,8 +32,8 @@ from dataclasses import dataclass
 from .. import groups
 from ..bio import Reader, ShortRead, Writer
 from ..errors import (E_ACCESS_DENIED, E_ACCESS_VIOLATION, E_HANDLE_CLOSED,
-                      E_HASH_MISMATCH, E_HOST_UNREACHABLE, E_NO_MAIN,
-                      E_NON_COPYABLE, E_NULL_REF, E_PACK_NOT_FOUND,
+                      E_HASH_MISMATCH, E_HOP_UNREACHABLE, E_HOST_UNREACHABLE,
+                      E_NO_MAIN, E_NON_COPYABLE, E_NULL_REF, E_PACK_NOT_FOUND,
                       E_QUEUE_CLOSED, E_TIMEOUT, E_UNKNOWN_CLASS,
                       E_UNKNOWN_METHOD, E_UNKNOWN_OBJECT, EngineError,
                       wrap_remote)
@@ -27,7 +44,7 @@ from ..net.wirevalues import (MalformedEncoding, decode_value_prefix,
 from ..runpack import ir
 from ..runpack.image import (ORIGIN_NETWORK, ImageFormatError, PackStore,
                              RunpackImage, deserialize, serialize)
-from ..runtime import Future, Queue, Request, Scheduler
+from ..runtime import QUEUE_CLOSED, Future, Queue, Request, Scheduler
 from ..security import (ANONYMOUS_SID, ALL_PRIVS, CREATE, CredentialSet, EXEC,
                         READ, SID_LEN, WRITE, check_access)
 from ..stdlib import (HOST_OBJECT_OID, HOSTS_NODE_OID, INTRINSICS,
@@ -50,6 +67,10 @@ OP_INVOKE = 0
 OP_POST = 1
 OP_CREATE = 2
 OP_BARRIER = 3
+
+# EVENT_POST sub-operations.
+EV_CREATE = 0
+EV_FILL = 1
 
 # System methods: name -> (privilege, per-parameter copy flags).
 SYS_METHODS = {
@@ -222,6 +243,7 @@ class Engine:
         self._fetch_inflight: dict[str, Future] = {}
         self._pack_buffers: dict[int, tuple[str, list[bytes]]] = {}
         self.fetch_frames_sent = 0
+        self.orphaned_replies = 0  # replies no open call or pack buffer took
 
         self._exec_handles: dict[int, tuple[object, int]] = {}
         self._exec_id = itertools.count(1)
@@ -262,6 +284,12 @@ class Engine:
         self.queues[qid] = q
         return q
 
+    def _release_queue(self, queue: Queue) -> None:
+        """Close a queue made for one request, once that request is done,
+        and forget it; a threaded worker on it then ends."""
+        queue.state = QUEUE_CLOSED
+        self.queues.pop(queue.qid, None)
+
     def create_partition(self) -> int:
         pid = next(self._pid)
         self.partitions[pid] = Partition(pid)
@@ -292,12 +320,6 @@ class Engine:
         if record is None:
             raise EngineError(E_UNKNOWN_OBJECT, f"no object {ref.oid}")
         return record
-
-    def try_deref(self, ref: ObjectRef) -> ObjectRecord | None:
-        try:
-            return self.deref(ref)
-        except EngineError:
-            return None
 
     # ----------------------------------------------------------------- classes
 
@@ -349,6 +371,16 @@ class Engine:
 
     # ---------------------------------------------------------------- security
 
+    def _acl_of(self, target) -> CredentialSet | None:
+        """The ACL of a remote request's target: None unless the target is
+        an object on this host that has one."""
+        if not isinstance(target, ObjectRef):
+            return None
+        try:
+            return self.deref(target).acl
+        except EngineError:
+            return None
+
     def check_remote_request(self, priv: int, sids: list[bytes],
                              acl: CredentialSet | None) -> None:
         self.audit_count += 1
@@ -358,20 +390,12 @@ class Engine:
             raise EngineError(E_ACCESS_DENIED,
                               f"denied at {decision.denied_layer} layer")
 
-    def check_local_object(self, ref: ObjectRef, record: ObjectRecord, *,
-                           write: bool, ctx) -> None:
+    def check_local_object(self, record: ObjectRecord, priv: int, ctx) -> None:
+        """The object-layer check of a local access with privilege `priv`."""
         if record.acl is None:
             return
         self.audit_count += 1
-        priv = WRITE if write else READ
         if not record.acl.allows(ctx.sids(), priv):
-            raise EngineError(E_ACCESS_DENIED, "denied at object layer")
-
-    def _check_local_invoke(self, record: ObjectRecord, ctx) -> None:
-        if record.acl is None:
-            return
-        self.audit_count += 1
-        if not record.acl.allows(ctx.sids(), EXEC):
             raise EngineError(E_ACCESS_DENIED, "denied at object layer")
 
     # ------------------------------------------------------------- invocation
@@ -390,7 +414,10 @@ class Engine:
         return (yield from from_wire(self, raw, ref.host, ctx))
 
     def invoke_local(self, ref: ObjectRef, method: str, args: list, ctx, *,
-                     from_remote: bool = False, args_materialized: bool = False):
+                     from_remote: bool = False):
+        """Call a method of an object on this host. A call `from_remote`
+        comes with its arguments received already, and returns its result
+        for the reply to marshal. Generator."""
         record = self.deref(ref)
         rc = self.classes.get(record.cls)
         if rc is None:
@@ -403,11 +430,10 @@ class Engine:
         if from_remote and mc is not None and not mc.has(ir.MQ_EXTERNAL):
             raise EngineError(E_ACCESS_VIOLATION,
                               f"method '{method}' is not external")
-        if not from_remote:
-            self._check_local_invoke(record, ctx)
-        if args_materialized:
+        if from_remote:
             call_args = list(args)
         else:
+            self.check_local_object(record, EXEC, ctx)
             call_args = marshal_args(self, list(mc.params) if mc else None,
                                      args, post=False)
         try:
@@ -544,29 +570,15 @@ class Engine:
         except EngineError as err:
             self.log_error(err.code, f"queued {method}: {err.message}")
 
-    def queued_eval_ir(self, qref: ObjectRef, ctx, body):
-        """The <=> operator. `body` is the compiled expression, a generator
-        function of no arguments over the caller's locals. It evaluates when
-        it reaches the queue head; for a local queue it runs on the queue's
-        lane, for a remote queue a barrier marker drains the queue first and
-        the expression evaluates locally on return."""
+    def queued_eval(self, qref: ObjectRef, thunk, ctx):
+        """The <=> operator. `thunk` is a function of no arguments, or a
+        generator function (the compiled expression, over the caller's
+        locals). It evaluates when it reaches the queue head: for a local
+        queue it runs on the queue's lane, for a remote queue a barrier
+        marker drains the queue first and it evaluates here on return."""
         if qref is None:
             raise EngineError(E_NULL_REF, "<=> on null queue")
         if qref.host != self.host_name:
-            fut = self.send_request(qref.host, frames.INVOKE,
-                                    self._barrier_payload(qref, ctx))
-            yield fut
-            return (yield from body())
-        queue = self.resolve_queue(qref)
-        fut = Future()
-        self._arm_deadline(fut, self.config.call_timeout_ms)
-        self.submit(queue, Request(body, fut, label="queued-eval"))
-        return (yield fut)
-
-    def queued_eval(self, qref: ObjectRef, thunk, ctx):
-        """Engine-level <=>: enqueue a python thunk (callable or generator
-        factory) and wait for its value."""
-        if qref is not None and isinstance(qref, ObjectRef) and qref.host != self.host_name:
             fut = self.send_request(qref.host, frames.INVOKE,
                                     self._barrier_payload(qref, ctx))
             yield fut
@@ -586,9 +598,7 @@ class Engine:
         if qref is None:
             raise EngineError(E_NULL_REF, "event on null queue")
         if qref.host != self.host_name:
-            w = Writer()
-            w.u8(0)
-            self._write_creds(w, ctx)
+            w = self._invoke_head(EV_CREATE, ctx)
             w.raw(encode_value(qref))
             _leaving(to_wire, self, target, False, w.buf)
             w.wstr(method)
@@ -597,20 +607,24 @@ class Engine:
             eid = yield fut
             return (qref.host, eid)
         queue = self.resolve_queue(qref)
+        return (self.host_name,
+                self._new_event(queue, target, method, arity, ctx.origin))
+
+    def _new_event(self, queue: Queue, target, method: str, arity: int,
+                   origin) -> int:
+        """Record an event owned by `queue`; one of no slots fires now."""
         eid = next(self._eid)
         ev = EventRecord(eid, queue.qid, target, method,
                          [[False, None] for _ in range(arity)])
         self.events[eid] = ev
         if arity == 0:
-            self._fire_event(ev, ctx.origin)
-        return (self.host_name, eid)
+            self._fire_event(ev, origin)
+        return eid
 
     def fill_event(self, event_id: tuple, slot: int, value, ctx):
         host, eid = event_id
         if host != self.host_name:
-            w = Writer()
-            w.u8(1)
-            self._write_creds(w, ctx)
+            w = self._invoke_head(EV_FILL, ctx)
             w.u64(eid)
             w.u16(slot)
             _leaving(to_wire, self, value, False, w.buf)
@@ -649,9 +663,8 @@ class Engine:
         self.submit(queue, Request(factory, None, label=f"event:{ev.method}"))
 
     def _task_event_fire(self, ev: EventRecord, ctx):
-        args = []
-        for filled, value in ev.slots:
-            args.append((yield from from_wire(self, value, ctx.origin, ctx)))
+        args = yield from self._args_from_wire(
+            [value for _filled, value in ev.slots], ctx)
         self.events.pop(ev.eid, None)
         try:
             yield from self.invoke(ev.target, ev.method, args, ctx)
@@ -684,18 +697,8 @@ class Engine:
 
     def start_traverse(self, node_ref: ObjectRef, method: str, args: list,
                        tid: str, visited: list[str], ctx) -> Future:
-        """Begin a child traversal; returns the completion future."""
-        if node_ref.host == self.host_name:
-            fut = Future()
-            queue = self.new_queue(label="traverse")
-            ctx2 = TaskCtx(queue, ctx.origin)
-
-            def factory():
-                return groups.run_node(self, ctx2, node_ref, method,
-                                       list(args), tid, list(visited))
-
-            self.submit(queue, Request(factory, fut, label="traverse"))
-            return fut
+        """Forward a traversal to a node on another host (`groups.run_node`
+        visits this host's node itself); returns the reply future."""
         payload = self._call_payload(
             node_ref, "$traverse",
             self._traverse_args(method, args, tid, visited), ctx)
@@ -731,6 +734,7 @@ class Engine:
         cls_code, mc = found
         cls_key = ClassKey(image.package, cls_code.name)
         queue = self.new_queue(label="main")
+        fut.add_callback(lambda _f: self._release_queue(queue))
         ctx = TaskCtx(queue)
         args = []
         if mc.params:
@@ -755,9 +759,9 @@ class Engine:
     def next_corr(self) -> int:
         return next(self._corr)
 
-    def _arm_deadline(self, fut: Future, ms: int, code: str = E_TIMEOUT) -> None:
+    def _arm_deadline(self, fut: Future, ms: int) -> None:
         timer = self.scheduler.call_later(
-            ms, lambda: fut.fail(EngineError(code, f"no reply within {ms} ms")))
+            ms, lambda: fut.fail(EngineError(E_TIMEOUT, f"no reply within {ms} ms")))
         fut.add_callback(lambda _f: self.scheduler.cancel(timer))
 
     def send_request(self, dst: str, kind: int, payload: bytes,
@@ -793,9 +797,16 @@ class Engine:
             entry.timer = self.scheduler.call_later(
                 timeout_ms, lambda: self._timeout_pending(corr))
 
-    def _cancel_timer(self, entry: _PendingCall) -> None:
-        if entry.timer is not None:  # None while its frame is being sent
+    def _take_pending(self, corr: int) -> _PendingCall | None:
+        """Claim the open call `corr`: pop it and its pack buffer and cancel
+        its timer. A reply that no open call claims is counted."""
+        self._pack_buffers.pop(corr, None)
+        entry = self.pending.pop(corr, None)
+        if entry is None:
+            self.orphaned_replies += 1
+        elif entry.timer is not None:  # None while its frame is being sent
             self.scheduler.cancel(entry.timer)
+        return entry
 
     def send_oneway(self, dst: str, kind: int, payload: bytes) -> None:
         if self.port is None:
@@ -813,8 +824,7 @@ class Engine:
         fast as HostUnreachable; direct calls are left to their timeout."""
         for corr, entry in list(self.pending.items()):
             if entry.next_hop == neighbor and not entry.direct:
-                self.pending.pop(corr, None)
-                self._cancel_timer(entry)
+                self._take_pending(corr)
                 entry.future.fail(EngineError(
                     E_HOST_UNREACHABLE, f"route via {neighbor} lost"))
 
@@ -831,19 +841,16 @@ class Engine:
 
     # ------------------------------------------------------- payload plumbing
 
-    def _write_creds(self, w: Writer, ctx) -> None:
+    def _invoke_head(self, op: int, ctx) -> Writer:
+        """A writer holding the start of an INVOKE or EVENT_POST payload: the
+        sub-operation and the sender's credentials."""
+        w = Writer()
+        w.u8(op)
         w.wstr(self.host_name)
         sids = ctx.sids() if ctx is not None else [ANONYMOUS_SID]
         w.u16(len(sids))
         for sid in sids:
             w.raw(sid)
-
-    def _invoke_head(self, op: int, ctx) -> Writer:
-        """A writer holding the start of an INVOKE payload: the op and the
-        sender's credentials."""
-        w = Writer()
-        w.u8(op)
-        self._write_creds(w, ctx)
         return w
 
     def _call_payload(self, ref: ObjectRef, method: str, args: list, ctx) -> bytes:
@@ -895,11 +902,9 @@ class Engine:
         self._send_back(meta, frames.Frame(frames.REPLY, corr, encode_value(value)))
 
     def _reply_error(self, meta: FrameMeta, corr: int, err: EngineError) -> None:
-        w = Writer()
-        w.wstr(err.code)
-        w.wstr(err.remote_code or "")
-        w.wstr(err.message or "")
-        self._send_back(meta, frames.Frame(frames.ERROR, corr, w.getvalue()))
+        payload = frames.error_payload(err.code, err.message or "",
+                                       err.remote_code or "")
+        self._send_back(meta, frames.Frame(frames.ERROR, corr, payload))
 
     def _send_back(self, meta: FrameMeta, frame: frames.Frame) -> None:
         if self.port is None:
@@ -909,124 +914,111 @@ class Engine:
         except EngineError as err:
             self.log_error(err.code, f"reply to {meta.src} lost")
 
-    def _completion_replier(self, meta: FrameMeta, corr: int):
-        """Answer a served request: its future resolves to the REPLY
-        payload, or fails with the error to send back."""
-        def on_done(fut: Future) -> None:
+    def _serve(self, meta: FrameMeta, corr: int, queue: Queue, label: str,
+               factory) -> Future:
+        """Queue a served request. Its task returns the REPLY payload, or
+        fails with the error to send back. Returns the request's future; a
+        closed queue raises QueueClosed and nothing is answered."""
+        done = Future()
+
+        def answer(fut: Future) -> None:
             try:
                 payload = fut.result()
             except EngineError as err:
                 self._reply_error(meta, corr, err)
                 return
             self._send_back(meta, frames.Frame(frames.REPLY, corr, payload))
-        return on_done
+
+        done.add_callback(answer)
+        self.submit(queue, Request(factory, done, label=label))
+        return done
 
     def _on_invoke(self, frame: frames.Frame, meta: FrameMeta) -> None:
+        """Serve an INVOKE. A refused INVOKE, CREATE or BARRIER is answered
+        with an ERROR, except that a closed service queue refuses INVOKE and
+        CREATE unanswered (`handle_wire_frame` logs it and the caller times
+        out); a refused POST is only logged."""
         r = Reader(frame.payload)
         op = r.u8()
         sender, sids = self._read_creds(r)
+        corr = frame.corr
         if op == OP_INVOKE:
             target = decode_value_prefix(r)
             method = r.wstr()
             wire_args = self._read_values(r)
             priv = SYS_METHODS[method][0] if method in SYS_METHODS else EXEC
-            record = self.try_deref(target) if isinstance(target, ObjectRef) else None
-            acl = record.acl if record is not None else None
             try:
-                self.check_remote_request(priv, sids, acl)
+                self.check_remote_request(priv, sids, self._acl_of(target))
             except EngineError as err:
-                self._reply_error(meta, frame.corr, err)
+                self._reply_error(meta, corr, err)
                 return
-            queue = (self.new_queue(label="traverse")
-                     if method == "$traverse" else self.service_queue)
+            traverse = method == "$traverse"
+            queue = self.new_queue(label="traverse") if traverse else self.service_queue
             ctx = TaskCtx(queue, origin=sender)
-            fut = Future()
-            fut.add_callback(self._completion_replier(meta, frame.corr))
-
-            def factory():
-                return self._task_remote_invoke(target, method, wire_args, ctx)
-
-            self.submit(queue, Request(factory, fut, label=f"rx:{method}"))
+            done = self._serve(meta, corr, queue, f"rx:{method}", lambda:
+                               self._task_remote_invoke(target, method,
+                                                        wire_args, ctx))
+            if traverse:
+                done.add_callback(lambda _f: self._release_queue(queue))
         elif op == OP_POST:
             qref = decode_value_prefix(r)
             target = decode_value_prefix(r)
             method = r.wstr()
             wire_args = self._read_values(r)
-            record = self.try_deref(target) if isinstance(target, ObjectRef) else None
-            acl = record.acl if record is not None else None
             try:
-                self.check_remote_request(EXEC, sids, acl)
+                self.check_remote_request(EXEC, sids, self._acl_of(target))
                 queue = self.resolve_queue(qref)
-            except EngineError as err:
-                self.log_error(err.code, f"remote post {method} dropped")
-                return
-            ctx = TaskCtx(queue, origin=sender)
-
-            def factory():
-                return self._task_remote_post(target, method, wire_args, ctx)
-
-            try:
-                self.submit(queue, Request(factory, None, label=f"post:{method}"))
+                ctx = TaskCtx(queue, origin=sender)
+                self.submit(queue, Request(
+                    lambda: self._task_remote_post(target, method, wire_args, ctx),
+                    None, label=f"post:{method}"))
             except EngineError as err:
                 self.log_error(err.code, f"remote post {method} dropped")
         elif op == OP_CREATE:
-            package = r.wstr()
-            cls_name = r.wstr()
+            key = ClassKey(r.wstr(), r.wstr())
             has_pid = r.u8()
             pid = r.u32()
             wire_args = self._read_values(r)
             try:
                 self.check_remote_request(CREATE, sids, None)
             except EngineError as err:
-                self._reply_error(meta, frame.corr, err)
+                self._reply_error(meta, corr, err)
                 return
             ctx = TaskCtx(self.service_queue, origin=sender)
-            fut = Future()
-            fut.add_callback(self._completion_replier(meta, frame.corr))
-            key = ClassKey(package, cls_name)
             placement_pid = pid if has_pid else 0
-
-            def factory():
-                return self._task_remote_create(key, placement_pid, wire_args, ctx)
-
-            self.submit(self.service_queue, Request(factory, fut, label="rx:create"))
+            self._serve(meta, corr, self.service_queue, "rx:create", lambda:
+                        self._task_remote_create(key, placement_pid,
+                                                 wire_args, ctx))
         elif op == OP_BARRIER:
             qref = decode_value_prefix(r)
             try:
                 self.check_remote_request(EXEC, sids, None)
-                queue = self.resolve_queue(qref)
+                self._serve(meta, corr, self.resolve_queue(qref), "barrier",
+                            lambda: encode_value(1))
             except EngineError as err:
-                self._reply_error(meta, frame.corr, err)
-                return
-            fut = Future()
-            fut.add_callback(self._completion_replier(meta, frame.corr))
-
-            def factory():
-                return encode_value(1)
-            try:
-                self.submit(queue, Request(factory, fut, label="barrier"))
-            except EngineError as err:
-                self._reply_error(meta, frame.corr, err)
+                self._reply_error(meta, corr, err)
         else:
             self.log_error("BadFrame", f"unknown INVOKE op {op}")
 
-    def _task_remote_invoke(self, target, method: str, wire_args: list, ctx):
+    def _args_from_wire(self, wire_args: list, ctx):
+        """The received arguments of a task, built on this host."""
         args = []
         for wa in wire_args:
             args.append((yield from from_wire(self, wa, ctx.origin, ctx)))
+        return args
+
+    def _task_remote_invoke(self, target, method: str, wire_args: list, ctx):
+        args = yield from self._args_from_wire(wire_args, ctx)
         if method in SYS_METHODS:
-            result = yield from self._run_sys_method(target, method, args, ctx)
-        else:
-            if not isinstance(target, ObjectRef):
-                raise wrap_remote(EngineError(E_NULL_REF, "invoke on null target"))
-            result = yield from self.invoke_local(target, method, args, ctx,
-                                                  from_remote=True,
-                                                  args_materialized=True)
-            rc = self.classes.get(target.cls)
-            mc = rc.method(method) if rc else None
-            return bytes(_leaving(to_wire, self, result,
-                                  mc.ret_copy if mc else False))
-        return result
+            return (yield from self._run_sys_method(target, method, args, ctx))
+        if not isinstance(target, ObjectRef):
+            raise wrap_remote(EngineError(E_NULL_REF, "invoke on null target"))
+        result = yield from self.invoke_local(target, method, args, ctx,
+                                              from_remote=True)
+        rc = self.classes.get(target.cls)
+        mc = rc.method(method) if rc else None
+        return bytes(_leaving(to_wire, self, result,
+                              mc.ret_copy if mc else False))
 
     def _run_sys_method(self, target, method: str, args: list, ctx):
         if method == "$echo":
@@ -1039,27 +1031,19 @@ class Engine:
             result = yield from groups.run_node(self, ctx, target, method_name,
                                                 call_args, tid, visited)
             return bytes(_leaving(to_wire, self, result, False))
+        # $getf and $setf
+        record = self.deref(target)
+        name = args[0].to_str()
+        idx = self.field_index(record.cls, name, -1)
+        if idx < 0 or idx >= len(record.fields):
+            raise wrap_remote(EngineError(E_UNKNOWN_METHOD, f"no field {name}"))
         if method == "$getf":
-            record = self.deref(target)
-            idx = self.field_index(record.cls, args[0].to_str(), -1)
-            if idx < 0 or idx >= len(record.fields):
-                raise wrap_remote(EngineError(E_UNKNOWN_METHOD,
-                                              f"no field {args[0].to_str()}"))
             return bytes(_leaving(to_wire, self, record.fields[idx], False))
-        if method == "$setf":
-            record = self.deref(target)
-            idx = self.field_index(record.cls, args[0].to_str(), -1)
-            if idx < 0 or idx >= len(record.fields):
-                raise wrap_remote(EngineError(E_UNKNOWN_METHOD,
-                                              f"no field {args[0].to_str()}"))
-            record.fields[idx] = args[1]
-            return encode_value(None)
-        raise EngineError(E_UNKNOWN_METHOD, method)
+        record.fields[idx] = args[1]
+        return encode_value(None)
 
     def _task_remote_post(self, target, method: str, wire_args: list, ctx):
-        args = []
-        for wa in wire_args:
-            args.append((yield from from_wire(self, wa, ctx.origin, ctx)))
+        args = yield from self._args_from_wire(wire_args, ctx)
         try:
             yield from self.invoke(target, method, args, ctx)
         except EngineError as err:
@@ -1069,19 +1053,16 @@ class Engine:
         rc = yield from self.ensure_class(key, ctx.origin, ctx)
         if not rc.has(ir.CQ_EXTERNAL):
             raise EngineError(E_ACCESS_VIOLATION, f"class {key} is not external")
-        args = []
-        for wa in wire_args:
-            args.append((yield from from_wire(self, wa, ctx.origin, ctx)))
+        args = yield from self._args_from_wire(wire_args, ctx)
         if pid not in self.partitions:
             raise EngineError(E_UNKNOWN_OBJECT, f"no partition {pid}")
         ref = yield from self.create_object(key, ("partition", pid), args, ctx)
         return encode_value(ref)
 
     def _on_reply(self, frame: frames.Frame) -> None:
-        entry = self.pending.pop(frame.corr, None)
+        entry = self._take_pending(frame.corr)
         if entry is None:
             return
-        self._cancel_timer(entry)
         try:
             value = decode_value_prefix(Reader(frame.payload))
         except (MalformedEncoding, ShortRead) as exc:
@@ -1090,17 +1071,14 @@ class Engine:
         entry.future.resolve(value)
 
     def _on_error(self, frame: frames.Frame) -> None:
-        entry = self.pending.pop(frame.corr, None)
+        code, remote_code, message = frames.read_error(frame.payload)
+        entry = self._take_pending(frame.corr)
         if entry is None:
             return
-        self._cancel_timer(entry)
-        r = Reader(frame.payload)
-        code = r.wstr()
-        remote_code = r.wstr() or None
-        message = r.wstr()
-        if code == "HopUnreachable":
+        if code == E_HOP_UNREACHABLE:
             code = E_HOST_UNREACHABLE
-        entry.future.fail(EngineError(code, message, remote_code=remote_code))
+        entry.future.fail(EngineError(code, message,
+                                      remote_code=remote_code or None))
 
     # -------------------------------------------------------------- pack fetch
 
@@ -1151,20 +1129,19 @@ class Engine:
                 break
 
     def _on_pack_data(self, frame: frames.Frame) -> None:
-        entry = self._pack_buffers.get(frame.corr)
-        if entry is None:
+        buffered = self._pack_buffers.get(frame.corr)
+        if buffered is None:
+            self.orphaned_replies += 1
             return
-        package, chunks = entry
+        package, chunks = buffered
         r = Reader(frame.payload)
         last = r.u8()
         chunks.append(r.raw(r.remaining()))
         if not last:
             return
-        self._pack_buffers.pop(frame.corr, None)
-        pending = self.pending.pop(frame.corr, None)
+        pending = self._take_pending(frame.corr)
         if pending is None:
             return
-        self._cancel_timer(pending)
         try:
             image = deserialize(b"".join(chunks))
             if image.package != package:
@@ -1191,18 +1168,13 @@ class Engine:
             self._reply_error(meta, frame.corr, err)
             return
         try:
-            if sub == 0:
+            if sub == EV_CREATE:
                 qref = decode_value_prefix(r)
                 target = decode_value_prefix(r)
                 method = r.wstr()
                 arity = r.u16()
-                queue = self.resolve_queue(qref)
-                eid = next(self._eid)
-                ev = EventRecord(eid, queue.qid, target, method,
-                                 [[False, None] for _ in range(arity)])
-                self.events[eid] = ev
-                if arity == 0:
-                    self._fire_event(ev, sender)
+                eid = self._new_event(self.resolve_queue(qref), target,
+                                      method, arity, sender)
                 self._reply_value(meta, frame.corr, eid)
             else:
                 eid = r.u64()

@@ -49,6 +49,7 @@ import threading
 
 from ..errors import (E_ARITHMETIC, E_INDEX, E_NULL_REF, EngineError)
 from ..runpack import ir
+from ..security import READ, WRITE
 from ..values import (Array, Char, CharArray, TAG_ARRAY, TAG_BOOL, TAG_INT,
                       TAG_OBJECT, values_equal)
 
@@ -185,14 +186,14 @@ def _get_field(e, o, name, hint, ctx):
     """A field of an object on this host."""
     record = e.deref(o)
     if record.acl is not None:
-        e.check_local_object(o, record, write=False, ctx=ctx)
+        e.check_local_object(record, READ, ctx)
     return record.fields[e.field_index(record.cls, name, hint)]
 
 
 def _set_field(e, o, name, hint, value, ctx) -> None:
     record = e.deref(o)
     if record.acl is not None:
-        e.check_local_object(o, record, write=True, ctx=ctx)
+        e.check_local_object(record, WRITE, ctx)
     record.fields[e.field_index(record.cls, name, hint)] = value
 
 
@@ -445,7 +446,7 @@ class _Source:
         queue = self.expr(node.queue)
         fn = self.nested(lambda ind: self.emit(
             ind, f"return {self.expr(node.body)}"), node.body, True)
-        return f"(yield from e.queued_eval_ir({queue}, ctx, {fn}))"
+        return f"(yield from e.queued_eval({queue}, {fn}, ctx))"
 
     def nested(self, write, node, generator: bool) -> str:
         """Define a function of no arguments at the top of the body's

@@ -12,6 +12,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from ..bio import Reader, Writer
+
 PREAMBLE = b"HLO1"
 
 HELLO = 0x01
@@ -61,15 +63,23 @@ def encode_frame(frame: Frame) -> bytes:
     return struct.pack(">IBQ", len(frame.payload), frame.kind, frame.corr) + frame.payload
 
 
-def decode_frame_bytes(data: bytes) -> Frame:
-    """Decode exactly one frame; the buffer must contain it whole."""
-    if len(data) < HEADER_LEN:
-        raise FrameError("short frame header")
-    length, kind, corr = struct.unpack(">IBQ", data[:HEADER_LEN])
+def _header(data) -> tuple[int, int, int]:
+    """The (length, kind, corr) of the frame header at the start of `data`,
+    which holds at least HEADER_LEN bytes: a known kind, a payload no
+    longer than MAX_PAYLOAD."""
+    length, kind, corr = struct.unpack_from(">IBQ", data)
     if kind not in KIND_NAMES:
         raise FrameError(f"unknown frame kind {kind}")
     if length > MAX_PAYLOAD:
         raise FrameError("declared payload too large")
+    return length, kind, corr
+
+
+def decode_frame_bytes(data: bytes) -> Frame:
+    """Decode exactly one frame; the buffer must contain it whole."""
+    if len(data) < HEADER_LEN:
+        raise FrameError("short frame header")
+    length, kind, corr = _header(data[:HEADER_LEN])
     if len(data) != HEADER_LEN + length:
         raise FrameError(f"length mismatch: declared {length}, "
                          f"present {len(data) - HEADER_LEN}")
@@ -85,20 +95,33 @@ class FrameDecoder:
     def feed(self, data: bytes) -> list[Frame]:
         self._buf += data
         frames = []
-        while True:
-            if len(self._buf) < HEADER_LEN:
+        while len(self._buf) >= HEADER_LEN:
+            length, kind, corr = _header(self._buf)
+            end = HEADER_LEN + length
+            if len(self._buf) < end:
                 break
-            length, kind, corr = struct.unpack(">IBQ", self._buf[:HEADER_LEN])
-            if kind not in KIND_NAMES:
-                raise FrameError(f"unknown frame kind {kind}")
-            if length > MAX_PAYLOAD:
-                raise FrameError("declared payload too large")
-            if len(self._buf) < HEADER_LEN + length:
-                break
-            payload = bytes(self._buf[HEADER_LEN:HEADER_LEN + length])
-            del self._buf[:HEADER_LEN + length]
+            with memoryview(self._buf) as view:
+                payload = bytes(view[HEADER_LEN:end])  # the one copy
+            del self._buf[:end]
             frames.append(Frame(kind, corr, payload))
         return frames
 
     def pending_bytes(self) -> int:
         return len(self._buf)
+
+
+def error_payload(code: str, message: str, remote_code: str = "") -> bytes:
+    """The payload of an ERROR frame: the error code, the callee-side code
+    of a RemoteException (empty for any other error), and the message."""
+    w = Writer()
+    w.wstr(code)
+    w.wstr(remote_code)
+    w.wstr(message)
+    return w.getvalue()
+
+
+def read_error(payload: bytes) -> tuple[str, str, str]:
+    """The (code, remote_code, message) of an ERROR payload; raises
+    ShortRead when it is cut short."""
+    r = Reader(payload)
+    return r.wstr(), r.wstr(), r.wstr()

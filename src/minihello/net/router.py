@@ -18,7 +18,8 @@ from ..errors import (E_CONNECT_REFUSED, E_HANDSHAKE_TIMEOUT,
                       E_HOST_UNREACHABLE, E_HOP_UNREACHABLE, E_NAME_COLLISION,
                       EngineError)
 from .frames import (ERROR, Frame, FrameError, GOSSIP, HELLO, HELLO_ACK, PING,
-                     PONG, ROUTE, decode_frame_bytes, encode_frame)
+                     PONG, ROUTE, decode_frame_bytes, encode_frame,
+                     error_payload, read_error)
 
 ROUTE_TTL = 16
 MODE_TABLE = 0
@@ -190,10 +191,8 @@ class Router:
             elif frame.kind == ERROR and id(conn) in self._handshakes:
                 fut, timer, _ = self._handshakes.pop(id(conn))
                 self.scheduler.cancel(timer)
-                r = Reader(frame.payload)
-                code = r.wstr()
-                r.wstr()  # no remote code on handshake errors
-                fut.fail(EngineError(code, r.wstr()))
+                code, _, message = read_error(frame.payload)
+                fut.fail(EngineError(code, message))
                 conn.close()
             else:
                 src = self.conn_names.get(id(conn))
@@ -245,12 +244,8 @@ class Router:
             entry[0].resolve(name)
 
     def _refuse(self, conn, code: str, message: str) -> None:
-        w = Writer()
-        w.wstr(code)
-        w.wstr("")
-        w.wstr(message)
         try:
-            conn.send_frame(Frame(ERROR, 0, w.getvalue()))
+            conn.send_frame(Frame(ERROR, 0, error_payload(code, message)))
         except EngineError:
             pass
         conn.close()
@@ -463,11 +458,8 @@ class Router:
 
     def _send_hop_error(self, corr: int, reverse: tuple[str, ...],
                         origin: str) -> None:
-        w = Writer()
-        w.wstr(E_HOP_UNREACHABLE)
-        w.wstr("")
-        w.wstr(f"hop {self.host_name} could not forward")
-        err = Frame(ERROR, corr, w.getvalue())
+        err = Frame(ERROR, corr, error_payload(
+            E_HOP_UNREACHABLE, f"hop {self.host_name} could not forward"))
         try:
             self.send_via(list(reverse), origin, err)
         except EngineError:

@@ -102,6 +102,14 @@ class Request:
     completion: Optional[Future] = None
     label: str = ""
 
+    def finish(self, value=None, error: EngineError | None = None) -> None:
+        """Deliver the result, or the error when there is one."""
+        if self.completion is not None:
+            if error is None:
+                self.completion.resolve(value)
+            else:
+                self.completion.fail(error)
+
 
 class Queue:
     """FIFO execution lane. One request at a time; execution order equals
@@ -158,30 +166,36 @@ def drive_step(gen, value, error):
     return ("yield", out)
 
 
-def run_request_blocking(request: Request) -> None:
-    """Drive one request to completion, blocking the current thread on
-    yielded futures. Used by the threaded scheduler's queue workers."""
+def start_request(request: Request):
+    """Call the request's factory. Returns the task generator to drive, or
+    None when the request is finished already: the factory raised an
+    EngineError, or returned a plain result."""
     try:
         gen = request.factory()
     except EngineError as err:
-        if request.completion is not None:
-            request.completion.fail(err)
-        return
+        request.finish(error=err)
+        return None
     if not hasattr(gen, "send"):  # plain function result
-        if request.completion is not None:
-            request.completion.resolve(gen)
+        request.finish(gen)
+        return None
+    return gen
+
+
+def run_request_blocking(request: Request) -> None:
+    """Drive one request to completion, blocking the current thread on
+    yielded futures. Used by the threaded scheduler's queue workers."""
+    gen = start_request(request)
+    if gen is None:
         return
     value, error = None, None
     while True:
         state, out = drive_step(gen, value, error)
         value, error = None, None
         if state == "return":
-            if request.completion is not None:
-                request.completion.resolve(out)
+            request.finish(out)
             return
         if state == "error":
-            if request.completion is not None:
-                request.completion.fail(out)
+            request.finish(error=out)
             return
         try:
             value = out.wait_blocking()

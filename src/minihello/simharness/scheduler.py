@@ -19,7 +19,8 @@ import itertools
 import random
 
 from ..errors import EngineError
-from ..runtime import Future, Queue, Request, Scheduler, drive_step
+from ..runtime import (Future, Queue, Request, Scheduler, drive_step,
+                       start_request)
 
 
 class SimScheduler:
@@ -119,16 +120,8 @@ class HostView(Scheduler):
             return
         request = queue.pending.popleft()
         queue.busy = True
-        try:
-            gen = request.factory()
-        except EngineError as err:
-            if request.completion is not None:
-                request.completion.fail(err)
-            self._finish(queue)
-            return
-        if not hasattr(gen, "send"):
-            if request.completion is not None:
-                request.completion.resolve(gen)
+        gen = start_request(request)
+        if gen is None:
             self._finish(queue)
             return
         self._advance(queue, request, gen, None, None)
@@ -138,13 +131,11 @@ class HostView(Scheduler):
             state, out = drive_step(gen, value, error)
             value, error = None, None
             if state == "return":
-                if request.completion is not None:
-                    request.completion.resolve(out)
+                request.finish(out)
                 self._finish(queue)
                 return
             if state == "error":
-                if request.completion is not None:
-                    request.completion.fail(out)
+                request.finish(error=out)
                 self._finish(queue)
                 return
             fut: Future = out

@@ -1,6 +1,7 @@
 """Frame codec tests: layout, incremental decoding, and total parsing."""
 
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +69,21 @@ class TestDecoder:
         header = struct.pack(">IBQ", 1 << 30, PING, 0)
         with pytest.raises(FrameError):
             FrameDecoder().feed(header)
+
+    def test_payload_copied_once(self):
+        size = 4 << 20
+        data = encode_frame(Frame(INVOKE, 3, bytes(range(256)) * (size // 256)))
+        decoder = FrameDecoder()
+        tracemalloc.start()
+        try:
+            (frame,) = decoder.feed(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frame.payload == data[HEADER_LEN:]
+        assert decoder.pending_bytes() == 0
+        # the stream buffer and the payload; a third copy would pass 3x
+        assert peak < 2.25 * size
 
 
 class TestTotality:

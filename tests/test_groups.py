@@ -183,3 +183,28 @@ external group class Cell {
         # iterator on the starting node and stops at the first same-host child
         assert seen[0] == 1
         assert bytes(engine.stdout_bytes) == b"."
+
+
+class TestQueueRelease:
+    def test_hundred_broadcasts_keep_queues_flat(self, hello_image):
+        # a ring of four, so that one host is also sent a duplicate $traverse
+        names = ["a", "b", "c", "d"]
+        scen = Scenario(seed=3)
+        for name in names:
+            scen.add_host(name)
+        for x, y in zip(names, names[1:] + names[:1]):
+            scen.link(x, y)
+        scen.start()
+
+        def live_queues():
+            return {n: len(scen.hosts[n].engine.queues) for n in names}
+
+        before = live_queues()
+        for _ in range(100):
+            fut = scen.run_main("a", hello_image)
+            scen.run()
+            assert fut.result() == 0
+        assert live_queues() == before
+        for name in names:
+            assert bytes(scen.hosts[name].engine.stdout_bytes) \
+                == b"Hello, world!\na:-)\n" * 100

@@ -98,6 +98,7 @@ def test_reply_delivered_during_send_resolves_the_call():
     assert fut.done()
     assert fut.result() == 42
     assert engine.pending == {}
+    assert engine.orphaned_replies == 0
     assert scheduler.live_timers() == []  # no timeout armed for a closed call
 
 
@@ -109,6 +110,7 @@ def test_pack_delivered_during_send_installs_it():
     assert engine.runtime_class(ClassKey("fetched", "C")) is not None
     assert engine.pending == {}
     assert engine._pack_buffers == {}
+    assert engine.orphaned_replies == 0
     assert scheduler.live_timers() == []
 
 
@@ -170,3 +172,60 @@ def test_unreachable_fetch_fails_and_leaves_nothing_pending():
     assert engine.pending == {}
     assert engine._pack_buffers == {}
     assert scheduler.timers == []
+
+
+@pytest.mark.parametrize("kind", ["REPLY", "ERROR", "PACK_DATA"])
+def test_reply_with_unknown_corr_is_orphaned(kind):
+    engine, _ = make_engine(reply_42)
+    payload = {"REPLY": encode_value(1),
+               "ERROR": frames.error_payload("Timeout", "late"),
+               "PACK_DATA": b"\x01"}[kind]
+    engine.handle_wire_frame(frames.Frame(getattr(frames, kind), 99, payload),
+                             FrameMeta("b"))
+    assert engine.orphaned_replies == 1
+    assert engine.error_log == []
+
+
+def test_reply_after_timeout_is_orphaned():
+    engine, scheduler = make_engine(lambda frame: [])
+    fut = engine.send_request("b", frames.INVOKE, b"")
+    (corr,) = engine.pending
+    (timer,) = scheduler.live_timers()
+    timer[1]()  # the call times out
+    engine.handle_wire_frame(frames.Frame(frames.REPLY, corr, encode_value(42)),
+                             FrameMeta("b"))
+    assert engine.orphaned_replies == 1
+    with pytest.raises(EngineError) as exc:
+        fut.result()
+    assert exc.value.code == E_TIMEOUT
+
+
+def test_refused_fetch_drops_its_pack_buffer():
+    def not_found(frame):
+        return [frames.Frame(frames.ERROR, frame.corr, frames.error_payload(
+            "PackNotFoundAtOrigin", "fetched"))]
+
+    engine, scheduler = make_engine(not_found)
+    fut = engine.fetch_pack("b", "fetched")
+    with pytest.raises(EngineError) as exc:
+        fut.result()
+    assert exc.value.code == "PackNotFoundAtOrigin"
+    assert engine.pending == {}
+    assert engine._pack_buffers == {}
+    assert scheduler.live_timers() == []
+
+
+def test_truncated_error_leaves_the_call_to_its_timeout():
+    engine, scheduler = make_engine(lambda frame: [])
+    fut = engine.send_request("b", frames.INVOKE, b"", timeout_ms=250)
+    (corr,) = engine.pending
+    cut = frames.error_payload("AccessDenied", "denied at host layer")[:-3]
+    engine.handle_wire_frame(frames.Frame(frames.ERROR, corr, cut),
+                             FrameMeta("b"))
+    assert [code for code, _ in engine.error_log] == ["BadFrame"]
+    assert list(engine.pending) == [corr]
+    (timer,) = scheduler.live_timers()
+    timer[1]()
+    with pytest.raises(EngineError) as exc:
+        fut.result()
+    assert exc.value.code == E_TIMEOUT

@@ -48,6 +48,16 @@ external class T {
         fut = engine.run_main(image, [])
         assert fut.wait_blocking() == 25
 
+    def test_main_queue_and_its_worker_end_after_a_local_broadcast(
+            self, engine, hello_image):
+        before = set(engine.scheduler._threads)
+        assert engine.run_main(hello_image, []).wait_blocking() == 0
+        (worker,) = [t for t in engine.scheduler._threads if t not in before]
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert list(engine.queues) == [engine.service_queue.qid]
+        assert bytes(engine.stdout_bytes) == b"Hello, world!\nt:-)\n"
+
     def test_print_atomicity_ten_concurrent_lines(self, engine):
         lines = [f"line-{i:02d}-{'x' * 40}\n".encode() for i in range(10)]
         barrier = threading.Barrier(10)
