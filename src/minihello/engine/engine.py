@@ -1244,7 +1244,9 @@ class Engine:
             self.on_host_event("error", f"{code}: {context}")
 
     def queues_idle(self) -> bool:
-        return all(q.idle() for q in self.queues.values()) and not self.pending
+        # a copy: under ThreadScheduler, workers release queues meanwhile
+        queues = list(self.queues.values())
+        return all(q.idle() for q in queues) and not self.pending
 
     def remote_get_field(self, ref: ObjectRef, name: str, ctx):
         return (yield from self.invoke(ref, "$getf", [CharArray.from_str(name)], ctx))
