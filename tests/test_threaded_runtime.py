@@ -2,6 +2,7 @@
 atomicity under real concurrency, no global stall while callers block, and
 the queue machinery driven by worker threads."""
 
+import sys
 import threading
 import time
 
@@ -57,6 +58,25 @@ external class T {
         assert not worker.is_alive()
         assert list(engine.queues) == [engine.service_queue.qid]
         assert bytes(engine.stdout_bytes) == b"Hello, world!\nt:-)\n"
+
+    def test_queue_table_polled_while_workers_release_queues(
+            self, engine, hello_image):
+        before = set(engine.scheduler._threads)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            futs = [engine.run_main(hello_image, []) for _ in range(8)]
+            deadline = time.monotonic() + 10
+            while not all(f.done() for f in futs):
+                engine.queues_idle()  # must not trip over a released queue
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(old)
+        assert [f.result() for f in futs] == [0] * 8
+        for worker in set(engine.scheduler._threads) - before:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert list(engine.queues) == [engine.service_queue.qid]
 
     def test_print_atomicity_ten_concurrent_lines(self, engine):
         lines = [f"line-{i:02d}-{'x' * 40}\n".encode() for i in range(10)]
