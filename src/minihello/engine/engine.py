@@ -1071,6 +1071,7 @@ class Engine:
         entry.future.resolve(value)
 
     def _on_error(self, frame: frames.Frame) -> None:
+        # read before claiming: a cut-short payload leaves the call its timeout
         code, remote_code, message = frames.read_error(frame.payload)
         entry = self._take_pending(frame.corr)
         if entry is None:
