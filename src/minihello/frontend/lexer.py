@@ -1,164 +1,151 @@
 """Tokenizer for .hlo source units.
 
-Line comments start with //. Maximal munch applies, so the multi-character
-operators <=> #> .+ += -= ++ == != <= >= && || are single tokens.
+`tokenize` runs one compiled alternation over the text with `finditer`, as
+in the "Writing a Tokenizer" recipe of the `re` documentation. The
+alternatives are tried in order, and the operators longest first, so
+<=> #> .+ += -= ++ == != <= >= && || are single tokens (maximal munch).
+Line comments start with //.
+
+A token keeps its offset in the text, not a `Loc`: `Token.loc` is computed
+when it is read, by bisecting the unit's line offsets, which are computed
+once per unit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 from .diagnostics import LexError, Loc
 
-KEYWORDS = {
+KEYWORDS = frozenset({
     "package", "class", "enum", "external", "public", "static", "message",
     "iterator", "group", "copy", "if", "else", "while", "for", "return",
     "new", "create", "null", "true", "false", "this", "this_host", "hosts",
     "void", "int", "bool", "char", "host", "queue",
-}
+})
 
-# Longest first within each length bucket; scanned 3, then 2, then 1 chars.
-OPS3 = ("<=>",)
-OPS2 = ("#>", ".+", "+=", "-=", "++", "==", "!=", "<=", ">=", "&&", "||")
-OPS1 = "+-*/%<>!=?:;,.()[]{}"
+_ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, '"': 34, "'": 39}
+
+# `word` is `\w` (isalnum or '_') after a first character that is not a
+# decimal digit; tokenize narrows that first character to isalpha or '_'.
+# A string or char literal matches as far as it is well formed, with its
+# closing quote optional, so that tokenize can say what is wrong with it.
+_TOKEN = re.compile("|".join([
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)",
+    r"(?P<word>[^\W\d]\w*)",
+    r"(?P<int>\d+)",
+    r"(?P<op><=>|#>|\.\+|\+=|-=|\+\+|==|!=|<=|>=|&&|\|\||[-+*/%<>!=?:;,.()\[\]{}])",
+    r'(?P<string>"(?P<body>(?:[^"\\\n]|\\[\s\S])*)(?P<close>"?))',
+    r"(?P<char>'(?P<esc>\\?)(?P<ch>[\s\S]?)(?P<cclose>'?))",
+    r"(?P<bad>[\s\S])",
+]))
+_ESCAPE = re.compile(r"\\([\s\S])")
+_NEWLINE = re.compile(r"\n")
 
 
 @dataclass(frozen=True, slots=True)
 class SourceUnit:
-    """One .hlo file: path, text, and a per-line offset index for diagnostics."""
+    """One .hlo file: path, text, and a per-line offset index for locations."""
     path: str
     text: str
+    _lines: list[int] | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def line_offsets(self) -> list[int]:
-        offsets = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                offsets.append(i + 1)
-        return offsets
+        """The offset of each line's first character, computed on first use."""
+        if self._lines is None:
+            object.__setattr__(self, "_lines", [0] + [
+                m.end() for m in _NEWLINE.finditer(self.text)])
+        return self._lines
+
+    def loc(self, pos: int) -> Loc:
+        offsets = self.line_offsets
+        line = bisect_right(offsets, pos)
+        return Loc(self.path, line, pos - offsets[line - 1] + 1)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     kind: str   # 'ident' | 'int' | 'string' | 'charlit' | 'eof' | the operator/keyword lexeme
     text: str
     value: object
-    loc: Loc
+    pos: int    # offset in unit.text
+    unit: SourceUnit = field(repr=False, compare=False)
+
+    @property
+    def loc(self) -> Loc:
+        return self.unit.loc(self.pos)
 
 
-_ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, '"': 34, "'": 39}
+def _unescape(body: str, offset: int, unit: SourceUnit) -> bytes:
+    """The bytes of a string literal's body, which starts at `offset`."""
+    out = bytearray()
+    done = 0
+    for m in _ESCAPE.finditer(body):
+        code = _ESCAPES.get(m.group(1))
+        if code is None:
+            raise LexError(unit.loc(offset + m.start(1)),
+                           f"unknown escape: \\{m.group(1)}")
+        out += body[done:m.start()].encode("utf-8")
+        out.append(code)
+        done = m.end()
+    out += body[done:].encode("utf-8")
+    return bytes(out)
 
 
 def tokenize(unit: SourceUnit) -> list[Token]:
-    text = unit.text
-    path = unit.path
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def loc() -> Loc:
-        return Loc(path, line, col)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
+    append = tokens.append
+    for m in _TOKEN.finditer(unit.text):
+        group = m.lastgroup
+        if group == "skip":
             continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        start = loc()
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, word, start))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            digits = text[i:j]
-            advance(j - i)
+        start = m.start()
+        if group == "word":
+            word = m.group()
+            if word in KEYWORDS:
+                append(Token(word, word, word, start, unit))
+                continue
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise LexError(unit.loc(start), f"illegal character {word[0]!r}")
+            append(Token("ident", word, word, start, unit))
+        elif group == "op":
+            op = m.group()
+            append(Token(op, op, op, start, unit))
+        elif group == "int":
+            digits = m.group()
             value = int(digits)
             if value >= 1 << 63:
-                raise LexError(start, f"integer literal out of 64-bit range: {digits}")
-            tokens.append(Token("int", digits, value, start))
-            continue
-        if ch == '"':
-            advance()
-            out = bytearray()
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise LexError(start, "unterminated string literal")
-                c = text[i]
-                if c == '"':
-                    advance()
-                    break
-                if c == "\\":
-                    advance()
-                    if i >= n:
-                        raise LexError(start, "unterminated string literal")
-                    esc = text[i]
-                    if esc not in _ESCAPES:
-                        raise LexError(loc(), f"unknown escape: \\{esc}")
-                    out.append(_ESCAPES[esc])
-                    advance()
-                else:
-                    out += c.encode("utf-8")
-                    advance()
-            tokens.append(Token("string", "", bytes(out), start))
-            continue
-        if ch == "'":
-            advance()
-            if i >= n:
-                raise LexError(start, "unterminated char literal")
-            if text[i] == "\\":
-                advance()
-                if i >= n or text[i] not in _ESCAPES:
-                    raise LexError(start, "unknown escape in char literal")
-                code = _ESCAPES[text[i]]
-                advance()
+                raise LexError(unit.loc(start),
+                               f"integer literal out of 64-bit range: {digits}")
+            append(Token("int", digits, value, start, unit))
+        elif group == "string":
+            body = m.group("body")
+            data = _unescape(body, start + 1, unit) if "\\" in body \
+                else body.encode("utf-8")
+            if not m.group("close"):
+                raise LexError(unit.loc(start), "unterminated string literal")
+            append(Token("string", "", data, start, unit))
+        elif group == "char":
+            esc, ch, close = m.group("esc", "ch", "cclose")
+            if esc:
+                code = _ESCAPES.get(ch)
+                if code is None:
+                    raise LexError(unit.loc(start), "unknown escape in char literal")
+            elif not ch:
+                raise LexError(unit.loc(start), "unterminated char literal")
             else:
-                raw = text[i].encode("utf-8")
+                raw = ch.encode("utf-8")
                 if len(raw) != 1:
-                    raise LexError(start, "char literal must be a single byte")
+                    raise LexError(unit.loc(start), "char literal must be a single byte")
                 code = raw[0]
-                advance()
-            if i >= n or text[i] != "'":
-                raise LexError(start, "unterminated char literal")
-            advance()
-            tokens.append(Token("charlit", "", code, start))
-            continue
-        three = text[i:i + 3]
-        if three in OPS3:
-            advance(3)
-            tokens.append(Token(three, three, three, start))
-            continue
-        two = text[i:i + 2]
-        if two in OPS2:
-            advance(2)
-            tokens.append(Token(two, two, two, start))
-            continue
-        if ch in OPS1:
-            advance()
-            tokens.append(Token(ch, ch, ch, start))
-            continue
-        raise LexError(start, f"illegal character {ch!r}")
-
-    tokens.append(Token("eof", "", None, loc()))
+            if not close:
+                raise LexError(unit.loc(start), "unterminated char literal")
+            append(Token("charlit", "", code, start, unit))
+        else:
+            raise LexError(unit.loc(start), f"illegal character {m.group()!r}")
+    append(Token("eof", "", None, len(unit.text), unit))
     return tokens

@@ -1,5 +1,10 @@
 """Recursive-descent parser: token stream -> package AST.
 
+Statements and primary expressions are parsed by recursive descent. Binary
+expressions are parsed by one loop over a table of binding powers (Pratt,
+"Top Down Operator Precedence", POPL 1973), so an operand costs the same
+few calls whatever its operator's precedence.
+
 Parsing a package is atomic: if any unit fails, no AST is produced. Errors
 from all units are collected so the translator can report everything at once.
 """
@@ -7,7 +12,7 @@ from all units are collected so the translator can report everything at once.
 from __future__ import annotations
 
 from . import ast_nodes as A
-from .diagnostics import Loc, ParseError, SourceErrors
+from .diagnostics import FrontendError, Loc, ParseError, SourceErrors
 from .lexer import SourceUnit, Token, tokenize
 from .types import T_BOOL, T_CHAR, T_HOST, T_INT, T_QUEUE, T_VOID, TArray, TClass, Type
 from ..values import ClassKey
@@ -19,27 +24,45 @@ _CLASS_QUALS = {"public", "external", "group"}
 _MEMBER_QUALS = {"public", "static", "external", "message", "iterator"}
 
 _ASSIGN_OPS = ("=", "+=", "-=")
+_POSTFIX = frozenset({".", ".+", "[", "(", "++"})
 
-# Nesting bound keeps deeply nested hostile input a clean diagnostic instead
-# of a blown interpreter stack; flat operator chains are parsed iteratively
-# and are not limited by this.
+# Binding powers of the binary operators, loosest first; all are
+# left-associative.
+_BINARY_BP = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4,
+              ">=": 4, "+": 5, "-": 5, "*": 6, "/": 6, "%": 6}
+
+# Two bounds turn deeply nested hostile input into a diagnostic instead of
+# a blown interpreter stack, in the parser or in the passes after it.
+# MAX_EXPR_DEPTH bounds expressions nested in parentheses, brackets and
+# arguments, for which the parser recurses about five calls deep.
+# MAX_NESTING bounds how deep the tree grows. Every nested statement,
+# expression, ternary branch and unary operator adds a level, and so does
+# every binary or postfix operator of a chain, which the parser reads in a
+# loop but which makes a left-deep tree. The levels of a chain are counted
+# while its later operands are parsed, so the tree is at most twice
+# MAX_NESTING deep, which the checker and lowering walk well within the
+# recursion limit that het and hee set.
 MAX_EXPR_DEPTH = 48
+MAX_NESTING = 2048
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], package_name_hint: str | None = None):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.last = len(tokens) - 1  # the eof token, which advance never passes
         self.pos = 0
-        self.depth = 0
+        self.depth = 0    # expressions nested in brackets, for MAX_EXPR_DEPTH
+        self.nesting = 0  # tree levels, for MAX_NESTING
 
     # -- token plumbing --
 
     def peek(self, k: int = 0) -> Token:
-        i = min(self.pos + k, len(self.tokens) - 1)
-        return self.tokens[i]
+        if k:
+            return self.tokens[min(self.pos + k, self.last)]
+        return self.tokens[self.pos]
 
     def at(self, kind: str, k: int = 0) -> bool:
-        return self.peek(k).kind == kind
+        return (self.peek(k) if k else self.tokens[self.pos]).kind == kind
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -48,11 +71,17 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             want = what or f"'{kind}'"
             raise ParseError(tok.loc, f"expected {want}, found {self._show(tok)}")
         return self.advance()
+
+    def _nest(self) -> None:
+        """Go one tree level deeper; the caller steps back out."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(self.peek().loc, "nesting too deep")
 
     @staticmethod
     def _show(tok: Token) -> str:
@@ -206,6 +235,12 @@ class _Parser:
         return A.Block(loc, stmts)
 
     def parse_stmt(self) -> A.Stmt:
+        self._nest()
+        stmt = self._parse_stmt()
+        self.nesting -= 1
+        return stmt
+
+    def _parse_stmt(self) -> A.Stmt:
         tok = self.peek()
         if tok.kind == "{":
             return self.parse_block()
@@ -296,51 +331,63 @@ class _Parser:
         if self.depth >= MAX_EXPR_DEPTH:
             raise ParseError(self.peek().loc, "expression nesting too deep")
         self.depth += 1
-        try:
-            left = self._parse_ternary()
-            if self.at("<=>"):
-                loc = self.advance().loc
-                body = self._parse_ternary()
-                return A.QueuedEval(loc, left, body)
-            return left
-        finally:
-            self.depth -= 1
+        self._nest()
+        left = self._parse_ternary()
+        if self.at("<=>"):
+            loc = self.advance().loc
+            left = A.QueuedEval(loc, left, self._parse_ternary())
+        self.depth -= 1
+        self.nesting -= 1
+        return left
 
     def _parse_ternary(self) -> A.Expr:
-        cond = self._parse_binary(0)
-        if self.at("?"):
-            loc = self.advance().loc
-            then = self._parse_ternary()
-            self.expect(":")
-            other = self._parse_ternary()
-            return A.Ternary(loc, cond, then, other)
-        return cond
+        cond = self._parse_binary(1)
+        if not self.at("?"):
+            return cond
+        loc = self.advance().loc
+        self._nest()
+        then = self._parse_ternary()
+        self.expect(":")
+        other = self._parse_ternary()
+        self.nesting -= 1
+        return A.Ternary(loc, cond, then, other)
 
-    _LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
-               ("+", "-"), ("*", "/", "%"))
-
-    def _parse_binary(self, level: int) -> A.Expr:
-        if level == len(self._LEVELS):
-            return self._parse_unary()
-        ops = self._LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self.peek().kind in ops:
-            tok = self.advance()
-            right = self._parse_binary(level + 1)
-            left = A.Binary(tok.loc, tok.kind, left, right)
+    def _parse_binary(self, min_bp: int) -> A.Expr:
+        """Operands joined by operators that bind at least `min_bp`."""
+        left = self._parse_unary()
+        chain = 0
+        while True:
+            tok = self.tokens[self.pos]
+            bp = _BINARY_BP.get(tok.kind)
+            if bp is None or bp < min_bp:
+                break
+            self.pos += 1
+            chain += 1
+            self._nest()
+            left = A.Binary(tok.loc, tok.kind, left, self._parse_binary(bp + 1))
+        self.nesting -= chain
         return left
 
     def _parse_unary(self) -> A.Expr:
-        tok = self.peek()
-        if tok.kind in ("-", "!"):
-            self.advance()
-            return A.Unary(tok.loc, tok.kind, self._parse_unary())
+        tok = self.tokens[self.pos]
+        if tok.kind == "-" or tok.kind == "!":
+            self.pos += 1
+            self._nest()
+            operand = self._parse_unary()
+            self.nesting -= 1
+            return A.Unary(tok.loc, tok.kind, operand)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> A.Expr:
         expr = self._parse_primary()
+        chain = 0
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
+            if tok.kind not in _POSTFIX:
+                self.nesting -= chain
+                return expr
+            chain += 1
+            self._nest()
             if tok.kind == ".":
                 self.advance()
                 name = self.expect("ident", "member name").text
@@ -362,11 +409,9 @@ class _Parser:
                 self.advance()
                 args = self._parse_args()
                 expr = A.Call(tok.loc, expr, args)
-            elif tok.kind == "++":
+            else:  # "++"
                 self.advance()
                 expr = self._make_post_incr(expr, tok.loc, +1)
-            else:
-                return expr
 
     @staticmethod
     def _make_post_incr(target: A.Expr, loc: Loc, delta: int) -> A.Expr:
@@ -483,11 +528,8 @@ def parse_package(units: list[SourceUnit]) -> A.PackageAst:
     for unit in units:
         try:
             results.append((unit, parse_unit(unit)))
-        except (ParseError, Exception) as exc:
-            if hasattr(exc, "to_diagnostic"):
-                errors.append(exc.to_diagnostic())
-            else:
-                raise
+        except FrontendError as exc:
+            errors.append(exc.to_diagnostic())
     if errors:
         raise SourceErrors(errors)
     pkg_name = results[0][1][0]

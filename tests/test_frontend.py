@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from minihello.cli import het
 from minihello.frontend import (CheckError, LexError, ParseError, SourceErrors,
                                 SourceUnit, check, load_units, parse_package,
                                 tokenize)
@@ -60,6 +61,31 @@ class TestTokenize:
         ts = toks("a\n  b")
         assert (ts[0].loc.line, ts[0].loc.col) == (1, 1)
         assert (ts[1].loc.line, ts[1].loc.col) == (2, 3)
+
+    def test_non_decimal_digits_are_lex_errors(self):
+        for text in ("x = ²;", "x = 12²;", "x = ½;"):
+            with pytest.raises(LexError) as exc:
+                toks(text)
+            assert exc.value.message.startswith("illegal character")
+        assert [t.value for t in toks("٣٤")][:-1] == [34]  # decimal, not ASCII
+
+    def test_identifier_rule_below_0x3000(self):
+        # an identifier starts with isalpha() or '_' and goes on with
+        # isalnum() or '_'; anything else ends it or is another token
+        for code in range(0x3000):
+            c = chr(code)
+            try:
+                first = toks(c)[0]
+            except LexError:
+                first = None
+            assert (first is not None and first.kind == "ident") == \
+                (c.isalpha() or c == "_"), hex(code)
+            try:
+                cont = toks("a" + c)[0]
+            except LexError:
+                cont = None
+            assert (cont is not None and cont.text == "a" + c) == \
+                (c.isalnum() or c == "_"), hex(code)
 
 
 class TestParse:
@@ -374,3 +400,19 @@ class TestHostileInput:
         # flat operator chains are unaffected by the nesting bound
         chain = " + ".join(['"x"'] * 150)
         check_text(f"package c; class M {{ public void f() {{ char[] s = {chain}; }} }}")
+
+    @pytest.mark.parametrize("body", [
+        "return " + "-" * 30_000 + "1;",
+        "{" * 30_000 + "}" * 30_000,
+        "return " + "+".join(["1"] * 10_000) + ";",
+        "return " + "false ? 0 : " * 10_000 + "1;",
+        "return this" + ".f" * 10_000 + ";",
+    ], ids=["unary-chain", "nested-blocks", "sum-chain", "ternary-chain",
+            "field-chain"])
+    def test_het_reports_too_deep_trees(self, body, tmp_path, capsys):
+        src = tmp_path / "pkg"
+        src.mkdir()
+        (src / "M.hlo").write_text(
+            f"package d; class M {{ M f; public int g() {{ {body} }} }}")
+        assert het.main([str(src), "-o", str(tmp_path / "d.rpk")]) == 1
+        assert "nesting too deep" in capsys.readouterr().err
