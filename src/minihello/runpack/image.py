@@ -41,7 +41,7 @@ class RunpackImage:
     package: str
     classes: list[ir.ClassCode]
     constants: list[bytes]
-    content_hash: bytes = b""
+    content_hash: bytes = b""  # b"" until serialize or PackStore.install computes it
     version: int = FORMAT_VERSION
 
     def find_main(self) -> tuple[ir.ClassCode, ir.MethodCode] | None:
@@ -92,9 +92,15 @@ def compute_hash(image: RunpackImage) -> bytes:
 
 
 def serialize(image: RunpackImage) -> bytes:
+    """The image's .rpk bytes. A lowered image has no content hash until it
+    is first needed: here it takes the digest written into the bytes, as
+    `PackStore.install` gives it the one it computes."""
     sections = _sections(image)
+    digest = _digest(sections)
+    if not image.content_hash:
+        image.content_hash = digest
     w = Writer().raw(MAGIC).u16(image.version)
-    w.lp_bytes(sections[0]).lp_bytes(_digest(sections))
+    w.lp_bytes(sections[0]).lp_bytes(digest)
     for section in sections[1:]:
         w.lp_bytes(section)
     return w.getvalue()

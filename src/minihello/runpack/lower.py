@@ -10,7 +10,7 @@ from ..frontend import ast_nodes as A
 from ..frontend.checker import CheckedPackage
 from ..frontend.types import TArray, TClass, TPrim, Type
 from . import ir
-from .image import RunpackImage, compute_hash
+from .image import RunpackImage
 
 
 class InternalLoweringError(Exception):
@@ -59,9 +59,7 @@ class _Lowerer:
         for name in self.pkg.class_order:
             decl = next(c for c in self.pkg.ast.classes if c.name == name)
             classes.append(self._lower_class(decl))
-        image = RunpackImage(self.pkg.name, classes, self.constants)
-        image.content_hash = compute_hash(image)
-        return image
+        return RunpackImage(self.pkg.name, classes, self.constants)
 
     def _lower_class(self, decl: A.ClassDecl) -> ir.ClassCode:
         sig = self.pkg.class_sigs[decl.name]
