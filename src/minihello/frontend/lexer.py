@@ -28,19 +28,23 @@ KEYWORDS = frozenset({
 
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, '"': 34, "'": 39}
 
-# `word` is `\w` (isalnum or '_') after a first character that is not a
-# decimal digit; tokenize narrows that first character to isalpha or '_'.
-# A string or char literal matches as far as it is well formed, with its
-# closing quote optional, so that tokenize can say what is wrong with it.
-_TOKEN = re.compile("|".join([
-    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)",
+# One match is one token and the whitespace and comments after it, so the
+# group that matched holds the token's text; `skip` matches only where the
+# text starts with whitespace. `word` is `\w` (isalnum or '_') after a first
+# character that is not a decimal digit; tokenize narrows that first
+# character to isalpha or '_'. A string or char literal matches as far as it
+# is well formed, with its closing quote optional, so that tokenize can say
+# what is wrong with it.
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*)"
+_TOKEN = re.compile("(?:" + "|".join([
+    rf"(?P<skip>{_SKIP}+)",
     r"(?P<word>[^\W\d]\w*)",
     r"(?P<int>\d+)",
     r"(?P<op><=>|#>|\.\+|\+=|-=|\+\+|==|!=|<=|>=|&&|\|\||[-+*/%<>!=?:;,.()\[\]{}])",
     r'(?P<string>"(?P<body>(?:[^"\\\n]|\\[\s\S])*)(?P<close>"?))',
     r"(?P<char>'(?P<esc>\\?)(?P<ch>[\s\S]?)(?P<cclose>'?))",
     r"(?P<bad>[\s\S])",
-]))
+]) + f"){_SKIP}*")
 _ESCAPE = re.compile(r"\\([\s\S])")
 _NEWLINE = re.compile(r"\n")
 
@@ -105,7 +109,7 @@ def tokenize(unit: SourceUnit) -> list[Token]:
             continue
         start = m.start()
         if group == "word":
-            word = m.group()
+            word = m.group(group)
             if word in KEYWORDS:
                 append(Token(word, word, word, start, unit))
                 continue
@@ -113,10 +117,10 @@ def tokenize(unit: SourceUnit) -> list[Token]:
                 raise LexError(unit.loc(start), f"illegal character {word[0]!r}")
             append(Token("ident", word, word, start, unit))
         elif group == "op":
-            op = m.group()
+            op = m.group(group)
             append(Token(op, op, op, start, unit))
         elif group == "int":
-            digits = m.group()
+            digits = m.group(group)
             value = int(digits)
             if value >= 1 << 63:
                 raise LexError(unit.loc(start),
@@ -146,6 +150,6 @@ def tokenize(unit: SourceUnit) -> list[Token]:
                 raise LexError(unit.loc(start), "unterminated char literal")
             append(Token("charlit", "", code, start, unit))
         else:
-            raise LexError(unit.loc(start), f"illegal character {m.group()!r}")
+            raise LexError(unit.loc(start), f"illegal character {m.group(group)!r}")
     append(Token("eof", "", None, len(unit.text), unit))
     return tokens

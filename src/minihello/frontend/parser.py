@@ -75,7 +75,8 @@ class _Parser:
         if tok.kind != kind:
             want = what or f"'{kind}'"
             raise ParseError(tok.loc, f"expected {want}, found {self._show(tok)}")
-        return self.advance()
+        self.pos += 1  # never past eof: no caller expects "eof"
+        return tok
 
     def _nest(self) -> None:
         """Go one tree level deeper; the caller steps back out."""
@@ -420,7 +421,10 @@ class _Parser:
         return A.PostIncr(loc, target, delta)
 
     def _parse_primary(self) -> A.Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
+        if tok.kind == "ident":
+            self.pos += 1
+            return A.NameRef(tok.loc, tok.text)
         if tok.kind == "int":
             self.advance()
             return A.IntLit(tok.loc, tok.value)
@@ -445,9 +449,6 @@ class _Parser:
         if tok.kind == "hosts":
             self.advance()
             return A.HostsExpr(tok.loc)
-        if tok.kind == "ident":
-            self.advance()
-            return A.NameRef(tok.loc, tok.text)
         if tok.kind == "(":
             self.advance()
             expr = self.parse_expr()
