@@ -7,12 +7,13 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minihello.cli import het
 from minihello.errors import EngineError
 from minihello.frontend import check, load_units, parse_package
 from minihello.runpack import (ImageFormatError, PackStore, RunpackImage,
                                compile_package, compute_hash, deserialize,
                                serialize, ORIGIN_NETWORK)
-from minihello.runpack import ir
+from minihello.runpack import image as image_module, ir
 from minihello.runpack.image import MAGIC
 from minihello.values import ClassKey
 
@@ -207,6 +208,17 @@ class TestCompile:
         data = serialize(image)
         reread = deserialize(data)
         assert reread.content_hash == image.content_hash
+
+    def test_het_encodes_the_image_once(self, tmp_path, monkeypatch):
+        encodes = []
+        sections = image_module._sections
+        monkeypatch.setattr(image_module, "_sections",
+                            lambda image: encodes.append(image) or sections(image))
+        out = tmp_path / "shell.rpk"
+        assert het.main([os.path.join(SAMPLES, "shell_world"), "-o", str(out)]) == 0
+        assert len(encodes) == 1
+        assert deserialize(out.read_bytes()).content_hash == \
+            encodes[0].content_hash == compute_hash(encodes[0])
 
 
 class TestSerialization:
