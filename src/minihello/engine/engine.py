@@ -33,10 +33,11 @@ from .. import groups
 from ..bio import Reader, ShortRead, Writer
 from ..errors import (E_ACCESS_DENIED, E_ACCESS_VIOLATION, E_HANDLE_CLOSED,
                       E_HASH_MISMATCH, E_HOP_UNREACHABLE, E_HOST_UNREACHABLE,
-                      E_NO_MAIN, E_NON_COPYABLE, E_NULL_REF, E_PACK_NOT_FOUND,
-                      E_QUEUE_CLOSED, E_TIMEOUT, E_UNKNOWN_CLASS,
-                      E_UNKNOWN_METHOD, E_UNKNOWN_OBJECT, EngineError,
-                      wrap_remote)
+                      E_INDEX, E_NO_MAIN, E_NON_COPYABLE, E_NULL_REF,
+                      E_PACK_NOT_FOUND, E_QUEUE_CLOSED, E_SLOT_FILLED,
+                      E_SLOT_RANGE, E_TIMEOUT, E_UNKNOWN_CLASS,
+                      E_UNKNOWN_EVENT, E_UNKNOWN_METHOD, E_UNKNOWN_OBJECT,
+                      EngineError, wrap_remote)
 from ..frontend.types import QUEUE_KEY, STD_PACKAGE
 from ..net import frames
 from ..net.wirevalues import (MalformedEncoding, decode_value_prefix,
@@ -44,7 +45,7 @@ from ..net.wirevalues import (MalformedEncoding, decode_value_prefix,
 from ..runpack import ir
 from ..runpack.image import (ORIGIN_NETWORK, ImageFormatError, PackStore,
                              RunpackImage, deserialize, serialize)
-from ..runtime import QUEUE_CLOSED, Future, Queue, Request, Scheduler
+from ..runtime import QUEUE_CLOSED, Future, HostView, Queue, Request
 from ..security import (ANONYMOUS_SID, ALL_PRIVS, CREATE, CredentialSet, EXEC,
                         READ, SID_LEN, WRITE, check_access)
 from ..stdlib import (HOST_OBJECT_OID, HOSTS_NODE_OID, INTRINSICS,
@@ -207,7 +208,7 @@ class _PendingCall:
 
 
 class Engine:
-    def __init__(self, config: EngineConfig, scheduler: Scheduler, rng,
+    def __init__(self, config: EngineConfig, scheduler: HostView, rng,
                  port=None, incarnation: int = 1):
         self.config = config
         self.host_name = config.host_name
@@ -255,8 +256,6 @@ class Engine:
         self.stdout_sink = None
         self.capture_stdout = config.capture_stdout
         self.stdout_bytes = bytearray()
-        import threading
-        self._out_lock = threading.Lock()
 
         self.error_log: list[tuple[str, str]] = []
         self.on_host_event = None  # callable(kind, detail) set by the node
@@ -280,13 +279,13 @@ class Engine:
 
     def new_queue(self, creds: CredentialSet | None = None, label: str = "") -> Queue:
         qid = next(self._qid)
-        q = Queue(qid, self.host_name, creds.copy() if creds else self.default_creds.copy())
+        q = Queue(qid, creds.copy() if creds else self.default_creds.copy())
         self.queues[qid] = q
         return q
 
     def _release_queue(self, queue: Queue) -> None:
         """Close a queue made for one request, once that request is done,
-        and forget it; a threaded worker on it then ends."""
+        and forget it."""
         queue.state = QUEUE_CLOSED
         self.queues.pop(queue.qid, None)
 
@@ -636,11 +635,11 @@ class Engine:
     def _fill_local(self, eid: int, slot: int, value, origin) -> str:
         ev = self.events.get(eid)
         if ev is None:
-            raise EngineError("UnknownEvent", f"no event {eid}")
+            raise EngineError(E_UNKNOWN_EVENT, f"no event {eid}")
         if not 0 <= slot < ev.arity:
-            raise EngineError("SlotOutOfRange", f"slot {slot} of {ev.arity}")
+            raise EngineError(E_SLOT_RANGE, f"slot {slot} of {ev.arity}")
         if ev.slots[slot][0]:
-            raise EngineError("SlotAlreadyFilled", f"slot {slot}")
+            raise EngineError(E_SLOT_FILLED, f"slot {slot}")
         ev.slots[slot][0] = True
         ev.slots[slot][1] = value
         if ev.unfilled() == 0 and not ev.fired:
@@ -778,8 +777,8 @@ class Engine:
                       timeout_ms: int) -> None:
         """Register `fut` as the pending call of `frame`, then send it.
 
-        The entry exists before `send` runs, because over TCP the reply can
-        reach the reader thread before `send` returns. The timeout is armed
+        The entry exists before `send` runs, so that a reply a port delivers
+        before `send` returns still finds its call. The timeout is armed
         after `send`, and only while the call is still open, so that the
         simulator draws its jitter for the frame first, as it always has.
         If `send` raises, the entry and any pack buffer go away again."""
@@ -1218,16 +1217,26 @@ class Engine:
         return names, set(self.group_edges)
 
     def write_stdout(self, data: bytes) -> None:
-        with self._out_lock:
-            if self.stdout_sink is not None:
-                self.stdout_sink(data)
-            if self.capture_stdout:
-                self.stdout_bytes += data
+        if self.stdout_sink is not None:
+            self.stdout_sink(data)
+        if self.capture_stdout:
+            self.stdout_bytes += data
 
     def register_exec_handle(self, proc, queue_id: int) -> int:
         handle = next(self._exec_id)
         self._exec_handles[handle] = (proc, queue_id)
         return handle
+
+    def exec_read(self, args: list, ctx):
+        """The exec_read builtin: wait, while other queues run, until the
+        command's pipe has filled maxn bytes of the buffer or reached EOF;
+        INTRINSICS["exec_read"] gives the status. Generator."""
+        handle, buf, maxn = args
+        proc = self.exec_handle(handle, ctx.queue_id)
+        if maxn < 0 or maxn > len(buf.data):
+            raise EngineError(E_INDEX, "read size exceeds buffer")
+        got = yield self.scheduler.read_pipe(proc, buf.data, maxn)
+        return self.call_intrinsic("exec_read", [proc, maxn, got], ctx)
 
     def exec_handle(self, handle: int, queue_id: int):
         entry = self._exec_handles.get(handle)
@@ -1245,9 +1254,8 @@ class Engine:
             self.on_host_event("error", f"{code}: {context}")
 
     def queues_idle(self) -> bool:
-        # a copy: under ThreadScheduler, workers release queues meanwhile
-        queues = list(self.queues.values())
-        return all(q.idle() for q in queues) and not self.pending
+        """No queue has work, running or waiting, and no call is pending."""
+        return all(q.idle() for q in self.queues.values()) and not self.pending
 
     def remote_get_field(self, ref: ObjectRef, name: str, ctx):
         return (yield from self.invoke(ref, "$getf", [CharArray.from_str(name)], ctx))

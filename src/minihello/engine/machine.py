@@ -13,14 +13,14 @@ Every IR local slot is a Python local `l<slot>`, parameters first, and the
 function returns the method's result. Its code object is named after the
 package, class and method.
 
-A body with a node that may wait on a network future is a generator
-function, and `yield from` appears only at those nodes: field access (the
-object may live on another host), method and static calls, `new` and
-`create`, `<=>` and `.+`. A field access on an object of this host takes an
-inline path that makes no generator call. A `<=>` expression becomes a
-nested generator function that reads and writes the caller's locals through
-closure cells; the engine runs it on the queue's lane. Every other body is a
-plain function. An expression or statement nested deeper than Python lets one
+A body with a node that may wait on a future is a generator function, and
+`yield from` appears only at those nodes: field access (the object may live
+on another host), method and static calls, `new` and `create`, `<=>`, `.+`,
+and the `exec_read` builtin, which waits for a command's output. A field
+access on an object of this host takes an inline path that makes no
+generator call. A `<=>` expression becomes a nested generator function that
+reads and writes the caller's locals through closure cells; the engine runs
+it on the queue's lane. Every other body is a plain function. An expression or statement nested deeper than Python lets one
 function nest (about 200 parentheses, 20 loops and 100 indents) goes on in a
 nested function of the same kind.
 
@@ -250,9 +250,10 @@ _INT_RESULTS = _WRAPPED | {"div", "mod"}
 # Deeper expressions and statements go to a nested function.
 _MAX_DEPTH = 16
 
-# Nodes that may wait on a network future.
+# Nodes that may wait on a future, and the builtin that does.
 _SUSPENDING = (ir.IrFieldGet, ir.IrCallMethod, ir.IrCallStatic, ir.IrNew,
                ir.IrCreate, ir.IrQueuedEval, ir.IrIterate)
+_SUSPENDING_HOOK = "exec_read"
 
 
 # --- compilation ---------------------------------------------------------------
@@ -260,7 +261,7 @@ _SUSPENDING = (ir.IrFieldGet, ir.IrCallMethod, ir.IrCallStatic, ir.IrNew,
 # (content hash, class key, method name) -> (function, suspends)
 _SHARED: dict = {}
 _SHARED_LIMIT = 4096
-_SHARED_LOCK = threading.Lock()  # the TCP runtime compiles on many threads
+_SHARED_LOCK = threading.Lock()  # every Node's loop thread compiles
 
 
 def compile_method(mc: ir.MethodCode, cls, consts: list[bytes],
@@ -295,7 +296,9 @@ def _walk(node):
 
 
 def _suspends(node) -> bool:
-    return any(isinstance(n, _SUSPENDING) for n in _walk(node))
+    return any(isinstance(n, _SUSPENDING) or (
+        isinstance(n, ir.IrCallBuiltin) and n.hook == _SUSPENDING_HOOK)
+        for n in _walk(node))
 
 
 def _int_slots(mc: ir.MethodCode) -> set[int]:
@@ -614,6 +617,8 @@ _EXPRS = {
         f"(yield from e.invoke_static({s.const(n.cls)}, {n.method!r}, "
         f"{s.args(n.args)}, ctx))"),
     ir.IrCallBuiltin: lambda s, n: (
+        f"(yield from e.exec_read({s.args(n.args)}, ctx))"
+        if n.hook == _SUSPENDING_HOOK else
         f"e.call_intrinsic({n.hook!r}, {s.args(n.args)}, ctx)"),
     ir.IrNew: lambda s, n: (
         f"(yield from e.create_object({s.const(n.cls)}, _HEAP, "

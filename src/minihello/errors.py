@@ -8,7 +8,6 @@ E_TIMEOUT = "Timeout"
 E_CONNECT_REFUSED = "ConnectRefused"
 E_NAME_COLLISION = "NameCollision"
 E_HANDSHAKE_TIMEOUT = "HandshakeTimeout"
-E_NO_PATH = "NoPathKnown"
 E_HOP_UNREACHABLE = "HopUnreachable"
 
 # Security

@@ -81,15 +81,12 @@ class Router:
             self.transport.listen(self.config.listen, self._on_accept)
 
     def shutdown(self) -> None:
+        """Stop pinging and gossiping, ignore further frames, and close every
+        neighbor's connection. Runs on the host's one thread, so no
+        handshake can complete in the middle of it."""
         self._stopped = True
         for name in sorted(self.neighbors):
-            conn = self.neighbors.get(name)
-            if conn is None:  # a reader thread dropped it as its peer closed
-                continue
-            try:
-                conn.close()
-            except Exception:
-                pass
+            self.neighbors[name].close()
         self.neighbors.clear()
 
     def connect(self, endpoint: str):
@@ -106,8 +103,6 @@ class Router:
         timer = self.scheduler.call_later(
             5_000, lambda: self._handshake_timeout(conn))
         self._handshakes[id(conn)] = (fut, timer, conn)
-        if hasattr(self.transport, "start_dialed"):
-            self.transport.start_dialed(conn)
         conn.send_frame(Frame(HELLO, 0, _hello_payload(
             self.host_name, self.engine.incarnation, self._digest)))
         return fut
@@ -252,12 +247,6 @@ class Router:
 
     def _register_neighbor(self, conn, name: str) -> None:
         self.neighbors[name] = conn
-        if self._stopped:
-            # shutdown() ran on another thread after this handshake passed
-            # its check and may have missed the connection: close it here.
-            self.neighbors.pop(name, None)
-            conn.close()
-            return
         self.conn_names[id(conn)] = name
         self.missed[name] = 0
         self.liveness_ms[name] = self.scheduler.now_ms()
@@ -274,10 +263,7 @@ class Router:
         self.missed.pop(name, None)
         self.liveness_ms.pop(name, None)
         self.routes_via.pop(name, None)
-        try:
-            conn.close()
-        except Exception:
-            pass
+        conn.close()
         # report routed frames we forwarded through the lost neighbor
         for corr, (hop, reverse, origin, _t) in list(self._forwarded.items()):
             if hop == name:

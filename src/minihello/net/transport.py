@@ -2,81 +2,116 @@
 
 A transport hands out connection objects with a tiny contract: send_frame,
 close, and two callbacks the router installs (on_frame, on_close). The TCP
-implementation here gives every connection a reader thread; the simulated
+implementation here is a set of asyncio protocols on its node's event loop,
+the thread that owns the node's engine and router; the simulated
 implementation lives in the simharness and delivers frames as logical-clock
 events. Both exchange the HLO1 preamble before any frame.
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
-import threading
 
-from ..errors import E_CONNECT_REFUSED, EngineError
+from ..errors import E_CONNECT_REFUSED, E_HOST_UNREACHABLE, EngineError
 from .frames import Frame, FrameDecoder, FrameError, PREAMBLE, encode_frame
 
 
-class TcpConnection:
-    def __init__(self, sock: socket.socket, label: str):
-        self.sock = sock
-        self.label = label
+class TcpConnection(asyncio.Protocol):
+    """One TCP connection. Frames sent while a dial is still connecting wait
+    in a backlog. A bad preamble, a malformed frame or a close in the middle
+    of one is logged as one BadFrame error, and a bad one closes the
+    connection; `on_close` runs once, whichever side closed it."""
+
+    def __init__(self, owner: "TcpTransport", label: str | None):
+        self.owner = owner
+        self.label = label  # the endpoint dialed, or the peer's address
         self.on_frame = None
         self.on_close = None
-        self._wlock = threading.Lock()
+        self._transport: asyncio.Transport | None = None
+        self._backlog: list[bytes] | None = [PREAMBLE]
+        self._preamble = b""  # the peer's, until all of it has arrived
+        self._decoder = FrameDecoder()
         self._closed = False
-        self._reader: threading.Thread | None = None
-
-    def start_reader(self, expect_preamble: bool) -> None:
-        self._reader = threading.Thread(target=self._read_loop,
-                                        args=(expect_preamble,), daemon=True,
-                                        name=f"mh-read-{self.label}")
-        self._reader.start()
+        self.dial_task: asyncio.Task | None = None
+        owner.connections.add(self)
 
     def send_frame(self, frame: Frame) -> None:
+        if self._closed:
+            raise EngineError(E_HOST_UNREACHABLE, "connection closed")
         data = encode_frame(frame)
-        try:
-            with self._wlock:
-                self.sock.sendall(data)
-        except OSError as exc:
-            raise EngineError("HostUnreachable", f"send failed: {exc}") from exc
-
-    def send_preamble(self) -> None:
-        with self._wlock:
-            self.sock.sendall(PREAMBLE)
+        if self._backlog is not None:
+            self._backlog.append(data)
+        else:
+            self._transport.write(data)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.sock.close()
+        if self._transport is not None:
+            self._transport.close()  # connection_lost follows
+        elif self.dial_task is not None:
+            self.dial_task.cancel()  # _dialed follows
 
-    def _read_loop(self, expect_preamble: bool) -> None:
-        decoder = FrameDecoder()
+    # ----------------------------------------------------- asyncio callbacks
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        if self._closed:  # closed while the dial was connecting
+            transport.close()
+            return
+        if self.label is None:
+            host, port = transport.get_extra_info("peername")[:2]
+            self.label = f"{host}:{port}"
+        transport.write(b"".join(self._backlog))
+        self._backlog = None
+
+    def data_received(self, data: bytes) -> None:
+        if self._preamble is not None:
+            self._preamble += data
+            if len(self._preamble) < len(PREAMBLE):
+                return
+            n = len(PREAMBLE)
+            got, data = self._preamble[:n], self._preamble[n:]
+            self._preamble = None
+            if got != PREAMBLE:
+                self._bad(f"bad preamble {got!r}")
+                return
         try:
-            if expect_preamble:
-                got = b""
-                while len(got) < len(PREAMBLE):
-                    chunk = self.sock.recv(len(PREAMBLE) - len(got))
-                    if not chunk:
-                        raise FrameError("closed before preamble")
-                    got += chunk
-                if got != PREAMBLE:
-                    raise FrameError(f"bad preamble {got!r}")
-            while True:
-                data = self.sock.recv(65536)
-                if not data:
-                    break
-                for frame in decoder.feed(data):
-                    if self.on_frame is not None:
-                        self.on_frame(self, frame)
-        except (OSError, FrameError):
-            pass
-        finally:
-            self.close()
+            frames = self._decoder.feed(data)
+        except FrameError as exc:
+            self._bad(str(exc))
+            return
+        for frame in frames:
+            if self._closed:
+                return
+            try:
+                self.on_frame(self, frame)
+            except EngineError as err:
+                self.owner.log_error(err.code, f"{self.label}: {err.message}")
+
+    def eof_received(self) -> None:
+        if self._preamble or self._decoder.pending_bytes():
+            self._bad("closed in the middle of a frame")
+
+    def connection_lost(self, exc) -> None:
+        self._closed = True
+        self._gone()
+
+    def _dialed(self, task: asyncio.Task) -> None:
+        self.dial_task = None
+        if task.cancelled() or task.exception() is not None:
+            self._closed = True
+            self._gone()
+
+    def _bad(self, why: str) -> None:
+        self.owner.log_error("BadFrame", f"{self.label}: {why}")
+        self.close()
+
+    def _gone(self) -> None:
+        if self in self.owner.connections:
+            self.owner.connections.discard(self)
             if self.on_close is not None:
                 self.on_close(self)
 
@@ -87,53 +122,58 @@ def _parse_endpoint(endpoint: str) -> tuple[str, int]:
 
 
 class TcpTransport:
-    def __init__(self):
+    def __init__(self, loop: asyncio.AbstractEventLoop, log_error):
+        self.loop = loop
+        self.log_error = log_error  # callable(code, context)
+        self.connections: set[TcpConnection] = set()
         self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._stopping = False
+        self._server: asyncio.Task | None = None
 
     def listen(self, endpoint: str, on_accept) -> None:
         host, port = _parse_endpoint(endpoint)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(16)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, port))
+            sock.listen(16)
+        except OSError:
+            sock.close()
+            raise
         self._listener = sock
         self.bound_port = sock.getsockname()[1]
 
-        def loop():
-            while not self._stopping:
-                try:
-                    client, addr = sock.accept()
-                except OSError:
-                    return
-                conn = TcpConnection(client, f"{addr[0]}:{addr[1]}")
-                on_accept(conn)
-                conn.send_preamble()
-                conn.start_reader(expect_preamble=True)
+        def accepted() -> TcpConnection:
+            conn = TcpConnection(self, None)
+            on_accept(conn)
+            return conn
 
-        self._accept_thread = threading.Thread(target=loop, daemon=True,
-                                               name="mh-accept")
-        self._accept_thread.start()
+        self._server = self.loop.create_task(
+            self.loop.create_server(accepted, sock=sock))
 
     def dial(self, endpoint: str) -> TcpConnection:
+        """Start connecting and return the connection at once. A host name
+        is resolved here; a refused or failed connect closes the connection
+        (`on_close`) later, on the loop."""
         host, port = _parse_endpoint(endpoint)
         try:
-            sock = socket.create_connection((host, port), timeout=10)
+            address = socket.gethostbyname(host)
         except OSError as exc:
             raise EngineError(E_CONNECT_REFUSED, f"{endpoint}: {exc}") from exc
-        sock.settimeout(None)
-        conn = TcpConnection(sock, endpoint)
-        conn.send_preamble()
+        conn = TcpConnection(self, endpoint)
+        conn.dial_task = self.loop.create_task(
+            self.loop.create_connection(lambda: conn, address, port))
+        conn.dial_task.add_done_callback(conn._dialed)
         return conn
 
-    def start_dialed(self, conn: TcpConnection) -> None:
-        conn.start_reader(expect_preamble=True)
-
     def close(self) -> None:
-        self._stopping = True
-        if self._listener is not None:
-            try:
+        """Stop listening and close every connection."""
+        server, self._server = self._server, None
+        if server is not None:
+            if server.done() and not server.cancelled() \
+                    and server.exception() is None:
+                server.result().close()  # closes the listening socket
+            else:
+                server.cancel()
                 self._listener.close()
-            except OSError:
-                pass
+        for conn in list(self.connections):
+            conn.close()

@@ -1,9 +1,20 @@
-"""Real-time host assembly: engine + router + TCP transport + thread scheduler."""
+"""Real-time host assembly: engine + router + TCP transport on one event loop.
+
+A `Node` owns one asyncio event loop, run by one thread of its own. The
+engine, the router and the transport run only on that thread, driven by the
+same `HostView` as a simulated host, over a `LoopCore` in place of the
+simulator's clock. Other threads (`hee`, tests, tools) reach a node only
+through `Node.call`.
+"""
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
+import os
 import random
 import sys
+import threading
 import time
 
 from .engine.engine import Engine, EngineConfig
@@ -11,17 +22,89 @@ from .errors import EngineError
 from .net.router import Router
 from .net.transport import TcpTransport
 from .runpack.image import RunpackImage
-from .runtime import ThreadScheduler
+from .runtime import Future, HostView
+
+
+class LoopCore:
+    """The core of a node's HostView: wall-clock milliseconds, timers on the
+    asyncio loop, and command output read as the pipe becomes readable. An
+    EngineError that a scheduled callback raises is logged as an engine
+    error instead of going to the loop's exception handler."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self.loop = loop
+        self.parked: dict[str, int] = {}
+        self.log_error = None  # Engine.log_error, set once the engine exists
+
+    @property
+    def now(self) -> int:
+        return int(self.loop.time() * 1000)
+
+    def schedule(self, delay_ms: int, fn, owner: str, *, maintenance: bool = False):
+        if delay_ms <= 0:
+            return self.loop.call_soon(self._run, fn)
+        return self.loop.call_later(delay_ms / 1000, self._run, fn)
+
+    def cancel(self, handle) -> None:
+        handle.cancel()
+
+    def _run(self, fn) -> None:
+        try:
+            fn()
+        except EngineError as err:
+            self.log_error(err.code, f"timer: {err.message}")
+
+    def read_pipe(self, proc, buf: bytearray, maxn: int) -> Future:
+        """Read maxn bytes of a command's output into buf, or what comes
+        before EOF, as the pipe becomes readable. At EOF the Future resolves
+        once the command has exited, so that reaping it does not block."""
+        fut = Future()
+        if maxn == 0:
+            fut.resolve((0, False))
+            return fut
+        fd = proc.stdout.fileno()
+        got = 0
+
+        def readable() -> None:
+            nonlocal got
+            try:
+                data = os.read(fd, maxn - got)
+            except OSError:
+                self.loop.remove_reader(fd)
+                fut.resolve((got, True))
+                return
+            buf[got:got + len(data)] = data
+            got += len(data)
+            if data and got < maxn:
+                return
+            self.loop.remove_reader(fd)
+            if data or proc.poll() is not None:
+                fut.resolve((got, False))
+                return
+            pidfd = os.pidfd_open(proc.pid)  # readable once the command exits
+
+            def exited() -> None:
+                self.loop.remove_reader(pidfd)
+                os.close(pidfd)
+                fut.resolve((got, False))
+
+            self.loop.add_reader(pidfd, exited)
+
+        self.loop.add_reader(fd, readable)
+        return fut
 
 
 class Node:
     def __init__(self, config: EngineConfig):
         self.config = config
-        self.scheduler = ThreadScheduler()
+        self.loop = asyncio.new_event_loop()
+        self.core = LoopCore(self.loop)
+        self.scheduler = HostView(self.core, config.host_name)
         rng = random.Random(time.time_ns() ^ hash(config.host_name))
         self.engine = Engine(config, self.scheduler, rng,
                              incarnation=time.time_ns() & 0xFFFFFFFF)
-        self.transport = TcpTransport()
+        self.core.log_error = self.engine.log_error
+        self.transport = TcpTransport(self.loop, self.engine.log_error)
         self.router = Router(config.host_name, self.transport, self.scheduler,
                              config, self.engine)
         self._stdout_file = None
@@ -32,14 +115,44 @@ class Node:
         else:
             self.engine.stdout_sink = self._write_stdout
             self.engine.capture_stdout = False
+        self._thread = threading.Thread(target=self.loop.run_forever,
+                                        daemon=True,
+                                        name=f"mh-loop@{config.host_name}")
+        self._thread.start()
 
     @staticmethod
     def _write_stdout(data: bytes) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
 
+    def call(self, fn):
+        """Run fn() on the node's loop and wait for the Future it returns:
+        return its result or raise its error. A value that is not a Future
+        is returned as it is, and an exception fn raises is raised here."""
+        done = concurrent.futures.Future()
+
+        def settle(fut: Future) -> None:
+            try:
+                done.set_result(fut.result())
+            except EngineError as err:
+                done.set_exception(err)
+
+        def start() -> None:
+            try:
+                out = fn()
+            except Exception as exc:  # handed to the waiting thread
+                done.set_exception(exc)
+                return
+            if isinstance(out, Future):
+                out.add_callback(settle)
+            else:
+                done.set_result(out)
+
+        self.loop.call_soon_threadsafe(start)
+        return done.result()
+
     def start(self) -> None:
-        self.router.listen()
+        self.call(self.router.listen)
 
     @property
     def bound_port(self) -> int | None:
@@ -47,25 +160,26 @@ class Node:
 
     def connect_seeds(self) -> None:
         for seed in self.config.seeds:
-            self.router.connect(seed).wait_blocking()
+            self.call(lambda seed=seed: self.router.connect(seed))
 
     def run_main(self, image: RunpackImage, argv: list[str]) -> int:
-        fut = self.engine.run_main(image, argv)
-        code = fut.wait_blocking()
-        self.drain()
+        """Run main, then give the other queues up to 30 s to drain."""
+        code = self.call(lambda: self.engine.run_main(image, argv))
+        deadline = time.monotonic() + 30
+        while not self.call(self.engine.queues_idle) \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
         return code if isinstance(code, int) else 0
 
-    def drain(self, timeout_s: float = 30.0) -> None:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.engine.queues_idle():
-                return
-            time.sleep(0.01)
-
     def shutdown(self) -> None:
-        self.router.shutdown()
-        self.transport.close()
-        self.scheduler.shutdown()
+        def close() -> None:
+            self.router.shutdown()
+            self.transport.close()
+
+        self.call(close)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join()
+        self.loop.close()
         if self._stdout_file is not None:
             self._stdout_file.close()
 

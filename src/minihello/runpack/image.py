@@ -16,7 +16,6 @@ decodes anything, then checks every reference as it decodes.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 
 from ..bio import Reader, ShortRead, Writer
@@ -169,43 +168,38 @@ ORIGIN_NETWORK = "network-fetched"
 
 
 class PackStore:
-    """Name -> image map with atomic installs and concurrent readers.
+    """Name -> image map, one per engine.
 
     A network-fetched image is never silently replaced by an image with a
     different content hash.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._entries: dict[str, tuple[RunpackImage, str]] = {}
 
     def install(self, image: RunpackImage, origin: str = ORIGIN_LOCAL) -> None:
         if not image.content_hash:
             image.content_hash = compute_hash(image)
-        with self._lock:
-            existing = self._entries.get(image.package)
-            if existing is not None:
-                old_image, old_origin = existing
-                if old_image.content_hash != image.content_hash:
-                    if old_origin == ORIGIN_NETWORK:
-                        raise EngineError(
-                            E_HASH_MISMATCH,
-                            f"refusing to replace fetched package '{image.package}' "
-                            "with a different image")
-                else:
-                    return  # identical image already present
-            self._entries[image.package] = (image, origin)
+        existing = self._entries.get(image.package)
+        if existing is not None:
+            old_image, old_origin = existing
+            if old_image.content_hash != image.content_hash:
+                if old_origin == ORIGIN_NETWORK:
+                    raise EngineError(
+                        E_HASH_MISMATCH,
+                        f"refusing to replace fetched package '{image.package}' "
+                        "with a different image")
+            else:
+                return  # identical image already present
+        self._entries[image.package] = (image, origin)
 
     def resolve(self, name: str) -> RunpackImage | None:
-        with self._lock:
-            entry = self._entries.get(name)
+        entry = self._entries.get(name)
         return entry[0] if entry else None
 
     def origin(self, name: str) -> str | None:
-        with self._lock:
-            entry = self._entries.get(name)
+        entry = self._entries.get(name)
         return entry[1] if entry else None
 
     def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
+        return sorted(self._entries)

@@ -10,6 +10,9 @@ Events are either work (task steps, deliveries, timeouts, script actions) or
 maintenance (periodic pings and gossip). The scheduler runs, in global tick
 order, as long as work remains; when only maintenance is left the simulation
 is quiescent.
+
+`SimScheduler` is the core of every simulated host's `HostView`, the task
+driver that `Node`s run on their event loops too; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ import heapq
 import itertools
 import random
 
-from ..errors import EngineError
-from ..runtime import (Future, Queue, Request, Scheduler, drive_step,
-                       start_request)
+from ..runtime import Future, HostView
 
 
 class SimScheduler:
@@ -50,10 +51,20 @@ class SimScheduler:
             if not entry[5]:
                 self.work_count -= 1
 
+    def read_pipe(self, proc, buf: bytearray, maxn: int) -> Future:
+        """Read a command's output into buf at once, blocking until maxn
+        bytes or EOF: simulated time does not pass while a command runs."""
+        fut = Future()
+        try:
+            fut.resolve((proc.stdout.readinto(memoryview(buf)[:maxn]), False))
+        except OSError:
+            fut.resolve((0, True))
+        return fut
+
     def kill(self, owner: str) -> None:
         self.dead.add(owner)
 
-    def view(self, owner: str) -> "HostView":
+    def view(self, owner: str) -> HostView:
         return HostView(self, owner)
 
     # ----------------------------------------------------------------- running
@@ -84,84 +95,4 @@ class SimScheduler:
                    if owner not in self.dead)
 
 
-class HostView(Scheduler):
-    """The Scheduler interface one host's engine and router see; every event
-    it creates is tagged with the host so kill-host silences it."""
-
-    def __init__(self, core: SimScheduler, owner: str):
-        self.core = core
-        self.owner = owner
-
-    def now_ms(self) -> int:
-        return self.core.now
-
-    def call_later(self, delay_ms: int, fn, *, maintenance: bool = False):
-        return self.core.schedule(delay_ms, fn, self.owner,
-                                  maintenance=maintenance)
-
-    def cancel(self, handle) -> None:
-        self.core.cancel(handle)
-
-    def submit(self, queue: Queue, request: Request) -> None:
-        if queue.state == "closed":
-            raise EngineError("QueueClosed", f"queue {queue.qid} is closed")
-        queue.pending.append(request)
-        self._kick(queue)
-
-    def _kick(self, queue: Queue) -> None:
-        if queue.busy or queue.step_scheduled or not queue.pending:
-            return
-        queue.step_scheduled = True
-        self.core.schedule(0, lambda: self._step(queue), self.owner)
-
-    def _step(self, queue: Queue) -> None:
-        queue.step_scheduled = False
-        if queue.busy or not queue.pending:
-            return
-        request = queue.pending.popleft()
-        queue.busy = True
-        gen = start_request(request)
-        if gen is None:
-            self._finish(queue)
-            return
-        self._advance(queue, request, gen, None, None)
-
-    def _advance(self, queue: Queue, request: Request, gen, value, error) -> None:
-        while True:
-            state, out = drive_step(gen, value, error)
-            value, error = None, None
-            if state == "return":
-                request.finish(out)
-                self._finish(queue)
-                return
-            if state == "error":
-                request.finish(error=out)
-                self._finish(queue)
-                return
-            fut: Future = out
-            if fut.done():
-                try:
-                    value = fut.result()
-                except EngineError as err:
-                    error = err
-                continue
-            self.core.parked[self.owner] = self.core.parked.get(self.owner, 0) + 1
-            fut.add_callback(self._resumer(queue, request, gen))
-            return
-
-    def _resumer(self, queue: Queue, request: Request, gen):
-        def on_ready(fut: Future) -> None:
-            self.core.parked[self.owner] -= 1
-            try:
-                value, error = fut.result(), None
-            except EngineError as err:
-                value, error = None, err
-            self.core.schedule(
-                0, lambda: self._advance(queue, request, gen, value, error),
-                self.owner)
-        return on_ready
-
-    def _finish(self, queue: Queue) -> None:
-        queue.busy = False
-        queue.executed += 1
-        self._kick(queue)
+__all__ = ["HostView", "SimScheduler"]

@@ -138,18 +138,10 @@ def intrinsic_exec_open(engine, ctx, args):
 
 
 def intrinsic_exec_read(engine, ctx, args):
-    handle, buf, maxn = args
-    proc = engine.exec_handle(handle, ctx.queue_id)
-    if maxn < 0 or maxn > len(buf.data):
-        raise EngineError(E_INDEX, "read size exceeds buffer")
-    err = False
-    data = b""
-    try:
-        data = proc.stdout.read(maxn)  # blocks until maxn bytes or EOF
-    except OSError:
-        err = True
-    n = len(data)
-    buf.data[:n] = data
+    """The status array (n, eof, err) of a read of a command's output into
+    a buffer, which `Engine.exec_read` waited for. `args` are the process,
+    maxn and the read's (n, err); at EOF the process is reaped."""
+    proc, maxn, (n, err) = args
     eof = n < maxn
     if eof and not err:
         proc.wait()

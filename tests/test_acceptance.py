@@ -451,49 +451,34 @@ class TestCriterion10DeterminismAndTransport:
         assert hashlib.sha256(s1).hexdigest() == SHELL_11_SHA256
 
     def test_same_assertions_on_tcp_loopback(self, rpks):
-        from minihello.engine.engine import EngineConfig
-        from minihello.node import Node
-
-        def make(name):
-            node = Node(EngineConfig(name, listen="127.0.0.1:0"))
-            node.engine.capture_stdout = True
-            node.engine.stdout_sink = None
-            node.start()
-            return node
+        from test_tcp import connect, make_node, stdout_of
 
         hello_image = load_file(rpks["hello"])
-        nodes = [make(n) for n in ("a", "b", "c")]
+        nodes = [make_node(n) for n in ("a", "b", "c")]
         try:
-            ports = {n.config.host_name: n.bound_port for n in nodes}
-            nodes[1].router.connect(f"127.0.0.1:{ports['a']}").wait_blocking()
-            nodes[2].router.connect(f"127.0.0.1:{ports['a']}").wait_blocking()
-            nodes[2].router.connect(f"127.0.0.1:{ports['b']}").wait_blocking()
+            connect(nodes[1], nodes[0])
+            connect(nodes[2], nodes[0])
+            connect(nodes[2], nodes[1])
             assert nodes[0].run_main(hello_image, []) == 0
-            deadline = time.monotonic() + 10
-            want = b"Hello, world!\na:-)\n"
-            while time.monotonic() < deadline:
-                if all(bytes(n.engine.stdout_bytes) == want for n in nodes):
-                    break
-                time.sleep(0.02)
             for n in nodes:
-                got = bytes(n.engine.stdout_bytes)
+                got = stdout_of(n)
                 assert got.count(b"Hello, world!") == 1
-                assert got == want
+                assert got == b"Hello, world!\na:-)\n"
         finally:
             for n in nodes:
                 n.shutdown()
 
         shell_image = load_file(rpks["shell"])
         expected = expected_ten_mib()
-        a = make("a")
-        b = make("b")
+        a = make_node("a")
+        b = make_node("b")
         try:
-            a.router.connect(f"127.0.0.1:{b.bound_port}").wait_blocking()
-            a.engine.install_image(shell_image)
+            connect(a, b)
+            a.call(lambda: a.engine.install_image(shell_image))
             started = time.monotonic()
             code = a.run_main(shell_image, ["b", "4"] + TEN_MIB_ARGV)
             assert code == 0
-            assert bytes(a.engine.stdout_bytes) == expected
+            assert stdout_of(a) == expected
             assert time.monotonic() - started < 10.0
         finally:
             a.shutdown()

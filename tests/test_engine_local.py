@@ -434,17 +434,25 @@ class TestIntrinsics:
         with pytest.raises(EngineError):
             engine.call_intrinsic("sizear", [rect, 0], ctx)
 
+    @staticmethod
+    def exec_read(scen, args, ctx):
+        """Run the exec_read builtin, which waits for the pipe, as a task."""
+        engine = scen.hosts["solo"].engine
+        fut = scen.submit_task("solo", lambda: engine.exec_read(args, ctx))
+        scen.run()
+        return fut.result()
+
     def test_exec_open_read_round_trip(self):
         scen = single()
         engine = scen.hosts["solo"].engine
         ctx = TaskCtx(engine.service_queue)
         handle = engine.call_intrinsic("exec_open", [CharArray(b"echo hi")], ctx)
         buf = CharArray(bytes(64))
-        st = engine.call_intrinsic("exec_read", [handle, buf, 64], ctx)
+        st = self.exec_read(scen, [handle, buf, 64], ctx)
         n, eof, err = st.items
         assert bytes(buf.data[:n]) == b"hi\n"
         assert (eof, err) == (1, 0)
-        st2 = engine.call_intrinsic("exec_read", [handle, buf, 64], ctx)
+        st2 = self.exec_read(scen, [handle, buf, 64], ctx)
         assert st2.items == [0, 1, 0]  # read after eof
 
     def test_exec_handle_confined_to_queue(self):
@@ -454,8 +462,7 @@ class TestIntrinsics:
         handle = engine.call_intrinsic("exec_open", [CharArray(b"echo x")], ctx)
         other = TaskCtx(engine.new_queue(label="other"))
         with pytest.raises(EngineError) as exc:
-            engine.call_intrinsic("exec_read", [handle, CharArray(bytes(4)), 4],
-                                  other)
+            self.exec_read(scen, [handle, CharArray(bytes(4)), 4], other)
         assert exc.value.code == "HandleClosed"
 
     def test_exec_open_empty_command_fails(self):

@@ -1,8 +1,8 @@
 """Pending calls are registered before their frame is sent.
 
-Over TCP a reply can reach the reader thread before `port.send` returns. The
-stub ports here deliver the reply inside `send` itself, so these tests
-reproduce that order every time, without threads or sleeps."""
+A port may deliver a reply before `port.send` returns. The stub ports here
+deliver the reply inside `send` itself, so these tests reproduce that order
+every time, without threads or sleeps."""
 
 import random
 
@@ -15,13 +15,12 @@ from minihello.errors import (E_HOST_UNREACHABLE, E_TIMEOUT, E_UNKNOWN_CLASS,
 from minihello.net import frames
 from minihello.net.wirevalues import encode_value
 from minihello.runpack import serialize
-from minihello.runtime import Scheduler
 from minihello.values import ClassKey
 
 from conftest import compile_text, image_with_body
 
 
-class ManualScheduler(Scheduler):
+class ManualScheduler:
     """Records timers and never fires them."""
 
     def __init__(self):

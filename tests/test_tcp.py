@@ -1,8 +1,14 @@
 """Real-TCP transport tests over loopback: the same behavior the simulator
-shows, with wall-clock timing."""
+shows, with wall-clock timing.
 
+A test reads and changes a node's state only through `Node.call`, which runs
+on the node's loop thread. It waits for an event it can name, such as a
+call's Future, a round trip that flushes what a peer sent before it, or a
+socket's EOF, and never sleeps."""
+
+import os
 import socket
-import subprocess
+import struct
 import threading
 import time
 
@@ -15,83 +21,125 @@ from minihello.net.router import Router, _hello_payload
 from minihello.node import Node
 from minihello.runtime import Future, Request
 from minihello.stdlib import host_ref
-from minihello.values import ClassKey
+from minihello.values import CharArray
 
 from test_pending_calls import make_engine, reply_42
 
 
 def make_node(name, **cfg) -> Node:
-    config = EngineConfig(name, listen="127.0.0.1:0", **cfg)
-    node = Node(config)
-    node.engine.capture_stdout = True
-    node.engine.stdout_sink = None
+    node = Node(EngineConfig(name, listen="127.0.0.1:0", **cfg))
+
+    def capture():
+        node.engine.capture_stdout = True
+        node.engine.stdout_sink = None
+
+    node.call(capture)
     node.start()
     return node
+
+
+def connect(a: Node, b: Node) -> str:
+    """Dial b from a and wait for the handshake; returns b's name."""
+    return a.call(lambda: a.router.connect(f"127.0.0.1:{b.bound_port}"))
+
+
+def run_on(node: Node, gen_fn):
+    """Run gen_fn(engine, ctx) as a task on a fresh queue; returns its value."""
+    engine = node.engine
+
+    def submit():
+        fut = Future()
+        queue = engine.new_queue(label="test")
+        engine.submit(queue, Request(lambda: gen_fn(engine, TaskCtx(queue)), fut))
+        return fut
+
+    return node.call(submit)
+
+
+def name_of(host: str):
+    """A task that calls `name()` on a host object."""
+    def task(engine, ctx):
+        out = yield from engine.invoke(host_ref(host), "name", [], ctx)
+        return out.to_str()
+    return task
+
+
+def stdout_of(node: Node) -> bytes:
+    return node.call(lambda: bytes(node.engine.stdout_bytes))
+
+
+def errors_of(node: Node) -> list:
+    return node.call(lambda: list(node.engine.error_log))
 
 
 @pytest.fixture
 def pair():
     a = make_node("a")
     b = make_node("b")
-    a.router.connect(f"127.0.0.1:{b.bound_port}").wait_blocking()
+    connect(a, b)
     yield a, b
     a.shutdown()
     b.shutdown()
 
 
-def run_on(node: Node, gen_fn):
-    engine = node.engine
-    fut = Future()
-    queue = engine.new_queue(label="test")
-
-    def factory():
-        return gen_fn(engine, TaskCtx(queue))
-
-    engine.submit(queue, Request(factory, fut))
-    return fut.wait_blocking()
-
-
 class TestTcpBasics:
     def test_handshake_populates_neighborhoods(self, pair):
         a, b = pair
-        assert a.router.neighbor_names() == ["b"]
-        assert b.router.neighbor_names() == ["a"]
+        # b registers a in the callback that sends HELLO_ACK, so by the time
+        # a's dial completes, b's loop has finished registering
+        assert a.call(a.router.neighbor_names) == ["b"]
+        assert b.call(b.router.neighbor_names) == ["a"]
 
     def test_remote_name_call(self, pair):
         a, b = pair
-
-        def task(engine, ctx):
-            out = yield from engine.invoke(host_ref("b"), "name", [], ctx)
-            return out.to_str()
-
-        assert run_on(a, task) == "b"
+        assert run_on(a, name_of("b")) == "b"
 
     def test_remote_print_lands_on_remote_stdout(self, pair):
         a, b = pair
-        from minihello.values import CharArray
 
         def task(engine, ctx):
             yield from engine.invoke(host_ref("b"), "print",
                                      [CharArray(b"over there\n")], ctx)
 
         run_on(a, task)
-        assert bytes(b.engine.stdout_bytes) == b"over there\n"
+        assert stdout_of(b) == b"over there\n"
 
     def test_preamble_enforced(self, pair):
         a, b = pair
-        sock = socket.create_connection(("127.0.0.1", b.bound_port), timeout=5)
-        sock.sendall(b"JUNKJUNKJUNK")
-        time.sleep(0.2)
-        # the peer must have dropped us without crashing; b still serves a
-        assert b.router.neighbor_names() == ["a"]
-        sock.close()
+        with socket.create_connection(("127.0.0.1", b.bound_port),
+                                      timeout=10) as sock:
+            sock.sendall(b"JUNKJUNKJUNK")
+            received = b""
+            while chunk := sock.recv(64):  # b's preamble, then EOF
+                received += chunk
+        assert received == PREAMBLE
+        # b logged the bad preamble before it dropped us, and still serves a
+        assert [code for code, _ in errors_of(b)] == ["BadFrame"]
+        assert b.call(b.router.neighbor_names) == ["a"]
+        assert run_on(a, name_of("b")) == "b"
+
+    def test_malformed_frames_logged(self, pair):
+        a, b = pair
+        unknown_kind = PREAMBLE + struct.pack(">IBQ", 0, 0xFF, 1)
+        cut_short = PREAMBLE + struct.pack(">IBQ", 10, HELLO, 1)  # no payload
+        for data in (unknown_kind, cut_short):
+            with socket.create_connection(("127.0.0.1", b.bound_port),
+                                          timeout=10) as sock:
+                sock.sendall(data)
+                sock.shutdown(socket.SHUT_WR)
+                while sock.recv(64):  # until b has dropped us
+                    pass
+        assert [code for code, _ in errors_of(b)] == ["BadFrame", "BadFrame"]
+        assert run_on(a, name_of("b")) == "b"
 
     def test_connect_refused_endpoint(self):
         node = make_node("solo")
         try:
             with pytest.raises(EngineError) as exc:
-                node.transport.dial("127.0.0.1:1")  # nothing listens there
+                # nothing listens there
+                node.call(lambda: node.router.connect("127.0.0.1:1"))
             assert exc.value.code == "ConnectRefused"
+            assert errors_of(node) == []
         finally:
             node.shutdown()
 
@@ -100,20 +148,13 @@ class TestTcpBroadcast:
     def test_three_node_mesh_broadcast(self, hello_image):
         nodes = [make_node(n) for n in ("a", "b", "c")]
         try:
-            ports = {n.config.host_name: n.bound_port for n in nodes}
-            nodes[1].router.connect(f"127.0.0.1:{ports['a']}").wait_blocking()
-            nodes[2].router.connect(f"127.0.0.1:{ports['a']}").wait_blocking()
-            nodes[2].router.connect(f"127.0.0.1:{ports['b']}").wait_blocking()
-            code = nodes[0].run_main(hello_image, [])
-            assert code == 0
-            deadline = time.monotonic() + 5
-            want = b"Hello, world!\na:-)\n"
-            while time.monotonic() < deadline:
-                if all(bytes(n.engine.stdout_bytes) == want for n in nodes):
-                    break
-                time.sleep(0.02)
+            connect(nodes[1], nodes[0])
+            connect(nodes[2], nodes[0])
+            connect(nodes[2], nodes[1])
+            assert nodes[0].run_main(hello_image, []) == 0
+            # every host printed before it answered its traversal
             for n in nodes:
-                assert bytes(n.engine.stdout_bytes) == want
+                assert stdout_of(n) == b"Hello, world!\na:-)\n"
         finally:
             for n in nodes:
                 n.shutdown()
@@ -124,12 +165,12 @@ class TestTcpShell:
         a = make_node("a")
         b = make_node("b")
         try:
-            a.router.connect(f"127.0.0.1:{b.bound_port}").wait_blocking()
-            a.engine.install_image(shell_image)
+            connect(a, b)
+            a.call(lambda: a.engine.install_image(shell_image))
             code = a.run_main(shell_image, ["b", "2", "echo", "tcp", "run"])
             assert code == 0
-            assert bytes(a.engine.stdout_bytes) == b"tcp run\n"
-            assert bytes(b.engine.stdout_bytes) == b""
+            assert stdout_of(a) == b"tcp run\n"
+            assert stdout_of(b) == b""
         finally:
             a.shutdown()
             b.shutdown()
@@ -139,18 +180,13 @@ class TestTcpShell:
         b = make_node("b")
         c = make_node("c")
         try:
-            a.router.connect(f"127.0.0.1:{b.bound_port}").wait_blocking()
-            b.router.connect(f"127.0.0.1:{c.bound_port}").wait_blocking()
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and "c" not in a.router.path_table:
-                time.sleep(0.02)
-            assert list(a.router.path_table["c"][0]) == ["b"]
-
-            def task(engine, ctx):
-                out = yield from engine.invoke(host_ref("c"), "name", [], ctx)
-                return out.to_str()
-
-            assert run_on(a, task) == "c"
+            connect(a, b)
+            connect(b, c)
+            # b gossiped its new neighbor c to a before b's dial completed;
+            # a round trip to b makes a read everything b sent before it
+            assert run_on(a, name_of("b")) == "b"
+            assert a.call(lambda: list(a.router.path_table["c"][0])) == ["b"]
+            assert run_on(a, name_of("c")) == "c"
         finally:
             for n in (a, b, c):
                 n.shutdown()
@@ -158,69 +194,68 @@ class TestTcpShell:
     def test_timeout_on_dead_peer(self):
         a = make_node("a", call_timeout_ms=800, ping_interval_ms=10_000)
         b = make_node("b")
+        release = threading.Event()
         try:
-            a.router.connect(f"127.0.0.1:{b.bound_port}").wait_blocking()
-            # b stops responding without closing cleanly
-            b.scheduler.shutdown()
-            for q in b.engine.queues.values():
-                q.state = "closed"
-
-            def task(engine, ctx):
-                slowq = yield Future()  # placeholder; not reached
-
-            def call(engine, ctx):
-                yield from engine.invoke(
-                    host_ref("b"), "name", [], ctx)
-
+            connect(a, b)
+            # b stops responding without closing its connection
+            b.loop.call_soon_threadsafe(release.wait, 30)
             started = time.monotonic()
             with pytest.raises(EngineError) as exc:
-                run_on(a, call)
+                run_on(a, name_of("b"))
             assert exc.value.code == "Timeout"
             assert time.monotonic() - started < 5
         finally:
+            release.set()
             a.shutdown()
             b.shutdown()
 
 
 class StubConn:
-    """A connection whose `send_frame` first runs `on_send`, so a test can
-    put a call exactly where a reader thread may lose the CPU."""
+    """A connection that records the kinds of the frames sent on it and
+    whether it was closed."""
 
-    def __init__(self, on_send):
-        self.on_send = on_send
+    def __init__(self):
         self.sent = []
         self.closed = False
 
     def send_frame(self, frame):
         self.sent.append(frame.kind)
-        self.on_send()
 
     def close(self):
         self.closed = True
 
 
 class TestGracefulShutdown:
-    def test_shutdown_during_handshake_closes_the_late_neighbor(self):
+    def test_shutdown_closes_neighbors_and_ignores_later_hellos(self):
         engine, scheduler = make_engine(reply_42)
         router = Router("b", None, scheduler, engine.config, engine)
-        # shutdown() runs after HELLO_ACK went out, before b registers a
-        conn = StubConn(router.shutdown)
-        router._on_frame(conn, Frame(HELLO, 0, _hello_payload("a", 1, b"")))
-        assert conn.sent == [HELLO_ACK]
-        assert conn.closed
+        first = StubConn()
+        router._on_frame(first, Frame(HELLO, 0, _hello_payload("a", 1, b"")))
+        assert first.sent[0] == HELLO_ACK  # then gossip to the new neighbor
+        assert router.neighbor_names() == ["a"]
+        router.shutdown()
+        assert first.closed
+        late = StubConn()
+        router._on_frame(late, Frame(HELLO, 0, _hello_payload("c", 1, b"")))
+        assert late.sent == []
         assert router.neighbor_names() == []
 
-    def test_peer_removed_without_error_noise(self, hello_image):
+    def test_peer_removed_without_error_noise(self):
         a = make_node("a")
         b = make_node("b")
         try:
-            a.router.connect(f"127.0.0.1:{b.bound_port}").wait_blocking()
-            b.router.shutdown()
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and a.router.neighbor_names():
-                time.sleep(0.02)
-            assert a.router.neighbor_names() == []
-            assert a.engine.error_log == []
+            connect(a, b)
+            removed = Future()
+
+            def on_event(kind, detail):
+                if kind == "neighbor-removed":
+                    removed.resolve(detail)
+
+            a.call(lambda: setattr(a.engine, "on_host_event", on_event))
+            b.call(b.router.shutdown)
+            assert a.call(lambda: removed) == "b"
+            assert a.call(a.router.neighbor_names) == []
+            assert errors_of(a) == []
         finally:
             a.shutdown()
             b.shutdown()
@@ -228,33 +263,93 @@ class TestGracefulShutdown:
 
 class TestCrossDial:
     def test_simultaneous_dials_settle_consistently(self):
+        # b dials a once a's dial of b has completed, the order the threaded
+        # runtime nearly always took. Dials that cross on the wire need a
+        # tie-break rule that the handshake does not have yet.
         a = make_node("a")
         b = make_node("b")
         try:
-            fa = a.router.connect(f"127.0.0.1:{b.bound_port}")
-            fb = b.router.connect(f"127.0.0.1:{a.bound_port}")
-            results = []
-            for fut in (fa, fb):
-                try:
-                    results.append(fut.wait_blocking())
-                except EngineError as err:
-                    results.append(err.code)
-            # at least one side succeeded and both neighborhoods agree
-            assert "b" in results or "a" in results
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                if a.router.neighbor_names() == ["b"] and \
-                        b.router.neighbor_names() == ["a"]:
-                    break
-                time.sleep(0.02)
-            assert a.router.neighbor_names() == ["b"]
-            assert b.router.neighbor_names() == ["a"]
+            assert connect(a, b) == "b"
+            with pytest.raises(EngineError) as exc:
+                connect(b, a)
+            assert exc.value.code == "ConnectRefused"
+            assert a.call(a.router.neighbor_names) == ["b"]
+            assert b.call(b.router.neighbor_names) == ["a"]
+            assert run_on(a, name_of("b")) == "b"
+        finally:
+            a.shutdown()
+            b.shutdown()
 
-            def task(engine, ctx):
-                out = yield from engine.invoke(host_ref("b"), "name", [], ctx)
-                return out.to_str()
 
-            assert run_on(a, task) == "b"
+class TestBoundedHost:
+    def test_threads_and_queues_flat_over_100_broadcasts(self, hello_image):
+        nodes = [make_node(n) for n in ("a", "b", "c")]
+        try:
+            connect(nodes[1], nodes[0])
+            connect(nodes[2], nodes[0])
+            connect(nodes[2], nodes[1])
+
+            def census():
+                return (threading.active_count(),
+                        [n.call(lambda n=n: len(n.engine.queues))
+                         for n in nodes])
+
+            assert nodes[0].run_main(hello_image, []) == 0
+            first = census()
+            for _ in range(99):
+                assert nodes[0].run_main(hello_image, []) == 0
+                assert census() == first
+            assert stdout_of(nodes[2]).count(b"Hello, world!") == 100
+        finally:
+            for n in nodes:
+                n.shutdown()
+
+    @pytest.mark.parametrize("command, out", [
+        ("cat {fifo}", b"through the fifo\n"),
+        # closes its output at once, then runs until the fifo is written
+        ("exec 1>&-; cat {fifo} >/dev/null", b""),
+    ])
+    def test_slow_command_leaves_other_queues_running(self, tmp_path,
+                                                      command, out):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        a = make_node("a")
+        b = make_node("b")
+        try:
+            connect(a, b)
+            engine = b.engine
+            buf = CharArray(bytes(64))
+
+            def start_read():
+                queue = engine.new_queue(label="reader")
+                ctx = TaskCtx(queue)
+                line = command.format(fifo=fifo).encode()
+                handle = engine.call_intrinsic("exec_open", [CharArray(line)],
+                                               ctx)
+                fut = Future()
+                engine.submit(queue, Request(
+                    lambda: engine.exec_read([handle, buf, 64], ctx), fut))
+                return (fut,)  # a tuple, so that call does not wait for it
+
+            def feed():
+                with open(fifo, "wb") as pipe:
+                    pipe.write(b"through the fifo\n")
+
+            (read,) = b.call(start_read)
+            # should b's loop wait on the command, this ends the wait, so
+            # that the test fails instead of hanging
+            rescue = threading.Timer(20, feed)
+            rescue.start()
+            try:
+                # queue 2 on b calls a and gets its answer meanwhile
+                assert run_on(b, name_of("a")) == "a"
+                assert not b.call(read.done)
+            finally:
+                rescue.cancel()
+            feed()
+            status = b.call(lambda: read)
+            assert status.items == [len(out), 1, 0]
+            assert bytes(buf.data[:len(out)]) == out
         finally:
             a.shutdown()
             b.shutdown()

@@ -1,33 +1,37 @@
-"""Threaded-scheduler semantics that only matter off the simulator: print
-atomicity under real concurrency, no global stall while callers block, and
-the queue machinery driven by worker threads."""
+"""The real-time runtime off the network: a `Node`'s engine on its one
+event loop thread. Queues run their work in order, a caller blocked on a
+future does not stall other queues, and no thread or queue outlives the
+request it served. Tests reach the node only through `Node.call`."""
 
-import sys
 import threading
-import time
 
 import pytest
 
-from minihello.engine.engine import Engine, EngineConfig, TaskCtx
+from minihello.engine.engine import EngineConfig, TaskCtx
 from minihello.errors import EngineError
-from minihello.runtime import Future, Request, ThreadScheduler
+from minihello.node import Node
+from minihello.runtime import Future, Request
 from minihello.stdlib import host_ref
-from minihello.values import CharArray, ClassKey
+from minihello.values import ClassKey
 
 from conftest import compile_text
 
 
 @pytest.fixture
-def engine():
-    import random
-    scheduler = ThreadScheduler()
-    eng = Engine(EngineConfig("t"), scheduler, random.Random(1))
-    yield eng
-    scheduler.shutdown()
+def node():
+    n = Node(EngineConfig("t"))
+
+    def capture():
+        n.engine.capture_stdout = True
+        n.engine.stdout_sink = None
+
+    n.call(capture)
+    yield n
+    n.shutdown()
 
 
 class TestThreadedLocal:
-    def test_run_main_with_barrier_program(self, engine):
+    def test_run_main_with_barrier_program(self, node):
         image = compile_text("""
 package tq;
 external class T {
@@ -46,101 +50,82 @@ external class T {
     }
 }
 """)
-        fut = engine.run_main(image, [])
-        assert fut.wait_blocking() == 25
+        assert node.call(lambda: node.engine.run_main(image, [])) == 25
 
-    def test_main_queue_and_its_worker_end_after_a_local_broadcast(
-            self, engine, hello_image):
-        before = set(engine.scheduler._threads)
-        assert engine.run_main(hello_image, []).wait_blocking() == 0
-        (worker,) = [t for t in engine.scheduler._threads if t not in before]
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert list(engine.queues) == [engine.service_queue.qid]
-        assert bytes(engine.stdout_bytes) == b"Hello, world!\nt:-)\n"
+    def test_main_queues_released_after_local_broadcasts(self, node,
+                                                          hello_image):
+        engine = node.engine
+        threads = threading.active_count()
+        # eight mains at once, interleaved on the one loop
+        futs = node.call(lambda: [engine.run_main(hello_image, [])
+                                  for _ in range(8)])
+        assert [node.call(lambda f=f: f) for f in futs] == [0] * 8
+        assert node.call(lambda: list(engine.queues)) == [engine.service_queue.qid]
+        assert node.call(lambda: bytes(engine.stdout_bytes)) \
+            == b"Hello, world!\nt:-)\n" * 8
+        assert threading.active_count() == threads
 
-    def test_queue_table_polled_while_workers_release_queues(
-            self, engine, hello_image):
-        before = set(engine.scheduler._threads)
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            futs = [engine.run_main(hello_image, []) for _ in range(8)]
-            deadline = time.monotonic() + 10
-            while not all(f.done() for f in futs):
-                engine.queues_idle()  # must not trip over a released queue
-                assert time.monotonic() < deadline
-        finally:
-            sys.setswitchinterval(old)
-        assert [f.result() for f in futs] == [0] * 8
-        for worker in set(engine.scheduler._threads) - before:
-            worker.join(timeout=10)
-            assert not worker.is_alive()
-        assert list(engine.queues) == [engine.service_queue.qid]
-
-    def test_print_atomicity_ten_concurrent_lines(self, engine):
-        lines = [f"line-{i:02d}-{'x' * 40}\n".encode() for i in range(10)]
-        barrier = threading.Barrier(10)
-        threads = []
-
-        def writer(data):
-            barrier.wait()
-            engine.write_stdout(data)
-
-        for data in lines:
-            t = threading.Thread(target=writer, args=(data,))
-            threads.append(t)
-            t.start()
-        for t in threads:
-            t.join()
-        got = bytes(engine.stdout_bytes).split(b"\n")
-        got = [g + b"\n" for g in got if g]
-        assert sorted(got) == sorted(lines)  # 10 intact lines, any order
-
-    def test_blocked_caller_does_not_stall_other_queues(self, engine):
+    def test_blocked_caller_does_not_stall_other_queues(self, node):
+        engine = node.engine
         gate = Future()
-        q_slow = engine.new_queue(label="slow")
-        q_fast = engine.new_queue(label="fast")
-        done = []
 
         def slow_task():
             yield gate
 
-        def fast_task():
-            done.append(time.monotonic())
-            return None
+        def start():
+            engine.submit(engine.new_queue(label="slow"), Request(slow_task))
+            fast = Future()
+            engine.submit(engine.new_queue(label="fast"),
+                          Request(lambda: "ran", fast))
+            return fast
 
-        engine.submit(q_slow, Request(slow_task))
-        time.sleep(0.05)
-        fast_fut = Future()
-        engine.submit(q_fast, Request(fast_task, fast_fut))
-        fast_fut.wait_blocking()
-        assert done  # fast queue ran while the slow caller stayed blocked
-        gate.resolve(None)
+        # the fast queue ran while the slow one stayed parked on its future
+        assert node.call(start) == "ran"
+        assert node.call(lambda: dict(node.core.parked)) == {"t": 1}
+        node.call(lambda: gate.resolve(None))
+        assert node.call(lambda: dict(node.core.parked)) == {"t": 0}
 
-    def test_queue_fifo_under_threads(self, engine):
-        q = engine.new_queue(label="fifo")
+    def test_queue_fifo_under_threads(self, node):
+        engine = node.engine
         seen = []
-        futs = []
-        for i in range(50):
-            fut = Future()
-            engine.submit(q, Request(lambda i=i: seen.append(i), fut))
-            futs.append(fut)
-        for fut in futs:
-            fut.wait_blocking()
+
+        def submit_all():
+            q = engine.new_queue(label="fifo")
+            futs = []
+            for i in range(50):
+                fut = Future()
+                engine.submit(q, Request(lambda i=i: seen.append(i), fut))
+                futs.append(fut)
+            return futs[-1]
+
+        node.call(submit_all)
         assert seen == list(range(50))
 
-    def test_standalone_engine_remote_ops_unreachable(self, engine):
-        ctx = TaskCtx(engine.service_queue)
-        fut = Future()
+    def test_standalone_engine_remote_ops_unreachable(self, node):
+        engine = node.engine
 
-        def task():
-            yield from engine.invoke(host_ref("elsewhere"), "name", [], ctx)
+        def submit():
+            ctx = TaskCtx(engine.service_queue)
+            fut = Future()
 
-        engine.submit(engine.new_queue(label="x"), Request(task, fut))
+            def task():
+                yield from engine.invoke(host_ref("elsewhere"), "name", [], ctx)
+
+            engine.submit(engine.new_queue(label="x"), Request(task, fut))
+            return fut
+
         with pytest.raises(EngineError) as exc:
-            fut.wait_blocking()
+            node.call(submit)
         assert exc.value.code == "HostUnreachable"
+
+    def test_engine_error_in_a_timer_is_logged(self, node):
+        def boom():
+            raise EngineError("Timeout", "from a timer")
+
+        node.call(lambda: node.scheduler.call_later(0, boom))
+        # the timer ran before this call, which was queued after it
+        assert node.call(lambda: list(node.engine.error_log)) == [
+            ("Timeout", "timer: from a timer")]
 
 
 class TestPartitions:

@@ -11,8 +11,9 @@ as one JSON object.
 
 The benchmark (`bench/run.py`) has no TCP workload. This is the check for a
 change on the TCP request path: the frame codec and `FrameDecoder`, the
-router, the engine's request, serve and reply sites, and the threaded
-scheduler. Run it at a change and at its parent, alternating, more than once.
+transport's asyncio protocol, the router, the engine's request, serve and
+reply sites, and each node's event loop. Run it at a change and at its
+parent, alternating, more than once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ WARMUP_CALLS = 200
 
 def make_node(name: str) -> Node:
     node = Node(EngineConfig(name, listen="127.0.0.1:0", call_timeout_ms=5_000))
-    node.engine.stdout_sink = None
+    node.call(lambda: setattr(node.engine, "stdout_sink", None))
     node.start()
     return node
 
@@ -65,20 +66,18 @@ def main(argv: list[str]) -> int:
     seconds = float(argv[0])
     a, b = make_node("a"), make_node("b")
     try:
-        a.router.connect(f"127.0.0.1:{b.bound_port}").wait_blocking()
-        # b registers a only after it sent HELLO_ACK; wait for that side too
-        deadline = time.monotonic() + 5
-        while b.router.neighbor_names() != ["a"]:
-            if time.monotonic() > deadline:
-                raise RuntimeError("b never registered a")
-            time.sleep(0.001)
+        a.call(lambda: a.router.connect(f"127.0.0.1:{b.bound_port}"))
         engine = a.engine
-        queue = engine.new_queue(label="calls")
         times: list[float] = []
-        done = Future()
-        engine.submit(queue, Request(
-            lambda: calls(engine, TaskCtx(queue), seconds, times), done))
-        done.wait_blocking()
+
+        def start():
+            queue = engine.new_queue(label="calls")
+            done = Future()
+            engine.submit(queue, Request(
+                lambda: calls(engine, TaskCtx(queue), seconds, times), done))
+            return done
+
+        a.call(start)
     finally:
         a.shutdown()
         b.shutdown()
