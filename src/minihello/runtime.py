@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import EngineError
+from .errors import E_QUEUE_CLOSED, EngineError
 from .security import CredentialSet
 
 QUEUE_RUNNING = "running"
@@ -163,7 +163,7 @@ class HostView:
 
     def submit(self, queue: Queue, request: Request) -> None:
         if queue.state == QUEUE_CLOSED:
-            raise EngineError("QueueClosed", f"queue {queue.qid} is closed")
+            raise EngineError(E_QUEUE_CLOSED, f"queue {queue.qid} is closed")
         queue.pending.append(request)
         self._kick(queue)
 
