@@ -60,6 +60,7 @@ class Router:
         self.neighbors: dict[str, object] = {}
         self.conn_names: dict[int, str] = {}
         self.missed: dict[str, int] = {}
+        self.incarnations: dict[str, int] = {}
         self.liveness_ms: dict[str, int] = {}
         self.routes_via: dict[str, dict[str, tuple[str, ...]]] = {}
         # dest -> (intermediate hops, learned-from neighbor)
@@ -88,6 +89,7 @@ class Router:
         for name in sorted(self.neighbors):
             self.neighbors[name].close()
         self.neighbors.clear()
+        self.incarnations.clear()
 
     def connect(self, endpoint: str):
         """Dial and handshake; returns a Future resolving to the peer name."""
@@ -211,7 +213,7 @@ class Router:
     def _on_hello(self, conn, frame: Frame) -> None:
         r = Reader(frame.payload)
         name = r.wstr()
-        r.u64()  # peer incarnation, recorded implicitly by liveness
+        incarnation = r.u64()
         if name == self.host_name:
             self._refuse(conn, E_NAME_COLLISION, f"both hosts claim '{name}'")
             return
@@ -220,22 +222,35 @@ class Router:
             return
         conn.send_frame(Frame(HELLO_ACK, frame.corr, _hello_payload(
             self.host_name, self.engine.incarnation, self._digest)))
-        self._register_neighbor(conn, name)
+        self._register_neighbor(conn, name, incarnation)
 
     def _on_hello_ack(self, conn, frame: Frame) -> None:
         entry = self._handshakes.pop(id(conn), None)
-        r = Reader(frame.payload)
-        name = r.wstr()
-        if name == self.host_name or name in self.neighbors:
-            if entry is not None:
-                self.scheduler.cancel(entry[1])
-                entry[0].fail(EngineError(E_NAME_COLLISION,
-                                          f"peer claims '{name}'"))
-            conn.close()
-            return
-        self._register_neighbor(conn, name)
         if entry is not None:
             self.scheduler.cancel(entry[1])
+        r = Reader(frame.payload)
+        name = r.wstr()
+        incarnation = r.u64()
+        # Our dial crossed the peer's dial of us if we took its HELLO first:
+        # both hosts then keep the connection that the smaller name dialed.
+        crossed = self.incarnations.get(name) == incarnation
+        if crossed and self.host_name < name:
+            old = self.neighbors[name]
+            del self.conn_names[id(old)]
+            self.neighbors[name] = conn
+            self.conn_names[id(conn)] = name
+            old.close()
+        elif crossed or name == self.host_name or name in self.neighbors:
+            if entry is not None:
+                entry[0].fail(
+                    EngineError(E_CONNECT_REFUSED, f"'{name}' already connected")
+                    if crossed else
+                    EngineError(E_NAME_COLLISION, f"peer claims '{name}'"))
+            conn.close()
+            return
+        else:
+            self._register_neighbor(conn, name, incarnation)
+        if entry is not None:
             entry[0].resolve(name)
 
     def _refuse(self, conn, code: str, message: str) -> None:
@@ -245,9 +260,10 @@ class Router:
             pass
         conn.close()
 
-    def _register_neighbor(self, conn, name: str) -> None:
+    def _register_neighbor(self, conn, name: str, incarnation: int) -> None:
         self.neighbors[name] = conn
         self.conn_names[id(conn)] = name
+        self.incarnations[name] = incarnation
         self.missed[name] = 0
         self.liveness_ms[name] = self.scheduler.now_ms()
         self.routes_via.setdefault(name, {})
@@ -261,6 +277,7 @@ class Router:
             return
         self.conn_names.pop(id(conn), None)
         self.missed.pop(name, None)
+        self.incarnations.pop(name, None)
         self.liveness_ms.pop(name, None)
         self.routes_via.pop(name, None)
         conn.close()

@@ -40,6 +40,29 @@ class TestHandshake:
         assert exc.value.code == "NameCollision"
         assert scen.hosts["a"].router.neighbor_names() == []
 
+    def test_crossing_dials_keep_the_smaller_names_connection(self):
+        scen = Scenario(seed=0)
+        scen.add_host("a")
+        scen.add_host("b")
+        scen.network.add_link("a", "b")
+        futs = {}
+
+        def dial(src, dst):
+            futs[src] = scen.hosts[src].router.connect(dst)
+
+        # both HELLOs are on the wire before either host answers one
+        scen.core.schedule(0, lambda: dial("a", "b"), "a")
+        scen.core.schedule(0, lambda: dial("b", "a"), "b")
+        scen.core.run_until_quiet()
+        assert futs["a"].result() == "b"
+        with pytest.raises(EngineError) as exc:
+            futs["b"].result()
+        assert exc.value.code == "ConnectRefused"
+        a, b = scen.hosts["a"].router, scen.hosts["b"].router
+        assert a.neighbor_names() == ["b"] and b.neighbor_names() == ["a"]
+        # one connection remains, and it is the one a dialed
+        assert a.neighbors["b"].peer is b.neighbors["a"]
+
     def test_dial_without_link_refused(self):
         scen = Scenario(seed=0)
         scen.add_host("a")
