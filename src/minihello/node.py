@@ -4,7 +4,7 @@ A `Node` owns one asyncio event loop, run by one thread of its own. The
 engine, the router and the transport run only on that thread, driven by the
 same `HostView` as a simulated host, over a `LoopCore` in place of the
 simulator's clock. Other threads (`hee`, tests, tools) reach a node only
-through `Node.call`.
+through `Node.call` and `Node.wait`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ class LoopCore:
     def read_pipe(self, proc, buf: bytearray, maxn: int) -> Future:
         """Read maxn bytes of a command's output into buf, or what comes
         before EOF, as the pipe becomes readable. At EOF the Future resolves
-        once the command has exited, so that reaping it does not block."""
+        once the command has exited, polled for so that reaping it does not
+        block."""
         fut = Future()
         if maxn == 0:
             fut.resolve((0, False))
@@ -78,17 +79,16 @@ class LoopCore:
             if data and got < maxn:
                 return
             self.loop.remove_reader(fd)
-            if data or proc.poll() is not None:
+            if data:
                 fut.resolve((got, False))
-                return
-            pidfd = os.pidfd_open(proc.pid)  # readable once the command exits
+            else:
+                reap(0.001)
 
-            def exited() -> None:
-                self.loop.remove_reader(pidfd)
-                os.close(pidfd)
+        def reap(delay: float) -> None:
+            if proc.poll() is None:  # closed its output but still runs
+                self.loop.call_later(delay, reap, min(2 * delay, 0.05))
+            else:
                 fut.resolve((got, False))
-
-            self.loop.add_reader(pidfd, exited)
 
         self.loop.add_reader(fd, readable)
         return fut
@@ -108,13 +108,12 @@ class Node:
         self.router = Router(config.host_name, self.transport, self.scheduler,
                              config, self.engine)
         self._stdout_file = None
+        self.engine.capture_stdout = False
         if config.stdout_path:
             self._stdout_file = open(config.stdout_path, "ab", buffering=0)
             self.engine.stdout_sink = self._stdout_file.write
-            self.engine.capture_stdout = False
         else:
             self.engine.stdout_sink = self._write_stdout
-            self.engine.capture_stdout = False
         self._thread = threading.Thread(target=self.loop.run_forever,
                                         daemon=True,
                                         name=f"mh-loop@{config.host_name}")
@@ -126,9 +125,22 @@ class Node:
         sys.stdout.buffer.flush()
 
     def call(self, fn):
-        """Run fn() on the node's loop and wait for the Future it returns:
-        return its result or raise its error. A value that is not a Future
-        is returned as it is, and an exception fn raises is raised here."""
+        """Run fn() on the node's loop and return its value, or raise the
+        exception it raised."""
+        done = concurrent.futures.Future()
+
+        def start() -> None:
+            try:
+                done.set_result(fn())
+            except Exception as exc:  # handed to the waiting thread
+                done.set_exception(exc)
+
+        self.loop.call_soon_threadsafe(start)
+        return done.result()
+
+    def wait(self, fut: Future):
+        """Wait until a Future of this node settles: return its result or
+        raise its error."""
         done = concurrent.futures.Future()
 
         def settle(fut: Future) -> None:
@@ -137,18 +149,7 @@ class Node:
             except EngineError as err:
                 done.set_exception(err)
 
-        def start() -> None:
-            try:
-                out = fn()
-            except Exception as exc:  # handed to the waiting thread
-                done.set_exception(exc)
-                return
-            if isinstance(out, Future):
-                out.add_callback(settle)
-            else:
-                done.set_result(out)
-
-        self.loop.call_soon_threadsafe(start)
+        self.loop.call_soon_threadsafe(fut.add_callback, settle)
         return done.result()
 
     def start(self) -> None:
@@ -160,11 +161,11 @@ class Node:
 
     def connect_seeds(self) -> None:
         for seed in self.config.seeds:
-            self.call(lambda seed=seed: self.router.connect(seed))
+            self.wait(self.call(lambda seed=seed: self.router.connect(seed)))
 
     def run_main(self, image: RunpackImage, argv: list[str]) -> int:
         """Run main, then give the other queues up to 30 s to drain."""
-        code = self.call(lambda: self.engine.run_main(image, argv))
+        code = self.wait(self.call(lambda: self.engine.run_main(image, argv)))
         deadline = time.monotonic() + 30
         while not self.call(self.engine.queues_idle) \
                 and time.monotonic() < deadline:
@@ -184,11 +185,4 @@ class Node:
             self._stdout_file.close()
 
 
-def start_node(config: EngineConfig) -> Node:
-    node = Node(config)
-    node.start()
-    node.connect_seeds()
-    return node
-
-
-__all__ = ["Node", "start_node", "EngineError"]
+__all__ = ["Node", "EngineError"]

@@ -1,7 +1,8 @@
 """The real-time runtime off the network: a `Node`'s engine on its one
 event loop thread. Queues run their work in order, a caller blocked on a
 future does not stall other queues, and no thread or queue outlives the
-request it served. Tests reach the node only through `Node.call`."""
+request it served. Tests reach the node only through `Node.call` and
+`Node.wait`."""
 
 import threading
 
@@ -50,7 +51,7 @@ external class T {
     }
 }
 """)
-        assert node.call(lambda: node.engine.run_main(image, [])) == 25
+        assert node.wait(node.call(lambda: node.engine.run_main(image, []))) == 25
 
     def test_main_queues_released_after_local_broadcasts(self, node,
                                                           hello_image):
@@ -59,7 +60,7 @@ external class T {
         # eight mains at once, interleaved on the one loop
         futs = node.call(lambda: [engine.run_main(hello_image, [])
                                   for _ in range(8)])
-        assert [node.call(lambda f=f: f) for f in futs] == [0] * 8
+        assert [node.wait(f) for f in futs] == [0] * 8
         assert node.call(lambda: list(engine.queues)) == [engine.service_queue.qid]
         assert node.call(lambda: bytes(engine.stdout_bytes)) \
             == b"Hello, world!\nt:-)\n" * 8
@@ -80,7 +81,7 @@ external class T {
             return fast
 
         # the fast queue ran while the slow one stayed parked on its future
-        assert node.call(start) == "ran"
+        assert node.wait(node.call(start)) == "ran"
         assert node.call(lambda: dict(node.core.parked)) == {"t": 1}
         node.call(lambda: gate.resolve(None))
         assert node.call(lambda: dict(node.core.parked)) == {"t": 0}
@@ -98,7 +99,7 @@ external class T {
                 futs.append(fut)
             return futs[-1]
 
-        node.call(submit_all)
+        node.wait(node.call(submit_all))
         assert seen == list(range(50))
 
     def test_standalone_engine_remote_ops_unreachable(self, node):
@@ -115,7 +116,7 @@ external class T {
             return fut
 
         with pytest.raises(EngineError) as exc:
-            node.call(submit)
+            node.wait(node.call(submit))
         assert exc.value.code == "HostUnreachable"
 
     def test_engine_error_in_a_timer_is_logged(self, node):
