@@ -51,7 +51,8 @@ external class T {
     }
 }
 """)
-        assert node.wait(node.call(lambda: node.engine.run_main(image, []))) == 25
+        assert node.wait(node.call(
+            lambda: node.engine.run_main(image, []))) == 25
 
     def test_main_queues_released_after_local_broadcasts(self, node,
                                                           hello_image):
