@@ -38,7 +38,7 @@ from ..errors import (E_ACCESS_DENIED, E_ACCESS_VIOLATION, E_HANDLE_CLOSED,
                       E_SLOT_RANGE, E_TIMEOUT, E_UNKNOWN_CLASS,
                       E_UNKNOWN_EVENT, E_UNKNOWN_METHOD, E_UNKNOWN_OBJECT,
                       EngineError, wrap_remote)
-from ..frontend.types import QUEUE_KEY, STD_PACKAGE
+from ..frontend.types import HOST_GROUP_KEY, HOST_KEY, QUEUE_KEY
 from ..net import frames
 from ..net.wirevalues import (MalformedEncoding, decode_value_prefix,
                               encode_value)
@@ -57,9 +57,6 @@ from . import machine
 from .marshal import (from_wire, local_copy, marshal_args, marshal_result,
                       to_wire, write_args)
 from .objects import EventRecord, ObjectRecord, Partition
-
-HOST_KEY = ClassKey(STD_PACKAGE, "host")
-HOST_GROUP_KEY = ClassKey(STD_PACKAGE, "host_group")
 
 PACK_CHUNK = 64 * 1024
 
@@ -259,7 +256,6 @@ class Engine:
 
         self.error_log: list[tuple[str, str]] = []
         self.on_host_event = None  # callable(kind, detail) set by the node
-        self.group_edges: set[tuple[str, str]] = set()
         self.main_running = False
 
         self.service_queue = self.new_queue(label="service")
@@ -687,6 +683,12 @@ class Engine:
             self._traversals_seen.discard(self._traversal_order.popleft())
         return True
 
+    def _repeated_traversal(self, wire_args: list) -> bool:
+        """Whether received `$traverse` arguments name a traversal that
+        `mark_traversal` has already seen."""
+        tid = wire_args[2] if len(wire_args) == 4 else None
+        return isinstance(tid, CharArray) and tid.to_str() in self._traversals_seen
+
     def _traverse_args(self, method: str, args: list, tid: str,
                        visited: list[str]) -> list:
         return [CharArray.from_str(method),
@@ -828,12 +830,10 @@ class Engine:
                     E_HOST_UNREACHABLE, f"route via {neighbor} lost"))
 
     def on_neighbor_added(self, name: str) -> None:
-        self.group_edges.add((self.host_name, name))
         if self.on_host_event:
             self.on_host_event("neighbor-added", name)
 
     def on_neighbor_removed(self, name: str) -> None:
-        self.group_edges.discard((self.host_name, name))
         self.fail_pending_next_hop(name)
         if self.on_host_event:
             self.on_host_event("neighbor-removed", name)
@@ -952,6 +952,11 @@ class Engine:
                 self._reply_error(meta, corr, err)
                 return
             traverse = method == "$traverse"
+            if traverse and self._repeated_traversal(wire_args):
+                # turned away before it costs a queue and a task: the
+                # empty failure list, as `groups.run_node` would answer
+                self._reply_value(meta, corr, Array(TAG_ARRAY, []))
+                return
             queue = self.new_queue(label="traverse") if traverse else self.service_queue
             ctx = TaskCtx(queue, origin=sender)
             done = self._serve(meta, corr, queue, f"rx:{method}", lambda:
@@ -1211,10 +1216,20 @@ class Engine:
         return Array(TAG_OBJECT, [hosts_node_ref(n) for n in names])
 
     def hosts_group_view(self) -> tuple[set[str], set[tuple[str, str]]]:
+        """The hosts and links this host knows: its own links, and the links
+        along each path of the router's path table, whose consecutive hops
+        are links."""
         names = {self.host_name}
+        links = set()
         if self.port is not None:
-            names.update(self.port.neighbor_names())
-        return names, set(self.group_edges)
+            for name in self.port.neighbor_names():
+                names.add(name)
+                links.add((self.host_name, name))
+            for dest, (hops, _via) in self.port.path_table.items():
+                path = (self.host_name, *hops, dest)
+                names.add(dest)
+                links.update(zip(path, path[1:]))
+        return names, links
 
     def write_stdout(self, data: bytes) -> None:
         if self.stdout_sink is not None:

@@ -208,3 +208,223 @@ class TestQueueRelease:
         for name in names:
             assert bytes(scen.hosts[name].engine.stdout_bytes) \
                 == b"Hello, world!\na:-)\n" * 100
+
+
+def _ring(n):
+    names = [f"h{i}" for i in range(n)]
+    return names, [(names[i], names[(i + 1) % n]) for i in range(n)]
+
+
+def _ring_with_chords(n):
+    names, links = _ring(n)
+    return names, links + [(names[i], names[i + n // 2]) for i in range(n // 2)]
+
+
+def _full_mesh(n):
+    names = [f"h{i}" for i in range(n)]
+    return names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+
+
+def _line(n):
+    names = [f"h{i}" for i in range(n)]
+    return names, list(zip(names, names[1:]))
+
+
+def _star(n):
+    names = [f"h{i}" for i in range(n)]
+    return names, [(names[0], b) for b in names[1:]]
+
+
+def count_calls(engine, name):
+    """Replace `engine.<name>` by a wrapper that records each call's
+    result; returns the list of results."""
+    results = []
+    inner = getattr(engine, name)
+
+    def counted(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        results.append(result)
+        return result
+
+    setattr(engine, name, counted)
+    return results
+
+
+class TestHostsSpanningTree:
+    """The builtin hosts group forwards along a spanning tree: on a settled
+    topology each host is sent exactly one $traverse."""
+
+    @pytest.mark.parametrize("shape", [_ring(6), _ring_with_chords(8),
+                                       _full_mesh(5), _line(5), _star(6)],
+                             ids=["ring", "ring-chords", "mesh", "line", "star"])
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_one_traverse_per_host(self, shape, seed):
+        names, links = shape
+        scen = Scenario(seed=seed)
+        for name in names:
+            scen.add_host(name)
+        for a, b in links:
+            scen.link(a, b)
+        scen.start()
+        sent = {n: count_calls(scen.hosts[n].engine, "start_traverse")
+                for n in names}
+        marked = {n: count_calls(scen.hosts[n].engine, "mark_traversal")
+                  for n in names}
+        origins = random.Random(seed).sample(names, 3)
+        for k, origin in enumerate(origins):
+            tag = f"[{k}]".encode()
+            iterate_hosts(scen, origin, tag).result()
+            for name in names:
+                got = bytes(scen.hosts[name].engine.stdout_bytes)
+                assert got.count(tag) == 1, (origin, name, got)
+            assert sum(len(s) for s in sent.values()) == (k + 1) * (len(names) - 1)
+        assert all(all(m) for m in marked.values())  # nothing turned away
+        assert sum(len(m) for m in marked.values()) == 3 * len(names)
+
+    def test_hosts_view_holds_the_path_table_links(self):
+        names, links = _ring_with_chords(8)
+        scen = Scenario(seed=2)
+        for name in names:
+            scen.add_host(name)
+        for a, b in links:
+            scen.link(a, b)
+        scen.start()
+        real = {frozenset(link) for link in links}
+        for name in names:
+            seen, view = scen.hosts[name].engine.hosts_group_view()
+            assert seen == set(names)
+            assert {frozenset(link) for link in view} <= real
+
+
+def square_with_dropped_link(seed):
+    """The square a-b-c-d-a, started; then b-c goes down without either
+    end noticing yet."""
+    scen = Scenario(seed=seed)
+    for name in "abcd":
+        scen.add_host(name)
+    for a, b in (("a", "b"), ("b", "c"), ("a", "d"), ("d", "c")):
+        scen.link(a, b)
+    scen.start()
+    scen.drop_link("b", "c")
+    return scen
+
+
+class TestStaleHostsView:
+    def test_silent_link_drop_fails_then_recovers(self):
+        scen = square_with_dropped_link(6)
+        with pytest.raises(EngineError) as info:
+            iterate_hosts(scen, "a", b"1").result()
+        # the hosts below a failed child may not have run; no host ran twice
+        assert info.value.code == "PartialFailure"
+        assert info.value.failures == [("b", "Timeout")]
+        for name in "abd":
+            assert bytes(scen.hosts[name].engine.stdout_bytes) == b"1"
+        assert bytes(scen.hosts["c"].engine.stdout_bytes) in (b"", b"1")
+        # liveness has evicted b-c by now: a broadcast that returns
+        # normally ran exactly once on every host
+        assert "c" not in scen.hosts["b"].router.neighbor_names()
+        iterate_hosts(scen, "a", b"2").result()
+        for name in "abcd":
+            assert bytes(scen.hosts[name].engine.stdout_bytes).count(b"2") == 1
+
+    def test_silent_link_drop_heals_once_liveness_evicts(self):
+        scen = square_with_dropped_link(8)
+        scen.settle_until(scen.core.now + 10_000)  # three missed pings
+        scen.run()
+        iterate_hosts(scen, "a", b"3").result()
+        for name in "abcd":
+            assert bytes(scen.hosts[name].engine.stdout_bytes) == b"3"
+
+    def test_late_link_reaches_the_new_host_once(self):
+        unknown_to_origin = 0
+        for delay in range(8):
+            scen = line_scenario(["a", "b", "c"], seed=delay)
+            scen.add_host("e")
+            scen.link("c", "e")
+            scen.hosts["c"].router.connect("e")
+            view = {}
+
+            def broadcast(scen=scen, view=view):
+                view["c"] = "e" in scen.hosts["c"].router.neighbor_names()
+                view["a"] = scen.hosts["a"].router.knows("e")
+                engine = scen.hosts["a"].engine
+
+                def task():
+                    yield from engine.iterate(engine.hosts_root_ref(), "print",
+                                              [CharArray(b"L")],
+                                              TaskCtx(engine.new_queue()))
+
+                view["done"] = scen.submit_task("a", task)
+
+            scen.at(scen.core.now + delay, broadcast)
+            scen.run()
+            view["done"].result()
+            for name in "abc":
+                assert bytes(scen.hosts[name].engine.stdout_bytes) == b"L"
+            got = bytes(scen.hosts["e"].engine.stdout_bytes)
+            assert got in (b"", b"L"), (delay, got)
+            if view["c"]:  # c was linked to e before the broadcast began
+                assert got == b"L", (delay, view)
+            unknown_to_origin += view["c"] and not view["a"]
+        # some broadcast started after c linked to e but before a learned of e
+        assert unknown_to_origin
+
+
+DIAMOND_SRC = """
+package diamond;
+external group class Cell {
+    external public Cell() {}
+    public Cell left;
+    public Cell right;
+    public external Cell[] children() {
+        Cell[] out = create Cell[2];
+        out[0] = left;
+        out[1] = right;
+        return out;
+    }
+    public external iterator void mark(copy char[] tag) {
+        print(tag);
+    }
+    static public void main() { }
+}
+"""
+
+
+class TestDuplicateTraversals:
+    def test_user_diamond_turns_the_duplicate_away_at_intake(self):
+        from conftest import compile_text
+        from minihello.values import ClassKey
+        image = compile_text(DIAMOND_SRC)
+        scen = Scenario(seed=3)
+        for name in "abcd":
+            scen.add_host(name)
+        scen.link("a", "b")
+        scen.link("a", "c")
+        scen.link("b", "d")
+        scen.link("c", "d", latency=5)  # c's forward reaches d second
+        scen.start()
+        cells = {}
+        for name in "abcd":
+            scen.hosts[name].engine.install_image(image)
+            cells[name] = run_task(scen, name, lambda engine, ctx: (
+                yield from engine.create_object(ClassKey("diamond", "Cell"),
+                                                ("partition", 0), [], ctx)))
+        for top, left, right in (("a", "b", "c"), ("b", "d", None),
+                                 ("c", "d", None)):
+            fields = scen.hosts[top].engine.deref(cells[top]).fields
+            fields[0] = cells[left]
+            fields[1] = cells[right] if right else None
+        d = scen.hosts["d"].engine
+        queues = count_calls(d, "new_queue")
+        turned_away = count_calls(d, "_repeated_traversal")
+        frames_before = len(scen.network.frame_log)
+
+        run_task(scen, "a", lambda engine, ctx: (
+            yield from engine.iterate(cells["a"], "mark", [CharArray(b"+")], ctx)))
+        for name in "abcd":
+            assert bytes(scen.hosts[name].engine.stdout_bytes) == b"+", name
+        to_d = [f for f in scen.network.frame_log[frames_before:]
+                if f[2] == "d" and f[5] == "INVOKE:$traverse"]
+        assert len(to_d) == 2  # the echo sends on both edges into d
+        assert turned_away == [False, True]
+        assert len(queues) == 1  # the duplicate got no queue
