@@ -683,12 +683,6 @@ class Engine:
             self._traversals_seen.discard(self._traversal_order.popleft())
         return True
 
-    def _repeated_traversal(self, wire_args: list) -> bool:
-        """Whether received `$traverse` arguments name a traversal that
-        `mark_traversal` has already seen."""
-        tid = wire_args[2] if len(wire_args) == 4 else None
-        return isinstance(tid, CharArray) and tid.to_str() in self._traversals_seen
-
     def _traverse_args(self, method: str, args: list, tid: str,
                        visited: list[str]) -> list:
         return [CharArray.from_str(method),
@@ -952,11 +946,6 @@ class Engine:
                 self._reply_error(meta, corr, err)
                 return
             traverse = method == "$traverse"
-            if traverse and self._repeated_traversal(wire_args):
-                # turned away before it costs a queue and a task: the
-                # empty failure list, as `groups.run_node` would answer
-                self._reply_value(meta, corr, Array(TAG_ARRAY, []))
-                return
             queue = self.new_queue(label="traverse") if traverse else self.service_queue
             ctx = TaskCtx(queue, origin=sender)
             done = self._serve(meta, corr, queue, f"rx:{method}", lambda:

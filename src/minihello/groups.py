@@ -22,7 +22,7 @@ How a host forwards depends on the group:
   children's hosts": Chang's echo algorithm ("Echo Algorithms", 1982). It
   sends on every edge, so a host can be sent one traversal more than once.
 A host runs the iterator at most once per traversal: `Engine.mark_traversal`
-turns a repeat away, at intake or when its task starts. When hosts disagree
+turns a repeat away with the empty failure list. When hosts disagree
 on the graph (a link just made, or lost and not yet evicted), what holds is
 this: a traversal that returns normally ran the iterator exactly once on
 every reachable host; after a PartialFailure, the hosts below a failed

@@ -310,6 +310,36 @@ def square_with_dropped_link(seed):
 
 
 class TestStaleHostsView:
+    def test_host_the_plan_cannot_reach_is_sent_a_routed_traverse(self):
+        # ring h0..h5 from h0: h1 is left h2 and h3. With h2-h3 missing from
+        # h1's view (as while a path change is still being gossiped), h1's
+        # tree cannot reach h3, so h1 sends h3 a $traverse routed through h2.
+        names, links = _ring(6)
+        scen = Scenario(seed=5)
+        for name in names:
+            scen.add_host(name)
+        for a, b in links:
+            scen.link(a, b)
+        scen.start()
+        h1 = scen.hosts["h1"].engine
+        full_view = h1.hosts_group_view
+
+        def view_without_h2_h3():
+            seen, known = full_view()
+            return seen, known - {("h2", "h3"), ("h3", "h2")}
+
+        h1.hosts_group_view = view_without_h2_h3
+        sent = {n: count_calls(scen.hosts[n].engine, "start_traverse")
+                for n in names}
+        frames_before = len(scen.network.frame_log)
+        iterate_hosts(scen, "h0", b"R").result()
+        for name in names:
+            assert bytes(scen.hosts[name].engine.stdout_bytes) == b"R", name
+        assert sum(len(s) for s in sent.values()) == len(names) - 1
+        routed = [(f[1], f[2]) for f in scen.network.frame_log[frames_before:]
+                  if f[5] == "ROUTE[h3]:INVOKE:$traverse"]
+        assert routed == [("h1", "h2"), ("h2", "h3")]  # h2 forwarded it
+
     def test_silent_link_drop_fails_then_recovers(self):
         scen = square_with_dropped_link(6)
         with pytest.raises(EngineError) as info:
@@ -391,7 +421,7 @@ external group class Cell {
 
 
 class TestDuplicateTraversals:
-    def test_user_diamond_turns_the_duplicate_away_at_intake(self):
+    def test_user_diamond_runs_each_node_once(self):
         from conftest import compile_text
         from minihello.values import ClassKey
         image = compile_text(DIAMOND_SRC)
@@ -414,9 +444,7 @@ class TestDuplicateTraversals:
             fields = scen.hosts[top].engine.deref(cells[top]).fields
             fields[0] = cells[left]
             fields[1] = cells[right] if right else None
-        d = scen.hosts["d"].engine
-        queues = count_calls(d, "new_queue")
-        turned_away = count_calls(d, "_repeated_traversal")
+        marked = count_calls(scen.hosts["d"].engine, "mark_traversal")
         frames_before = len(scen.network.frame_log)
 
         run_task(scen, "a", lambda engine, ctx: (
@@ -426,5 +454,4 @@ class TestDuplicateTraversals:
         to_d = [f for f in scen.network.frame_log[frames_before:]
                 if f[2] == "d" and f[5] == "INVOKE:$traverse"]
         assert len(to_d) == 2  # the echo sends on both edges into d
-        assert turned_away == [False, True]
-        assert len(queues) == 1  # the duplicate got no queue
+        assert marked == [True, False]  # the second is turned away
