@@ -201,7 +201,6 @@ class _PendingCall:
     timer: object
     target: str
     next_hop: str
-    direct: bool
 
 
 class Engine:
@@ -216,6 +215,11 @@ class Engine:
 
         self.packstore = PackStore()
         self.classes: dict[ClassKey, RuntimeClass] = _builtin_runtime_classes()
+        # What the compiled bodies look up by class, filled on first use and
+        # cleared whenever `classes` changes: (class, field name) -> slot,
+        # and (class, method) -> (rc, mc, plain) of a static method.
+        self.field_slots: dict[tuple[ClassKey, str], int] = {}
+        self._statics: dict[tuple[ClassKey, str], tuple] = {}
 
         self.heap: dict[int, ObjectRecord] = {}
         self.partitions: dict[int, Partition] = {0: Partition(0)}
@@ -330,6 +334,8 @@ class Engine:
                 continue  # the same image again: keep its compiled methods
             self.classes[key] = RuntimeClass(key, code, image.constants,
                                              content_hash=image.content_hash)
+            self.field_slots.clear()
+            self._statics.clear()
 
     def ensure_class(self, key: ClassKey, fetch_from: str | None, ctx):
         rc = self.classes.get(key)
@@ -346,10 +352,14 @@ class Engine:
         return rc
 
     def field_index(self, cls: ClassKey, name: str, hint: int) -> int:
+        """The slot of field `name` in objects of `cls`, which it enters in
+        `field_slots`; `hint` when the class is not loaded or has no such
+        field."""
         rc = self.classes.get(cls)
         if rc is not None:
             idx = rc.field_index(name)
             if idx is not None:
+                self.field_slots[cls, name] = idx
                 return idx
         return hint
 
@@ -446,15 +456,27 @@ class Engine:
         return marshal_result(self, result, ret_copy)
 
     def invoke_static(self, cls: ClassKey, method: str, args: list, ctx):
-        rc = self.classes.get(cls)
-        if rc is None:
-            raise EngineError(E_UNKNOWN_CLASS, f"unknown class {cls}")
-        mc = rc.method(method)
-        if mc is None or not mc.has(ir.MQ_STATIC):
-            raise EngineError(E_UNKNOWN_METHOD, f"{cls} has no static '{method}'")
-        call_args = marshal_args(self, list(mc.params), args, post=False)
+        """Call a static method. The method is looked up once per class
+        image and kept in `_statics`; a call to a method with no copy
+        parameter and no copy return passes its values as they are.
+        Generator."""
+        try:
+            rc, mc, plain = self._statics[cls, method]
+        except KeyError:
+            rc = self.classes.get(cls)
+            if rc is None:
+                raise EngineError(E_UNKNOWN_CLASS, f"unknown class {cls}") from None
+            mc = rc.method(method)
+            if mc is None or not mc.has(ir.MQ_STATIC):
+                raise EngineError(E_UNKNOWN_METHOD,
+                                  f"{cls} has no static '{method}'") from None
+            plain = not mc.ret_copy and not any(p.copy for p in mc.params)
+            self._statics[cls, method] = rc, mc, plain
         # faults in a static body propagate bare: there is no caller-callee
         # hop to wrap them for
+        if plain:
+            return (yield from self._run_body(rc, mc, None, args, ctx))
+        call_args = marshal_args(self, list(mc.params), args, post=False)
         result = yield from self._run_body(rc, mc, None, call_args, ctx)
         return marshal_result(self, result, mc.ret_copy)
 
@@ -779,7 +801,7 @@ class Engine:
         simulator draws its jitter for the frame first, as it always has.
         If `send` raises, the entry and any pack buffer go away again."""
         corr = frame.corr
-        entry = _PendingCall(fut, None, dst, None, False)
+        entry = _PendingCall(fut, None, dst, None)
         self.pending[corr] = entry
         try:
             next_hop = self.port.send(dst, frame)  # raises HostUnreachable
@@ -787,7 +809,7 @@ class Engine:
             self.pending.pop(corr, None)
             self._pack_buffers.pop(corr, None)
             raise
-        entry.next_hop, entry.direct = next_hop, next_hop == dst
+        entry.next_hop = next_hop
         if corr in self.pending:
             entry.timer = self.scheduler.call_later(
                 timeout_ms, lambda: self._timeout_pending(corr))
@@ -815,10 +837,11 @@ class Engine:
             entry.future.fail(EngineError(E_TIMEOUT, f"call {corr} timed out"))
 
     def fail_pending_next_hop(self, neighbor: str) -> None:
-        """Router hook: a neighbor was evicted. Routed calls through it fail
-        fast as HostUnreachable; direct calls are left to their timeout."""
+        """Router hook: a neighbor was evicted. Every open call whose next
+        hop it was, a direct call to it or a call routed through it, fails
+        at once as HostUnreachable."""
         for corr, entry in list(self.pending.items()):
-            if entry.next_hop == neighbor and not entry.direct:
+            if entry.next_hop == neighbor:
                 self._take_pending(corr)
                 entry.future.fail(EngineError(
                     E_HOST_UNREACHABLE, f"route via {neighbor} lost"))

@@ -16,13 +16,19 @@ package, class and method.
 A body with a node that may wait on a future is a generator function, and
 `yield from` appears only at those nodes: field access (the object may live
 on another host), method and static calls, `new` and `create`, `<=>`, `.+`,
-and the `exec_read` builtin, which waits for a command's output. A field
-access on an object of this host takes an inline path that makes no
-generator call. A `<=>` expression becomes a nested generator function that
-reads and writes the caller's locals through closure cells; the engine runs
-it on the queue's lane. Every other body is a plain function. An expression or statement nested deeper than Python lets one
-function nest (about 200 parentheses, 20 loops and 100 indents) goes on in a
-nested function of the same kind.
+and the `exec_read` builtin, which waits for a command's output. A `<=>`
+expression becomes a nested generator function that reads and writes the
+caller's locals through closure cells; the engine runs it on the queue's
+lane. Every other body is a plain function. An expression or statement
+nested deeper than Python lets one function nest (about 200 parentheses, 20
+loops and 100 indents) goes on in a nested function of the same kind.
+
+A field access on an object of this host takes an inline path that makes no
+generator call (`_get_field`, `_set_field`). It finds the field's slot with
+one lookup in the engine's `field_slots`, keyed by the object's class and
+the field name; on a miss, `Engine.field_index` looks the name up in the
+loaded class and fills the entry, or falls back to the slot the IR was
+lowered with. An object with an ACL is checked on every access.
 
 Each operator is one template in `_BINOPS`, calling one helper where it
 needs one (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
@@ -187,14 +193,20 @@ def _get_field(e, o, name, hint, ctx):
     record = e.deref(o)
     if record.acl is not None:
         e.check_local_object(record, READ, ctx)
-    return record.fields[e.field_index(record.cls, name, hint)]
+    try:
+        return record.fields[e.field_slots[record.cls, name]]
+    except KeyError:
+        return record.fields[e.field_index(record.cls, name, hint)]
 
 
 def _set_field(e, o, name, hint, value, ctx) -> None:
     record = e.deref(o)
     if record.acl is not None:
         e.check_local_object(record, WRITE, ctx)
-    record.fields[e.field_index(record.cls, name, hint)] = value
+    try:
+        record.fields[e.field_slots[record.cls, name]] = value
+    except KeyError:
+        record.fields[e.field_index(record.cls, name, hint)] = value
 
 
 def _field_of(o, name):

@@ -5,11 +5,18 @@ wrapping), Char, CharArray (char[], the string representation), Array, or
 ObjectRef (a local or remote object reference). A decoded wire value may
 also hold WireObject nodes: objects that arrived by value and are not yet
 in a heap.
+
+ClassKey and ObjectRef are named tuples, so that hashing, comparing and
+building them, which every class lookup and field access does, run in C.
+Their repr is that of the frozen dataclasses they replace. Being tuples, a
+ClassKey also compares equal to the plain 2-tuple of its fields; nothing
+relies on that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Wire tags; also used as array element tags.
 TAG_NULL = 0
@@ -33,8 +40,7 @@ def wrap_i64(n: int) -> int:
     return n - (1 << 64) if n & _I64_SIGN else n
 
 
-@dataclass(frozen=True, slots=True)
-class ClassKey:
+class ClassKey(NamedTuple):
     """Package-qualified class name; stable across hosts and images."""
     package: str
     name: str
@@ -48,8 +54,7 @@ class Char:
     code: int  # 0..255
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectRef:
+class ObjectRef(NamedTuple):
     """Reference to an object. partition None means the owner engine's heap;
     a heap ref is only dereferenceable at its owning host."""
     host: str

@@ -19,10 +19,15 @@ import interp  # noqa: E402
 
 def canon(value) -> str:
     """`repr`, except that the members of a frozenset are sorted: set order
-    follows the string hash, which differs from process to process."""
+    follows the string hash, which differs from process to process. A named
+    tuple (`ClassKey`) renders as the dataclass it once was."""
     if dataclasses.is_dataclass(value):
         inner = ", ".join(f"{f.name}={canon(getattr(value, f.name))}"
                           for f in dataclasses.fields(value))
+        return f"{type(value).__name__}({inner})"
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        inner = ", ".join(f"{name}={canon(getattr(value, name))}"
+                          for name in value._fields)
         return f"{type(value).__name__}({inner})"
     if isinstance(value, list):
         return "[" + ", ".join(canon(v) for v in value) + "]"

@@ -342,11 +342,21 @@ class TestStaleHostsView:
 
     def test_silent_link_drop_fails_then_recovers(self):
         scen = square_with_dropped_link(6)
+        engine = scen.hosts["a"].engine
+        fut = scen.submit_task("a", lambda: engine.iterate(
+            engine.hosts_root_ref(), "print", [CharArray(b"1")],
+            TaskCtx(engine.new_queue(label="it"))))
+        returned_at = []
+        fut.add_callback(lambda _f: returned_at.append(scen.core.now))
+        scen.run()
         with pytest.raises(EngineError) as info:
-            iterate_hosts(scen, "a", b"1").result()
-        # the hosts below a failed child may not have run; no host ran twice
+            fut.result()
+        # b's $traverse to c fails when b evicts c (about tick 8,000), not
+        # at its 30 s timeout; the hosts below a failed child may not have
+        # run; no host ran twice
         assert info.value.code == "PartialFailure"
-        assert info.value.failures == [("b", "Timeout")]
+        assert info.value.failures == [("c", "HostUnreachable")]
+        assert returned_at[0] < 10_000
         for name in "abd":
             assert bytes(scen.hosts[name].engine.stdout_bytes) == b"1"
         assert bytes(scen.hosts["c"].engine.stdout_bytes) in (b"", b"1")
