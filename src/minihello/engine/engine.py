@@ -1,6 +1,6 @@
 """The runtime engine: one per host.
 
-Owns the heap, partitions, queues, events, pack store, and security map;
+Owns one object table, queues, events, pack store, and security map;
 executes IR through the machine module; and speaks the INVOKE/REPLY wire
 protocol through a router port. All potentially-blocking operations are
 generators that yield Futures, driven by the active scheduler.
@@ -45,18 +45,19 @@ from ..net.wirevalues import (MalformedEncoding, decode_value_prefix,
 from ..runpack import ir
 from ..runpack.image import (ORIGIN_NETWORK, ImageFormatError, PackStore,
                              RunpackImage, deserialize, serialize)
+from ..runpack.lower import CLASS_QUAL_BITS, METHOD_QUAL_BITS, type_desc
 from ..runtime import QUEUE_CLOSED, Future, HostView, Queue, Request
 from ..security import (ANONYMOUS_SID, ALL_PRIVS, CREATE, CredentialSet, EXEC,
                         READ, SID_LEN, WRITE, check_access)
-from ..stdlib import (HOST_OBJECT_OID, HOSTS_NODE_OID, INTRINSICS,
-                      NATIVE_METHODS, SERVICE_QUEUE_OID, host_ref,
+from ..stdlib import (BUILTIN_CLASSES, HOST_OBJECT_OID, HOSTS_NODE_OID,
+                      INTRINSICS, NATIVE_METHODS, SERVICE_QUEUE_OID, host_ref,
                       hosts_node_ref)
 from ..values import (Array, CharArray, ClassKey, ObjectRef, TAG_ARRAY,
                       TAG_OBJECT)
 from . import machine
 from .marshal import (from_wire, local_copy, marshal_args, marshal_result,
                       to_wire, write_args)
-from .objects import EventRecord, ObjectRecord, Partition
+from .objects import EventRecord, ObjectRecord
 
 PACK_CHUNK = 64 * 1024
 
@@ -104,7 +105,6 @@ class EngineConfig:
     grants: tuple = ()          # (sid, mask) pairs for the host map
     lockdown: bool = False      # True: no implicit anonymous grant
     stdout_path: str | None = None
-    capture_stdout: bool = True
 
 
 @dataclass
@@ -167,49 +167,44 @@ class RuntimeClass:
 
 
 def _builtin_runtime_classes() -> dict[ClassKey, RuntimeClass]:
-    host_code = ir.ClassCode("host", ir.CQ_EXTERNAL | ir.CQ_PUBLIC, [], [
-        ir.MethodCode("name", ir.MQ_PUBLIC | ir.MQ_EXTERNAL, [],
-                      ir.TypeDesc("char", 1), False, 0),
-        ir.MethodCode("print", ir.MQ_PUBLIC | ir.MQ_EXTERNAL,
-                      [ir.IrParam("str", ir.TypeDesc("char", 1), True)],
-                      ir.TD_VOID, False, 1),
-    ])
-    group_code = ir.ClassCode(
-        "host_group", ir.CQ_EXTERNAL | ir.CQ_GROUP | ir.CQ_PUBLIC,
-        [("current_host", ir.TypeDesc("class", 0, HOST_KEY))], [
-            ir.MethodCode("children", ir.MQ_PUBLIC | ir.MQ_EXTERNAL, [],
-                          ir.TypeDesc("class", 1, HOST_GROUP_KEY), True, 0),
-            ir.MethodCode("print",
-                          ir.MQ_PUBLIC | ir.MQ_EXTERNAL | ir.MQ_ITERATOR,
-                          [ir.IrParam("str", ir.TypeDesc("char", 1), True)],
-                          ir.TD_VOID, False, 1),
-        ])
-    queue_code = ir.ClassCode("queue", ir.CQ_EXTERNAL | ir.CQ_PUBLIC,
-                              [("qid", ir.TD_INT)], [])
+    """The builtin classes as the checker sees them (`BUILTIN_CLASSES`),
+    lowered as `runpack/lower.py` lowers a declared class, with their
+    native methods."""
     out = {}
-    for key, code in ((HOST_KEY, host_code), (HOST_GROUP_KEY, group_code),
-                      (QUEUE_KEY, queue_code)):
+    for sig in BUILTIN_CLASSES.values():
+        methods = [ir.MethodCode(
+            m.name,
+            sum(METHOD_QUAL_BITS[q] for q in m.quals)
+            | (ir.MQ_CTOR if m.is_ctor else 0),
+            [ir.IrParam(p.name, type_desc(p.ty), p.copy) for p in m.params],
+            type_desc(m.ret), m.ret_copy, len(m.params))
+            for m in sig.methods.values()]
+        code = ir.ClassCode(
+            sig.key.name, sum(CLASS_QUAL_BITS[q] for q in sig.quals),
+            [(f.name, type_desc(f.ty)) for f in sig.fields.values()], methods)
         natives = {name: fn for (ckey, name), fn in NATIVE_METHODS.items()
-                   if ckey == key}
-        out[key] = RuntimeClass(key, code, [], natives)
+                   if ckey == sig.key}
+        out[sig.key] = RuntimeClass(sig.key, code, [], natives)
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingCall:
+    """An open call. The call of a runpack fetch also holds the package it
+    asked for and the PACK_DATA chunks received so far."""
     future: Future
-    timer: object
-    target: str
-    next_hop: str
+    timer: object = None  # None while its frame is being sent
+    next_hop: str | None = None
+    package: str | None = None
+    chunks: list[bytes] | None = None  # None unless a fetch
 
 
 class Engine:
-    def __init__(self, config: EngineConfig, scheduler: HostView, rng,
+    def __init__(self, config: EngineConfig, scheduler: HostView,
                  port=None, incarnation: int = 1):
         self.config = config
         self.host_name = config.host_name
         self.scheduler = scheduler
-        self.rng = rng
         self.port = port
         self.incarnation = incarnation
 
@@ -221,10 +216,9 @@ class Engine:
         self.field_slots: dict[tuple[ClassKey, str], int] = {}
         self._statics: dict[tuple[ClassKey, str], tuple] = {}
 
-        self.heap: dict[int, ObjectRecord] = {}
-        self.partitions: dict[int, Partition] = {0: Partition(0)}
+        # every object of this host, keyed by oid; oids are never reused
+        self.objects: dict[int, ObjectRecord] = {}
         self._oid = itertools.count(10)
-        self._pid = itertools.count(1)
 
         self.queues: dict[int, Queue] = {}
         self._qid = itertools.count(0)
@@ -243,9 +237,8 @@ class Engine:
         self._corr = itertools.count(1)
         self.pending: dict[int, _PendingCall] = {}
         self._fetch_inflight: dict[str, Future] = {}
-        self._pack_buffers: dict[int, tuple[str, list[bytes]]] = {}
         self.fetch_frames_sent = 0
-        self.orphaned_replies = 0  # replies no open call or pack buffer took
+        self.orphaned_replies = 0  # replies no open call took
 
         self._exec_handles: dict[int, tuple[object, int]] = {}
         self._exec_id = itertools.count(1)
@@ -255,12 +248,11 @@ class Engine:
         self._traversal_counter = itertools.count(1)
 
         self.stdout_sink = None
-        self.capture_stdout = config.capture_stdout
+        self.capture_stdout = True
         self.stdout_bytes = bytearray()
 
         self.error_log: list[tuple[str, str]] = []
         self.on_host_event = None  # callable(kind, detail) set by the node
-        self.main_running = False
 
         self.service_queue = self.new_queue(label="service")
         self._bootstrap_objects()
@@ -268,12 +260,11 @@ class Engine:
     # ------------------------------------------------------------------ setup
 
     def _bootstrap_objects(self) -> None:
-        p0 = self.partitions[0]
-        p0.objects[HOST_OBJECT_OID] = ObjectRecord(HOST_KEY, [], 0, HOST_OBJECT_OID)
-        p0.objects[HOSTS_NODE_OID] = ObjectRecord(
-            HOST_GROUP_KEY, [host_ref(self.host_name)], 0, HOSTS_NODE_OID)
-        p0.objects[SERVICE_QUEUE_OID] = ObjectRecord(
-            QUEUE_KEY, [self.service_queue.qid], 0, SERVICE_QUEUE_OID)
+        self.objects[HOST_OBJECT_OID] = ObjectRecord(HOST_KEY, [], 0)
+        self.objects[HOSTS_NODE_OID] = ObjectRecord(
+            HOST_GROUP_KEY, [host_ref(self.host_name)], 0)
+        self.objects[SERVICE_QUEUE_OID] = ObjectRecord(
+            QUEUE_KEY, [self.service_queue.qid], 0)
 
     # ---------------------------------------------------------------- storage
 
@@ -289,34 +280,22 @@ class Engine:
         queue.state = QUEUE_CLOSED
         self.queues.pop(queue.qid, None)
 
-    def create_partition(self) -> int:
-        pid = next(self._pid)
-        self.partitions[pid] = Partition(pid)
-        return pid
-
     def alloc_object(self, cls: ClassKey, partition: int | None,
                      fields: list) -> ObjectRef:
+        """A new object in the heap (`partition` None) or in the shared
+        partition (0)."""
         oid = next(self._oid)
-        record = ObjectRecord(cls, fields, partition, oid)
-        if partition is None:
-            self.heap[oid] = record
-        else:
-            part = self.partitions.get(partition)
-            if part is None:
-                raise EngineError(E_UNKNOWN_OBJECT, f"no partition {partition}")
-            part.objects[oid] = record
+        self.objects[oid] = ObjectRecord(cls, fields, partition)
         return ObjectRef(self.host_name, partition, oid, cls)
 
     def deref(self, ref: ObjectRef) -> ObjectRecord:
+        """The record a ref names. It must name this host, the oid and the
+        record's partition: a heap oid under partition 0 names nothing."""
         if ref.host != self.host_name:
             raise EngineError(E_UNKNOWN_OBJECT,
                               f"ref to {ref.host} dereferenced at {self.host_name}")
-        if ref.partition is None:
-            record = self.heap.get(ref.oid)
-        else:
-            part = self.partitions.get(ref.partition)
-            record = part.objects.get(ref.oid) if part else None
-        if record is None:
+        record = self.objects.get(ref.oid)
+        if record is None or record.partition != ref.partition:
             raise EngineError(E_UNKNOWN_OBJECT, f"no object {ref.oid}")
         return record
 
@@ -490,7 +469,7 @@ class Engine:
     # --------------------------------------------------------------- creation
 
     def create_object(self, cls: ClassKey, placement: tuple, args: list, ctx):
-        """placement: ('heap',) | ('partition', pid) | ('remote', host, pid|None)."""
+        """placement: ('heap',) | ('partition', 0) | ('remote', host, pid|None)."""
         if placement[0] == "remote":
             return (yield from self._create_remote(cls, placement[1],
                                                    placement[2], args, ctx))
@@ -498,7 +477,7 @@ class Engine:
         pid = None if placement[0] == "heap" else placement[1]
         if cls == QUEUE_KEY:
             q = self.new_queue()
-            return self.alloc_object(QUEUE_KEY, 0 if pid is None else pid, [q.qid])
+            return self.alloc_object(QUEUE_KEY, 0, [q.qid])
         n_fields = len(rc.code.fields)
         defaults = [machine.default_value(ty) for _, ty in rc.code.fields]
         ref = self.alloc_object(cls, pid, defaults[:n_fields])
@@ -756,7 +735,6 @@ class Engine:
         args = []
         if mc.params:
             args = [Array(TAG_ARRAY, [CharArray(a.encode("utf-8")) for a in argv])]
-        self.main_running = True
 
         def factory():
             return self._task_main(cls_key, mc.name, args, ctx)
@@ -765,10 +743,7 @@ class Engine:
         return fut
 
     def _task_main(self, cls_key, method, args, ctx):
-        try:
-            result = yield from self.invoke_static(cls_key, method, args, ctx)
-        finally:
-            self.main_running = False
+        result = yield from self.invoke_static(cls_key, method, args, ctx)
         return result if isinstance(result, int) else 0
 
     # ----------------------------------------------------------------- network
@@ -788,26 +763,24 @@ class Engine:
         fut = Future()
         timeout = timeout_ms if timeout_ms is not None else self.config.call_timeout_ms
         self._send_pending(dst, frames.Frame(kind, self.next_corr(), payload),
-                           fut, timeout)
+                           _PendingCall(fut), timeout)
         return fut
 
-    def _send_pending(self, dst: str, frame: frames.Frame, fut: Future,
+    def _send_pending(self, dst: str, frame: frames.Frame, entry: _PendingCall,
                       timeout_ms: int) -> None:
-        """Register `fut` as the pending call of `frame`, then send it.
+        """Register `entry` as the pending call of `frame`, then send it.
 
         The entry exists before `send` runs, so that a reply a port delivers
         before `send` returns still finds its call. The timeout is armed
         after `send`, and only while the call is still open, so that the
         simulator draws its jitter for the frame first, as it always has.
-        If `send` raises, the entry and any pack buffer go away again."""
+        If `send` raises, the entry goes away again."""
         corr = frame.corr
-        entry = _PendingCall(fut, None, dst, None)
         self.pending[corr] = entry
         try:
             next_hop = self.port.send(dst, frame)  # raises HostUnreachable
         except BaseException:
             self.pending.pop(corr, None)
-            self._pack_buffers.pop(corr, None)
             raise
         entry.next_hop = next_hop
         if corr in self.pending:
@@ -815,9 +788,8 @@ class Engine:
                 timeout_ms, lambda: self._timeout_pending(corr))
 
     def _take_pending(self, corr: int) -> _PendingCall | None:
-        """Claim the open call `corr`: pop it and its pack buffer and cancel
-        its timer. A reply that no open call claims is counted."""
-        self._pack_buffers.pop(corr, None)
+        """Claim the open call `corr`: pop it and cancel its timer. A reply
+        that no open call claims is counted."""
         entry = self.pending.pop(corr, None)
         if entry is None:
             self.orphaned_replies += 1
@@ -831,7 +803,6 @@ class Engine:
         self.port.send(dst, frames.Frame(kind, self.next_corr(), payload))
 
     def _timeout_pending(self, corr: int) -> None:
-        self._pack_buffers.pop(corr, None)
         entry = self.pending.pop(corr, None)
         if entry is not None:
             entry.future.fail(EngineError(E_TIMEOUT, f"call {corr} timed out"))
@@ -1070,9 +1041,9 @@ class Engine:
         if not rc.has(ir.CQ_EXTERNAL):
             raise EngineError(E_ACCESS_VIOLATION, f"class {key} is not external")
         args = yield from self._args_from_wire(wire_args, ctx)
-        if pid not in self.partitions:
+        if pid != 0:  # the shared partition is the only one
             raise EngineError(E_UNKNOWN_OBJECT, f"no partition {pid}")
-        ref = yield from self.create_object(key, ("partition", pid), args, ctx)
+        ref = yield from self.create_object(key, ("partition", 0), args, ctx)
         return encode_value(ref)
 
     def _on_reply(self, frame: frames.Frame) -> None:
@@ -1114,10 +1085,10 @@ class Engine:
             corr = self.next_corr()
             w = Writer()
             w.wstr(package)
-            self._pack_buffers[corr] = (package, [])
             self._send_pending(origin,
                                frames.Frame(frames.FETCH_PACK, corr, w.getvalue()),
-                               fut, self.config.fetch_timeout_ms)
+                               _PendingCall(fut, package=package, chunks=[]),
+                               self.config.fetch_timeout_ms)
             self.fetch_frames_sent += 1
         except EngineError as err:
             fut.fail(err)
@@ -1146,34 +1117,33 @@ class Engine:
                 break
 
     def _on_pack_data(self, frame: frames.Frame) -> None:
-        buffered = self._pack_buffers.get(frame.corr)
-        if buffered is None:
+        """Buffer one chunk of a fetched runpack; the last one claims the
+        fetch. A chunk whose call is not an open fetch is orphaned."""
+        entry = self.pending.get(frame.corr)
+        if entry is None or entry.chunks is None:
             self.orphaned_replies += 1
             return
-        package, chunks = buffered
         r = Reader(frame.payload)
         last = r.u8()
-        chunks.append(r.raw(r.remaining()))
+        entry.chunks.append(r.raw(r.remaining()))
         if not last:
             return
-        pending = self._take_pending(frame.corr)
-        if pending is None:
-            return
+        self._take_pending(frame.corr)
         try:
-            image = deserialize(b"".join(chunks))
-            if image.package != package:
+            image = deserialize(b"".join(entry.chunks))
+            if image.package != entry.package:
                 raise EngineError(E_HASH_MISMATCH,
-                                  f"fetched {image.package}, wanted {package}")
+                                  f"fetched {image.package}, wanted {entry.package}")
             self.install_image(image, ORIGIN_NETWORK)
         except ImageFormatError as exc:
-            pending.future.fail(EngineError(
+            entry.future.fail(EngineError(
                 E_HASH_MISMATCH if exc.code == "HashMismatch" else E_UNKNOWN_CLASS,
                 str(exc)))
             return
         except EngineError as err:
-            pending.future.fail(err)
+            entry.future.fail(err)
             return
-        pending.future.resolve(True)
+        entry.future.resolve(True)
 
     def _on_event_post(self, frame: frames.Frame, meta: FrameMeta) -> None:
         r = Reader(frame.payload)

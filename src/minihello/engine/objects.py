@@ -1,34 +1,26 @@
-"""Heap and partition object storage."""
+"""Object and event records of one host."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..security import CredentialSet
 from ..values import ClassKey
 
 
 class ObjectRecord:
-    """One live object: its class, field values, and an optional ACL."""
+    """One live object: its class, field values, and an optional ACL.
+    `partition` is None for an object of the engine heap, private to its
+    host, and 0 for one of the host's shared partition, which other hosts
+    reach by reference."""
 
-    __slots__ = ("cls", "fields", "acl", "partition", "oid")
+    __slots__ = ("cls", "fields", "acl", "partition")
 
-    def __init__(self, cls: ClassKey, fields: list, partition: int | None, oid: int):
+    def __init__(self, cls: ClassKey, fields: list, partition: int | None):
         self.cls = cls
         self.fields = fields
         self.acl: CredentialSet | None = None
         self.partition = partition
-        self.oid = oid
-
-
-@dataclass
-class Partition:
-    """Host-scoped shared object table; objects here are remotely reachable.
-    Object ids are never reused (the engine allocates them monotonically)."""
-
-    pid: int
-    objects: dict[int, ObjectRecord] = field(default_factory=dict)
-    acl: CredentialSet | None = None
 
 
 @dataclass

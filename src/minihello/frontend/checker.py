@@ -17,7 +17,7 @@ from .types import (
     ClassSig, FieldSig, MethodSig, ParamSig, TArray, TClass, Type, assignable,
     is_reference,
 )
-from ..stdlib import BUILTIN_CLASSES, BUILTIN_FUNCS
+from .. import stdlib  # a module: stdlib imports this package too
 from ..values import ClassKey
 
 
@@ -94,7 +94,7 @@ class Checker:
 
     def _collect_signatures(self) -> None:
         for decl in self.ast.classes:
-            if decl.name in BUILTIN_CLASSES:
+            if decl.name in stdlib.BUILTIN_CLASSES:
                 raise _err(decl.loc, "QualifierError",
                            f"'{decl.name}' is a builtin class and cannot be redefined")
             sig = ClassSig(ClassKey(self.package, decl.name), decl.quals)
@@ -200,8 +200,8 @@ class Checker:
             name = ty.key.name
             if name in self.sigs:
                 return TClass(self.sigs[name].key)
-            if name in BUILTIN_CLASSES:
-                return TClass(BUILTIN_CLASSES[name].key)
+            if name in stdlib.BUILTIN_CLASSES:
+                return TClass(stdlib.BUILTIN_CLASSES[name].key)
             raise _err(loc, "UnknownName", f"unknown type '{name}'")
         return ty
 
@@ -210,22 +210,22 @@ class Checker:
             return None
         if ty.key.package == self.package:
             return self.sigs.get(ty.key.name)
-        return BUILTIN_CLASSES.get(ty.key.name)
+        return stdlib.BUILTIN_CLASSES.get(ty.key.name)
 
     def _resolve_class_name(self, name: str, loc: Loc) -> ClassSig:
         """Exact lookup, then the unique case-insensitive fallback (with a warning)."""
         if name in self.sigs:
             return self.sigs[name]
-        if name in BUILTIN_CLASSES:
-            return BUILTIN_CLASSES[name]
-        folded = [c for c in list(self.sigs) + list(BUILTIN_CLASSES)
+        if name in stdlib.BUILTIN_CLASSES:
+            return stdlib.BUILTIN_CLASSES[name]
+        folded = [c for c in list(self.sigs) + list(stdlib.BUILTIN_CLASSES)
                   if c.lower() == name.lower()]
         if len(folded) == 1:
             self.warnings.append(Diagnostic(
                 loc, "warning", "NameCase",
                 f"no class '{name}'; assuming '{folded[0]}'"))
             target = folded[0]
-            return self.sigs.get(target) or BUILTIN_CLASSES[target]
+            return self.sigs.get(target) or stdlib.BUILTIN_CLASSES[target]
         raise _err(loc, "UnknownName", f"unknown class '{name}'")
 
     # -- class and method bodies --
@@ -361,7 +361,7 @@ class Checker:
         if isinstance(expr, A.ThisHostExpr):
             return T_HOST
         if isinstance(expr, A.HostsExpr):
-            return TClass(BUILTIN_CLASSES["host_group"].key)
+            return TClass(stdlib.BUILTIN_CLASSES["host_group"].key)
         if isinstance(expr, A.NameRef):
             return self._infer_name(ctx, expr)
         if isinstance(expr, A.FieldAccess):
@@ -527,8 +527,10 @@ class Checker:
         # Static call through a class name.
         if isinstance(callee.obj, A.NameRef) and ctx.scope.lookup(callee.obj.name) is None \
                 and callee.obj.name not in ctx.cls.fields \
-                and (callee.obj.name in self.sigs or callee.obj.name in BUILTIN_CLASSES):
-            cls = self.sigs.get(callee.obj.name) or BUILTIN_CLASSES[callee.obj.name]
+                and (callee.obj.name in self.sigs
+                     or callee.obj.name in stdlib.BUILTIN_CLASSES):
+            cls = (self.sigs.get(callee.obj.name)
+                   or stdlib.BUILTIN_CLASSES[callee.obj.name])
             msig = cls.methods.get(callee.name)
             if msig is None:
                 raise _err(expr.loc, "UnknownName",
@@ -580,7 +582,7 @@ class Checker:
             expr.res = (kind, ctx.cls.key, msig)
             callee.ty = msig.ret
             return msig.ret
-        fsig = BUILTIN_FUNCS.get(name)
+        fsig = stdlib.BUILTIN_FUNCS.get(name)
         if fsig is not None:
             self._check_args(ctx, expr.loc, f"'{name}'", fsig.params, expr.args)
             expr.res = ("builtin", fsig)

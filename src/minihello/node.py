@@ -12,7 +12,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import os
-import random
 import sys
 import threading
 import time
@@ -100,8 +99,7 @@ class Node:
         self.loop = asyncio.new_event_loop()
         self.core = LoopCore(self.loop)
         self.scheduler = HostView(self.core, config.host_name)
-        rng = random.Random(time.time_ns() ^ hash(config.host_name))
-        self.engine = Engine(config, self.scheduler, rng,
+        self.engine = Engine(config, self.scheduler,
                              incarnation=time.time_ns() & 0xFFFFFFFF)
         self.core.log_error = self.engine.log_error
         self.transport = TcpTransport(self.loop, self.engine.log_error)

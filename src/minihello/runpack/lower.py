@@ -17,11 +17,11 @@ class InternalLoweringError(Exception):
     """A node the checker should have rejected reached the lowering pass."""
 
 
-_CLASS_QUAL_BITS = {"external": ir.CQ_EXTERNAL, "group": ir.CQ_GROUP,
-                    "public": ir.CQ_PUBLIC}
-_METHOD_QUAL_BITS = {"public": ir.MQ_PUBLIC, "static": ir.MQ_STATIC,
-                     "external": ir.MQ_EXTERNAL, "message": ir.MQ_MESSAGE,
-                     "iterator": ir.MQ_ITERATOR}
+CLASS_QUAL_BITS = {"external": ir.CQ_EXTERNAL, "group": ir.CQ_GROUP,
+                   "public": ir.CQ_PUBLIC}
+METHOD_QUAL_BITS = {"public": ir.MQ_PUBLIC, "static": ir.MQ_STATIC,
+                    "external": ir.MQ_EXTERNAL, "message": ir.MQ_MESSAGE,
+                    "iterator": ir.MQ_ITERATOR}
 
 _BIN_OP = {"-": "sub", "*": "mul", "/": "div", "%": "mod",
            "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
@@ -65,7 +65,7 @@ class _Lowerer:
         sig = self.pkg.class_sigs[decl.name]
         quals = 0
         for q in decl.quals:
-            quals |= _CLASS_QUAL_BITS[q]
+            quals |= CLASS_QUAL_BITS[q]
         fields = [(f.name, type_desc(sig.fields[f.name].ty)) for f in decl.fields]
         methods = [self._lower_method(decl, m) for m in decl.methods]
         return ir.ClassCode(decl.name, quals, fields, methods)
@@ -74,7 +74,7 @@ class _Lowerer:
         sig = self.pkg.class_sigs[cls.name].methods[m.name]
         quals = 0
         for q in m.quals:
-            quals |= _METHOD_QUAL_BITS[q]
+            quals |= METHOD_QUAL_BITS[q]
         if m.is_ctor:
             quals |= ir.MQ_CTOR
         params = [ir.IrParam(p.name, type_desc(p.ty), p.copy) for p in sig.params]

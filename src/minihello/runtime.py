@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import E_QUEUE_CLOSED, EngineError
+from .errors import EngineError
 from .security import CredentialSet
 
 QUEUE_RUNNING = "running"
@@ -103,38 +103,6 @@ class Queue:
         return not self.busy and not self.pending
 
 
-def drive_step(gen, value, error):
-    """Advance a task generator one step. Returns ('yield', future),
-    ('return', result), or ('error', engine_error)."""
-    try:
-        if error is not None:
-            out = gen.throw(error)
-        else:
-            out = gen.send(value)
-    except StopIteration as stop:
-        return ("return", stop.value)
-    except EngineError as err:
-        return ("error", err)
-    if not isinstance(out, Future):
-        raise AssertionError(f"task yielded a non-future: {out!r}")
-    return ("yield", out)
-
-
-def start_request(request: Request):
-    """Call the request's factory. Returns the task generator to drive, or
-    None when the request is finished already: the factory raised an
-    EngineError, or returned a plain result."""
-    try:
-        gen = request.factory()
-    except EngineError as err:
-        request.finish(error=err)
-        return None
-    if not hasattr(gen, "send"):  # plain function result
-        request.finish(gen)
-        return None
-    return gen
-
-
 class HostView:
     """The scheduler one host's engine and router see, over a core that
     keeps time. The core provides `now` (ms), `schedule(delay_ms, fn, owner,
@@ -162,8 +130,8 @@ class HostView:
         return self.core.read_pipe(proc, buf, maxn)
 
     def submit(self, queue: Queue, request: Request) -> None:
-        if queue.state == QUEUE_CLOSED:
-            raise EngineError(E_QUEUE_CLOSED, f"queue {queue.qid} is closed")
+        """Append a request to a queue that accepts work (`Engine.submit`
+        checks that it does)."""
         queue.pending.append(request)
         self._kick(queue)
 
@@ -179,34 +147,42 @@ class HostView:
             return
         request = queue.pending.popleft()
         queue.busy = True
-        gen = start_request(request)
-        if gen is None:
+        try:
+            gen = request.factory()
+        except EngineError as err:
+            request.finish(error=err)
             self._finish(queue)
             return
-        self._advance(queue, request, gen, None, None)
+        if hasattr(gen, "send"):
+            self._advance(queue, request, gen, None, None)
+        else:  # a plain function's result
+            request.finish(gen)
+            self._finish(queue)
 
     def _advance(self, queue: Queue, request: Request, gen, value, error) -> None:
+        """Run the task until it returns, fails with an EngineError, or
+        yields a Future that is not done, which parks it."""
         while True:
-            state, out = drive_step(gen, value, error)
-            value, error = None, None
-            if state == "return":
-                request.finish(out)
-                self._finish(queue)
+            try:
+                fut = gen.send(value) if error is None else gen.throw(error)
+            except StopIteration as stop:
+                value, error = stop.value, None
+                break
+            except EngineError as err:
+                value, error = None, err
+                break
+            if not isinstance(fut, Future):
+                raise AssertionError(f"task yielded a non-future: {fut!r}")
+            if not fut.done():
+                self.core.parked[self.owner] = self.core.parked.get(self.owner, 0) + 1
+                fut.add_callback(self._resumer(queue, request, gen))
                 return
-            if state == "error":
-                request.finish(error=out)
-                self._finish(queue)
-                return
-            fut: Future = out
-            if fut.done():
-                try:
-                    value = fut.result()
-                except EngineError as err:
-                    error = err
-                continue
-            self.core.parked[self.owner] = self.core.parked.get(self.owner, 0) + 1
-            fut.add_callback(self._resumer(queue, request, gen))
-            return
+            try:
+                value, error = fut.result(), None
+            except EngineError as err:
+                value, error = None, err
+        request.finish(value, error)
+        self._finish(queue)
 
     def _resumer(self, queue: Queue, request: Request, gen):
         def on_ready(fut: Future) -> None:

@@ -157,7 +157,7 @@ class Scenario:
                               **settings)
         view = self.core.view(name)
         rng = random.Random(f"{self.seed}|{name}")
-        engine = Engine(config, view, rng, incarnation=rng.getrandbits(32))
+        engine = Engine(config, view, incarnation=rng.getrandbits(32))
         self.network.add_host(name)
         transport = self.network.transport_for(name)
         router = Router(name, transport, view, config, engine)

@@ -173,7 +173,8 @@ def native_host_name(engine, ctx, this_ref, args):
     return CharArray.from_str(engine.host_name)
 
 
-def native_host_print(engine, ctx, this_ref, args):
+def native_print(engine, ctx, this_ref, args):
+    """`print` of a host, and the iterator `print` of the hosts group."""
     (s,) = args
     engine.write_stdout(bytes(s.data))
     return None
@@ -183,17 +184,11 @@ def native_group_children(engine, ctx, this_ref, args):
     return engine.hosts_group_children()
 
 
-def native_group_print(engine, ctx, this_ref, args):
-    (s,) = args
-    engine.write_stdout(bytes(s.data))
-    return None
-
-
 NATIVE_METHODS = {
     (HOST_KEY, "name"): native_host_name,
-    (HOST_KEY, "print"): native_host_print,
+    (HOST_KEY, "print"): native_print,
     (HOST_GROUP_KEY, "children"): native_group_children,
-    (HOST_GROUP_KEY, "print"): native_group_print,
+    (HOST_GROUP_KEY, "print"): native_print,
 }
 
 

@@ -405,7 +405,13 @@ class Box {
         assert heap_ref.partition is None
         assert part_ref.partition == 0
         engine = scen.hosts["solo"].engine
-        assert engine.deref(heap_ref) is engine.heap[heap_ref.oid]
+        assert engine.deref(heap_ref) is engine.objects[heap_ref.oid]
+        assert engine.deref(part_ref) is engine.objects[part_ref.oid]
+        # one table holds both, but a ref must name the record's partition
+        for ref, other in ((heap_ref, 0), (part_ref, None)):
+            with pytest.raises(EngineError) as exc:
+                engine.deref(ref._replace(partition=other))
+            assert exc.value.code == "UnknownObject"
 
 
 class TestIntrinsics:

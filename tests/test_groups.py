@@ -184,6 +184,30 @@ external group class Cell {
         assert seen[0] == 1
         assert bytes(engine.stdout_bytes) == b"."
 
+    def test_traversal_that_starts_on_another_host(self):
+        # a starts `.+` at b's node, whose one child lives on c
+        from conftest import compile_text
+        from minihello.values import ClassKey
+        image = compile_text(DIAMOND_SRC)
+        scen = mesh_scenario(["a", "b", "c"], seed=4)
+        cells = {}
+        for name in "bc":
+            scen.hosts[name].engine.install_image(image)
+            cells[name] = run_task(scen, name, lambda engine, ctx: (
+                yield from engine.create_object(ClassKey("diamond", "Cell"),
+                                                ("partition", 0), [], ctx)))
+        scen.hosts["b"].engine.deref(cells["b"]).fields[0] = cells["c"]
+        frames_before = len(scen.network.frame_log)
+
+        run_task(scen, "a", lambda engine, ctx: (
+            yield from engine.iterate(cells["b"], "mark", [CharArray(b"+")], ctx)))
+        outs = {name: bytes(scen.hosts[name].engine.stdout_bytes)
+                for name in "abc"}
+        assert outs == {"a": b"", "b": b"+", "c": b"+"}
+        traverses = [(f[1], f[2]) for f in scen.network.frame_log[frames_before:]
+                     if f[5] == "INVOKE:$traverse"]
+        assert sorted(traverses) == [("a", "b"), ("b", "c")]
+
 
 class TestQueueRelease:
     def test_hundred_broadcasts_keep_queues_flat(self, hello_image):

@@ -61,8 +61,8 @@ external class R {
 }
 """, "a", ["b"])
         assert fut.result() == 1005
-        on_b = [r for r in scen.hosts["b"].engine.partitions[0].objects.values()
-                if r.cls.name == "R"]
+        on_b = [r for r in scen.hosts["b"].engine.objects.values()
+                if r.cls.name == "R" and r.partition == 0]
         assert len(on_b) == 1 and on_b[0].fields[0] == 5
 
     def test_remote_object_state_lives_on_remote_host(self):
@@ -85,8 +85,8 @@ external class Cell {
         scen.run()
         assert fut.result() == 31
         eb = scen.hosts["b"].engine
-        cells = [r for r in eb.partitions[0].objects.values()
-                 if r.cls.name == "Cell"]
+        cells = [r for r in eb.objects.values()
+                 if r.cls.name == "Cell" and r.partition == 0]
         assert len(cells) == 1 and cells[0].fields[0] == 31
 
 

@@ -435,6 +435,28 @@ class TestPackFetch:
         t = scen.transcript()
         assert len([f for f in t.frames if f[3] == "FETCH_PACK"]) == 1
 
+    def test_two_tasks_on_one_host_share_one_fetch(self, counter_image):
+        # each task runs on a queue of its own, so the second demands the
+        # package while the first one's fetch is still in flight
+        scen = mesh_scenario(["a", "b"], seed=0)
+        ea = scen.hosts["a"].engine
+        eb = scen.hosts["b"].engine
+        ea.install_image(counter_image)
+        key = ClassKey("qtest", "Counter")
+
+        def task():
+            ctx = TaskCtx(eb.new_queue(), origin="a")
+            return eb.create_object(key, ("heap",), [], ctx)
+
+        futs = [scen.submit_task("b", task) for _ in range(2)]
+        scen.run()
+        refs = [fut.result() for fut in futs]
+        assert [eb.deref(ref).cls for ref in refs] == [key, key]
+        assert refs[0].oid != refs[1].oid
+        assert eb.fetch_frames_sent == 1
+        t = scen.transcript()
+        assert len([f for f in t.frames if f[3] == "FETCH_PACK"]) == 1
+
     def test_fetch_unknown_package_not_found(self):
         scen = mesh_scenario(["a", "b"], seed=0)
         ea = scen.hosts["a"].engine

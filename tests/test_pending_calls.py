@@ -4,8 +4,6 @@ A port may deliver a reply before `port.send` returns. The stub ports here
 deliver the reply inside `send` itself, so these tests reproduce that order
 every time, without threads or sleeps."""
 
-import random
-
 import pytest
 
 from minihello.bio import Writer
@@ -67,7 +65,7 @@ class StubPort:
 def make_engine(answer, reachable=True):
     scheduler = ManualScheduler()
     port = StubPort(answer, reachable)
-    engine = Engine(EngineConfig("a"), scheduler, random.Random(1), port)
+    engine = Engine(EngineConfig("a"), scheduler, port)
     port.engine = engine
     return engine, scheduler
 
@@ -108,7 +106,6 @@ def test_pack_delivered_during_send_installs_it():
     assert fut.result() is True
     assert engine.runtime_class(ClassKey("fetched", "C")) is not None
     assert engine.pending == {}
-    assert engine._pack_buffers == {}
     assert engine.orphaned_replies == 0
     assert scheduler.live_timers() == []
 
@@ -125,7 +122,6 @@ def test_malformed_pack_fails_the_fetch_and_leaves_nothing_behind():
     assert exc.value.code == E_UNKNOWN_CLASS
     assert "MalformedImage" in str(exc.value)
     assert engine.pending == {}
-    assert engine._pack_buffers == {}
     assert engine._fetch_inflight == {}
     assert scheduler.live_timers() == []
 
@@ -143,14 +139,15 @@ def test_timed_out_fetch_drops_its_pack_buffer():
     engine, scheduler = make_engine(lambda frame: pack_data(frame)[:1])
     fut = engine.fetch_pack("b", "fetched")
     assert not fut.done()
-    assert len(engine._pack_buffers) == 1
+    (entry,) = engine.pending.values()
+    assert entry.package == "fetched"
+    assert entry.chunks == [serialize(IMAGE)[:10]]  # the first chunk only
     (timer,) = scheduler.live_timers()
     timer[1]()  # the fetch times out before its last chunk arrives
     with pytest.raises(EngineError) as exc:
         fut.result()
     assert exc.value.code == E_TIMEOUT
     assert engine.pending == {}
-    assert engine._pack_buffers == {}
 
 
 def test_unreachable_send_leaves_nothing_pending():
@@ -169,7 +166,6 @@ def test_unreachable_fetch_fails_and_leaves_nothing_pending():
         fut.result()
     assert exc.value.code == E_HOST_UNREACHABLE
     assert engine.pending == {}
-    assert engine._pack_buffers == {}
     assert scheduler.timers == []
 
 
@@ -183,6 +179,17 @@ def test_reply_with_unknown_corr_is_orphaned(kind):
                              FrameMeta("b"))
     assert engine.orphaned_replies == 1
     assert engine.error_log == []
+
+
+def test_pack_data_for_a_call_that_is_no_fetch_is_orphaned():
+    engine, _ = make_engine(lambda frame: [])
+    fut = engine.send_request("b", frames.INVOKE, b"")
+    (corr,) = engine.pending
+    engine.handle_wire_frame(frames.Frame(frames.PACK_DATA, corr, b"\x01"),
+                             FrameMeta("b"))
+    assert engine.orphaned_replies == 1
+    assert list(engine.pending) == [corr]  # the call stays open
+    assert not fut.done()
 
 
 def test_reply_after_timeout_is_orphaned():
@@ -210,7 +217,6 @@ def test_refused_fetch_drops_its_pack_buffer():
         fut.result()
     assert exc.value.code == "PackNotFoundAtOrigin"
     assert engine.pending == {}
-    assert engine._pack_buffers == {}
     assert scheduler.live_timers() == []
 
 

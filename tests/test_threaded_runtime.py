@@ -131,22 +131,23 @@ external class T {
 
 
 class TestPartitions:
-    def test_explicit_partition_remote_create(self, counter_image):
+    def test_remote_create_in_unknown_partition_fails(self, counter_image):
         from conftest import mesh_scenario, run_task
         scen = mesh_scenario(["a", "b"], seed=2)
         ea = scen.hosts["a"].engine
         eb = scen.hosts["b"].engine
         ea.install_image(counter_image)
-        pid = eb.create_partition()
+        before = len(eb.objects)
 
         def task(engine, ctx):
             ref = yield from engine.create_object(
-                ClassKey("qtest", "Counter"), ("remote", "b", pid), [], ctx)
+                ClassKey("qtest", "Counter"), ("remote", "b", 7), [], ctx)
             return ref
 
-        ref = run_task(scen, "a", task)
-        assert ref.partition == pid
-        assert ref.oid in eb.partitions[pid].objects
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", task)
+        assert exc.value.code == "UnknownObject"
+        assert len(eb.objects) == before  # no object was made on b
 
     def test_object_ids_never_reused(self, counter_image):
         from conftest import mesh_scenario

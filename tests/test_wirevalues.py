@@ -213,8 +213,7 @@ class CapturePort:
 
 
 def golden_engine() -> Engine:
-    engine = Engine(EngineConfig("a"), ManualScheduler(), random.Random(1),
-                    CapturePort())
+    engine = Engine(EngineConfig("a"), ManualScheduler(), CapturePort())
     engine.install_image(compile_text(GOLDEN_SRC, "Golden.hlo"))
     return engine
 
@@ -417,8 +416,7 @@ class TestTruncation:
 
     def test_truncated_invoke_frame_logs_one_bad_frame(self):
         payload = cyclic_invoke_payload(golden_engine())
-        receiver = Engine(EngineConfig("b"), ManualScheduler(), random.Random(2),
-                          CapturePort())
+        receiver = Engine(EngineConfig("b"), ManualScheduler(), CapturePort())
         receiver.install_image(compile_text(GOLDEN_SRC, "Golden.hlo"))
         for end in range(len(payload)):
             before = len(receiver.error_log)
