@@ -24,11 +24,14 @@ nested deeper than Python lets one function nest (about 200 parentheses, 20
 loops and 100 indents) goes on in a nested function of the same kind.
 
 A field access on an object of this host takes an inline path that makes no
-generator call (`_get_field`, `_set_field`). It finds the field's slot with
-one lookup in the engine's `field_slots`, keyed by the object's class and
-the field name; on a miss, `Engine.field_index` looks the name up in the
-loaded class and fills the entry, or falls back to the slot the IR was
-lowered with. An object with an ACL is checked on every access.
+generator call (`_get_field`, `_set_field`). The generated code has tested
+the ref's host, so the helper looks the record up in the engine's `objects`
+itself and calls `Engine.deref` only when the oid is missing or names
+another partition, to raise its fault. It finds the field's slot with one
+lookup in the engine's `field_slots`, keyed by the object's class and the
+field name; on a miss, `Engine.field_index` looks the name up in the loaded
+class and fills the entry, or falls back to the slot the IR was lowered
+with. An object with an ACL is checked on every access.
 
 Each operator is one template in `_BINOPS`, calling one helper where it
 needs one (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
@@ -36,6 +39,10 @@ needs one (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
 a result leaves the range), `/` and `%` truncate, and division by zero and
 out-of-range indexing raise engine faults. When both operands are ints by
 their IR type, the comparisons are plain Python operators (`_INT_BINOPS`).
+A `/` or `%` whose divisor is an int literal or a negated one, other than 0
+and -1, is Python's `//` or `%` inline on the magnitudes (`div_by`): it
+cannot divide by zero or overflow. Every other divisor calls `_div` or
+`_mod`, so `/ 0` faults only when it runs and `INT_MIN / -1` wraps.
 Expressions evaluate left to right, as Python evaluates them; a store
 evaluates its value first and then its target.
 Compound assignment and `++` on an element or field evaluate the target's
@@ -189,8 +196,12 @@ def _append(old, value) -> None:
 
 
 def _get_field(e, o, name, hint, ctx):
-    """A field of an object on this host."""
-    record = e.deref(o)
+    """A field of an object on this host: the caller has tested `o.host`.
+    A missing record, or one of another partition, goes to `Engine.deref`,
+    which raises the engine's fault."""
+    record = e.objects.get(o.oid)
+    if record is None or record.partition != o.partition:
+        record = e.deref(o)
     if record.acl is not None:
         e.check_local_object(record, READ, ctx)
     try:
@@ -200,7 +211,9 @@ def _get_field(e, o, name, hint, ctx):
 
 
 def _set_field(e, o, name, hint, value, ctx) -> None:
-    record = e.deref(o)
+    record = e.objects.get(o.oid)
+    if record is None or record.partition != o.partition:
+        record = e.deref(o)
     if record.acl is not None:
         e.check_local_object(record, WRITE, ctx)
     try:
@@ -324,6 +337,17 @@ def _int_slots(mc: ir.MethodCode) -> set[int]:
     return {slot for slot, tys in types.items() if tys == {ir.TD_INT}}
 
 
+def _int_literal(node) -> int | None:
+    """The value of an int literal or a negated one; None for any other
+    expression."""
+    if isinstance(node, ir.IrInt):
+        return node.value
+    if (isinstance(node, ir.IrUn) and node.op == "neg"
+            and isinstance(node.operand, ir.IrInt)):
+        return _wrap(-node.operand.value)
+    return None
+
+
 class _Scope:
     """One Python function being written: the body, or a function nested in
     it for a `<=>` expression or a deep expression or statement."""
@@ -421,11 +445,24 @@ class _Source:
                 f"_field_of({o}, {name}), {name}, ctx)))")
 
     def bin(self, node):
+        if node.op in ("div", "mod"):
+            divisor = _int_literal(node.right)
+            if divisor not in (None, 0, -1):
+                return self.div_by(node.op, self.expr(node.left), divisor)
         both_int = self.is_int(node.left) and self.is_int(node.right)
         template = (_INT_BINOPS.get(node.op) if both_int else None) \
             or _BINOPS[node.op]
         value = template.format(self.expr(node.left), self.expr(node.right))
         return self.wrap(value) if node.op in _WRAPPED else value
+
+    def div_by(self, op: str, left: str, divisor: int) -> str:
+        """`left / divisor` or `left % divisor`, truncating, with Python's
+        own operator on the magnitudes. The result is no larger than the
+        dividend, so it needs no wrap; 0 and -1 are left to `_div`/`_mod`."""
+        t, c = self.temp(), abs(divisor)
+        py = "//" if op == "div" else "%"
+        value = f"({t} {py} {c} if ({t} := {left}) >= 0 else -(-{t} {py} {c}))"
+        return f"(-{value})" if op == "div" and divisor < 0 else value
 
     def logic(self, node):
         left, right = self.expr(node.left), self.expr(node.right)
@@ -437,7 +474,7 @@ class _Source:
         if node.op == "not":
             return f"(not {self.expr(node.operand)})"
         if isinstance(node.operand, ir.IrInt):  # a negative literal
-            return f"({_wrap(-node.operand.value)})"
+            return f"({_int_literal(node)})"
         return self.wrap(f"-{self.expr(node.operand)}")
 
     def post_incr(self, node):

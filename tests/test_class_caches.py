@@ -5,9 +5,10 @@ skipped."""
 
 import pytest
 
-from minihello.errors import (E_ACCESS_DENIED, E_UNKNOWN_METHOD, EngineError)
+from minihello.errors import (E_ACCESS_DENIED, E_UNKNOWN_METHOD,
+                              E_UNKNOWN_OBJECT, EngineError)
 from minihello.security import ANONYMOUS_SID, READ, WRITE, CredentialSet
-from minihello.values import ClassKey
+from minihello.values import ClassKey, ObjectRef
 
 from conftest import compile_text, mesh_scenario, run_task
 
@@ -106,3 +107,20 @@ def test_an_object_acl_is_checked_on_a_warm_field_access(granted, method, args):
     assert info.value.code == E_ACCESS_DENIED
     assert engine.audit_count == audits + 1
     assert engine.deref(ref).fields == [1, 2]
+
+
+@pytest.mark.parametrize("method, args", [("geta", []), ("seta", [4])])
+def test_a_local_field_access_checks_the_refs_partition_and_oid(method, args):
+    scen = mesh_scenario(["solo"])
+    engine = scen.hosts["solo"].engine
+    assert run_main(scen, V1) == 31
+    heap = engine.alloc_object(BOX, None, [1, 2])
+    shared = engine.alloc_object(BOX, 0, [1, 2])
+    bad = [heap._replace(partition=0),     # a heap oid under partition 0
+           shared._replace(partition=None),  # a shared oid under the heap
+           ObjectRef("solo", None, 10**9, BOX)]  # no such oid
+    for ref in bad:
+        with pytest.raises(EngineError) as info:
+            static(scen, method, [ref] + args)
+        assert info.value.code == E_UNKNOWN_OBJECT
+    assert engine.deref(heap).fields == engine.deref(shared).fields == [1, 2]

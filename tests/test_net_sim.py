@@ -414,6 +414,11 @@ class TestPackFetch:
         assert len([f for f in t.frames if f[3] == "FETCH_PACK"]) == 1
 
     def test_concurrent_demands_single_transfer(self, counter_image):
+        """Four remote creates sent at once make one FETCH_PACK. b runs them
+        one after another on its service queue, so only the first fetches
+        and the rest find the class installed;
+        `test_two_tasks_on_one_host_share_one_fetch` covers a demand made
+        while a fetch is in flight."""
         scen = mesh_scenario(["a", "b"], seed=0)
         ea = scen.hosts["a"].engine
         eb = scen.hosts["b"].engine

@@ -11,7 +11,10 @@ size `main` passes and k = 0, 1, ... in turn. Each call runs
 `Engine.invoke_static` to completion in this process, with no scheduler
 between calls, and its result is checked against the recipe's Python
 model. It prints the median and the minimum microseconds per call of each
-kind, then the same as one JSON object.
+kind. One more call of each kernel, outside the timing, runs under
+`sys.setprofile` and counts the Python functions it enters by code name
+(a compiled body is named `package.Class.method`); it prints those counts
+per kind, then all of it as one JSON object.
 """
 
 from __future__ import annotations
@@ -47,6 +50,27 @@ def call(engine, cls: ClassKey, method: str, args: list, ctx):
     except StopIteration as stop:
         return stop.value
     raise RuntimeError(f"{cls}.{method} waited on a future")
+
+
+def profiled_call(engine, cls: ClassKey, method: str, args: list, ctx):
+    """`call` under a profile function: the result, and how many times the
+    call entered each Python function, by code name."""
+    counts: dict[str, int] = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            name = frame.f_code.co_name
+            counts[name] = counts.get(name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        got = call(engine, cls, method, args, ctx)
+    finally:
+        sys.setprofile(None)
+    counts["call"] -= 1  # the entry into `call` itself
+    if not counts["call"]:
+        del counts["call"]
+    return got, counts
 
 
 def main(argv: list[str]) -> int:
@@ -86,14 +110,31 @@ def main(argv: list[str]) -> int:
             if rep:
                 times[kind].append(elapsed)
 
+    calls = {}
+    for kind in interp.KINDS:
+        idx, size = first[kind], interp.SIZES[kind]
+        got, calls[kind] = profiled_call(
+            engine, ClassKey(interp.PACKAGE, f"K{kind}"), f"{kind}{idx}",
+            [size, 0], ctx)
+        if got != MODELS[kind](recipe.kernels[kind][idx], size, 0):
+            print(f"{kind}{idx}({size}, 0) returned {got} under the profiler",
+                  file=sys.stderr)
+            return 1
+
     summary = {"seed": seed, "repeats": repeats}
     print(f"interp seed {seed}: one kernel per kind, {repeats} repeats")
     print(f"{'kind':<8} {'kernel':<10} {'median us':>10} {'min us':>9}")
     for kind in interp.KINDS:
         med, low = statistics.median(times[kind]), min(times[kind])
+        counts = dict(sorted(calls[kind].items(), key=lambda kv: (-kv[1], kv[0])))
         summary[kind] = {"kernel": f"{kind}{first[kind]}",
-                         "median_us": round(med, 1), "min_us": round(low, 1)}
+                         "median_us": round(med, 1), "min_us": round(low, 1),
+                         "calls": counts}
         print(f"{kind:<8} {kind + str(first[kind]):<10} {med:>10.1f} {low:>9.1f}")
+    print("Python function calls of one kernel call, by code name:")
+    for kind in interp.KINDS:
+        print(f"{kind:<8} " + ", ".join(
+            f"{name} {n}" for name, n in summary[kind]["calls"].items()))
     print(json.dumps(summary))
     return 0
 
