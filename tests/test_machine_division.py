@@ -27,11 +27,11 @@ def divisor_node(form: str, d: int):
     return ir.IrLocal(1)
 
 
-def compiled(op: str, divisor) -> object:
+def compiled(op: str, divisor):
     """`f(a, d)` returning `a <op> divisor`, compiled as a method body."""
     params = [ir.IrParam("a", ir.TD_INT, False), ir.IrParam("d", ir.TD_INT, False)]
     body = ir.IrBlock([ir.IrReturn(ir.IrBin(op, ir.IrLocal(0), divisor))])
-    mc = ir.MethodCode(f"{op}", 0, params, ir.TD_INT, False, 2, body)
+    mc = ir.MethodCode(op, 0, params, ir.TD_INT, False, 2, body)
     fn, suspends = machine.compile_method(mc, CLS, [])
     assert not suspends
     return lambda a, d: fn(None, None, None, a, d)

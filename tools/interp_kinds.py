@@ -58,7 +58,7 @@ def profiled_call(engine, cls: ClassKey, method: str, args: list, ctx):
     counts: dict[str, int] = {}
 
     def profile(frame, event, arg):
-        if event == "call":
+        if event == "call" and frame.f_code is not call.__code__:
             name = frame.f_code.co_name
             counts[name] = counts.get(name, 0) + 1
 
@@ -67,9 +67,6 @@ def profiled_call(engine, cls: ClassKey, method: str, args: list, ctx):
         got = call(engine, cls, method, args, ctx)
     finally:
         sys.setprofile(None)
-    counts["call"] -= 1  # the entry into `call` itself
-    if not counts["call"]:
-        del counts["call"]
     return got, counts
 
 
