@@ -56,7 +56,7 @@ from ..values import (Array, CharArray, ClassKey, ObjectRef, TAG_ARRAY,
                       TAG_OBJECT)
 from . import machine
 from .marshal import (from_wire, local_copy, marshal_args, marshal_result,
-                      to_wire, write_args)
+                      snapshot_arrays, to_wire, write_args)
 from .objects import EventRecord, ObjectRecord
 
 PACK_CHUNK = 64 * 1024
@@ -276,9 +276,14 @@ class Engine:
 
     def _release_queue(self, queue: Queue) -> None:
         """Close a queue made for one request, once that request is done,
-        and forget it."""
+        and forget it and the exec handles it owns, whose pipes it closes."""
         queue.state = QUEUE_CLOSED
         self.queues.pop(queue.qid, None)
+        for handle, (proc, owner) in list(self._exec_handles.items()):
+            if owner == queue.qid:
+                del self._exec_handles[handle]
+                proc.stdout.close()
+                proc.poll()
 
     def alloc_object(self, cls: ClassKey, partition: int | None,
                      fields: list) -> ObjectRef:
@@ -506,7 +511,7 @@ class Engine:
             w.u8(1)
             w.u32(pid)
         _leaving(write_args, self, params, args, w.buf)
-        fut = self.send_request(host, frames.INVOKE, w.getvalue())
+        fut = self.send_request(host, frames.INVOKE, w.buf)
         raw = yield fut
         ref = yield from from_wire(self, raw, host, ctx)
         return ref
@@ -542,7 +547,7 @@ class Engine:
             _leaving(to_wire, self, target, False, w.buf)
             w.wstr(method)
             _leaving(write_args, self, params, args, w.buf)
-            self.send_oneway(qref.host, frames.INVOKE, w.getvalue())
+            self.send_oneway(qref.host, frames.INVOKE, w.buf)
             return
         queue = self.resolve_queue(qref)
         params = self.param_sigs(target.cls, method) if isinstance(target, ObjectRef) else None
@@ -599,7 +604,7 @@ class Engine:
             _leaving(to_wire, self, target, False, w.buf)
             w.wstr(method)
             w.u16(arity)
-            fut = self.send_request(qref.host, frames.EVENT_POST, w.getvalue())
+            fut = self.send_request(qref.host, frames.EVENT_POST, w.buf)
             eid = yield fut
             return (qref.host, eid)
         queue = self.resolve_queue(qref)
@@ -624,7 +629,7 @@ class Engine:
             w.u64(eid)
             w.u16(slot)
             _leaving(to_wire, self, value, False, w.buf)
-            fut = self.send_request(host, frames.EVENT_POST, w.getvalue())
+            fut = self.send_request(host, frames.EVENT_POST, w.buf)
             status = yield fut
             return "fired" if status == 1 else "pending"
         return self._fill_local(eid, slot, value, ctx.origin)
@@ -659,8 +664,10 @@ class Engine:
         self.submit(queue, Request(factory, None, label=f"event:{ev.method}"))
 
     def _task_event_fire(self, ev: EventRecord, ctx):
+        # `from_wire` adopts the arrays it is given, and a slot filled on
+        # this host holds the filler's own arrays: hand over copies
         args = yield from self._args_from_wire(
-            [value for _filled, value in ev.slots], ctx)
+            [snapshot_arrays(self, value) for _filled, value in ev.slots], ctx)
         self.events.pop(ev.eid, None)
         try:
             yield from self.invoke(ev.target, ev.method, args, ctx)
@@ -756,7 +763,7 @@ class Engine:
             ms, lambda: fut.fail(EngineError(E_TIMEOUT, f"no reply within {ms} ms")))
         fut.add_callback(lambda _f: self.scheduler.cancel(timer))
 
-    def send_request(self, dst: str, kind: int, payload: bytes,
+    def send_request(self, dst: str, kind: int, payload: bytes | bytearray,
                      timeout_ms: int | None = None) -> Future:
         if self.port is None:
             raise EngineError(E_HOST_UNREACHABLE, "engine has no network")
@@ -797,7 +804,8 @@ class Engine:
             self.scheduler.cancel(entry.timer)
         return entry
 
-    def send_oneway(self, dst: str, kind: int, payload: bytes) -> None:
+    def send_oneway(self, dst: str, kind: int,
+                    payload: bytes | bytearray) -> None:
         if self.port is None:
             raise EngineError(E_HOST_UNREACHABLE, "engine has no network")
         self.port.send(dst, frames.Frame(kind, self.next_corr(), payload))
@@ -840,18 +848,19 @@ class Engine:
             w.raw(sid)
         return w
 
-    def _call_payload(self, ref: ObjectRef, method: str, args: list, ctx) -> bytes:
+    def _call_payload(self, ref: ObjectRef, method: str, args: list,
+                      ctx) -> bytearray:
         w = self._invoke_head(OP_INVOKE, ctx)
         w.raw(encode_value(ref))
         w.wstr(method)
         _leaving(write_args, self, self.param_sigs(ref.cls, method), args,
                  w.buf)
-        return w.getvalue()
+        return w.buf
 
-    def _barrier_payload(self, qref: ObjectRef, ctx) -> bytes:
+    def _barrier_payload(self, qref: ObjectRef, ctx) -> bytearray:
         w = self._invoke_head(OP_BARRIER, ctx)
         w.raw(encode_value(qref))
-        return w.getvalue()
+        return w.buf
 
     @staticmethod
     def _read_creds(r: Reader) -> tuple[str, list[bytes]]:
@@ -1004,12 +1013,11 @@ class Engine:
                                               from_remote=True)
         rc = self.classes.get(target.cls)
         mc = rc.method(method) if rc else None
-        return bytes(_leaving(to_wire, self, result,
-                              mc.ret_copy if mc else False))
+        return _leaving(to_wire, self, result, mc.ret_copy if mc else False)
 
     def _run_sys_method(self, target, method: str, args: list, ctx):
         if method == "$echo":
-            return bytes(_leaving(to_wire, self, args[0], False))
+            return _leaving(to_wire, self, args[0], False)
         if method == "$traverse":
             method_name = args[0].to_str()
             call_args = list(args[1].items)
@@ -1017,7 +1025,7 @@ class Engine:
             visited = [v.to_str() for v in args[3].items]
             result = yield from groups.run_node(self, ctx, target, method_name,
                                                 call_args, tid, visited)
-            return bytes(_leaving(to_wire, self, result, False))
+            return _leaving(to_wire, self, result, False)
         # $getf and $setf
         record = self.deref(target)
         name = args[0].to_str()
@@ -1025,7 +1033,7 @@ class Engine:
         if idx < 0 or idx >= len(record.fields):
             raise wrap_remote(EngineError(E_UNKNOWN_METHOD, f"no field {name}"))
         if method == "$getf":
-            return bytes(_leaving(to_wire, self, record.fields[idx], False))
+            return _leaving(to_wire, self, record.fields[idx], False)
         record.fields[idx] = args[1]
         return encode_value(None)
 
@@ -1086,7 +1094,7 @@ class Engine:
             w = Writer()
             w.wstr(package)
             self._send_pending(origin,
-                               frames.Frame(frames.FETCH_PACK, corr, w.getvalue()),
+                               frames.Frame(frames.FETCH_PACK, corr, w.buf),
                                _PendingCall(fut, package=package, chunks=[]),
                                self.config.fetch_timeout_ms)
             self.fetch_frames_sent += 1
@@ -1112,7 +1120,7 @@ class Engine:
             w.u8(1 if last else 0)
             w.raw(chunk)
             self._send_back(meta, frames.Frame(frames.PACK_DATA, frame.corr,
-                                               w.getvalue()))
+                                               w.buf))
             if last:
                 break
 
@@ -1213,7 +1221,10 @@ class Engine:
                 links.update(zip(path, path[1:]))
         return names, links
 
-    def write_stdout(self, data: bytes) -> None:
+    def write_stdout(self, data) -> None:
+        """Write `data`, a bytes-like object, to this host's stdout. `data`
+        is valid only during the call: the sink and the capture consume it
+        before they return."""
         if self.stdout_sink is not None:
             self.stdout_sink(data)
         if self.capture_stdout:
@@ -1227,12 +1238,16 @@ class Engine:
     def exec_read(self, args: list, ctx):
         """The exec_read builtin: wait, while other queues run, until the
         command's pipe has filled maxn bytes of the buffer or reached EOF;
-        INTRINSICS["exec_read"] gives the status. Generator."""
+        INTRINSICS["exec_read"] gives the status. A pipe that an earlier
+        read closed at EOF reads nothing. Generator."""
         handle, buf, maxn = args
         proc = self.exec_handle(handle, ctx.queue_id)
         if maxn < 0 or maxn > len(buf.data):
             raise EngineError(E_INDEX, "read size exceeds buffer")
-        got = yield self.scheduler.read_pipe(proc, buf.data, maxn)
+        if proc.stdout.closed:
+            got = (0, False)
+        else:
+            got = yield self.scheduler.read_pipe(proc, buf.data, maxn)
         return self.call_intrinsic("exec_read", [proc, maxn, got], ctx)
 
     def exec_handle(self, handle: int, queue_id: int):

@@ -19,7 +19,10 @@ flag):
 
 A value leaving the host is written to its wire bytes in one walk
 (`to_wire`); a value arriving is decoded into a tree whose objects are
-`WireObject` nodes, which `from_wire` turns into heap objects.
+`WireObject` nodes, which `from_wire` turns into heap objects. The decoder
+built every `char[]` of that tree fresh, so `from_wire` adopts it without a
+copy; a caller that hands `from_wire` values that are still local copies
+them first (`snapshot_arrays`).
 """
 
 from __future__ import annotations
@@ -137,13 +140,13 @@ def write_args(engine, params: list[ir.IrParam] | None, args: list,
 
 
 def from_wire(engine, v, fetch_from: str | None, ctx, memo: dict | None = None):
-    """Materialize a wire value at this engine. WireObject graphs become
-    fresh heap objects (identity preserved); classes missing locally are
-    fetched on demand from `fetch_from`. Generator: may wait on a fetch."""
+    """Materialize a decoded wire value at this engine. WireObject graphs
+    become fresh heap objects (identity preserved); classes missing locally
+    are fetched on demand from `fetch_from`. A `char[]` is adopted as it
+    is: the decoder made it, and nothing else holds it. Generator: may wait
+    on a fetch."""
     if memo is None:
         memo = {}
-    if isinstance(v, CharArray):
-        return CharArray(v.data)
     if isinstance(v, Array):
         out = Array(v.elem_tag, [])
         for item in v.items:

@@ -46,9 +46,13 @@ class FrameError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class Frame:
+    """One frame. Its payload is any bytes-like object: a sender hands over
+    the buffer it wrote the payload into, and the payload of a frame that
+    `decode_frame_bytes` returns is a view into the received frame, which
+    it keeps alive."""
     kind: int
     corr: int
-    payload: bytes
+    payload: bytes | bytearray | memoryview
 
     @property
     def kind_name(self) -> str:
@@ -76,14 +80,15 @@ def _header(data) -> tuple[int, int, int]:
 
 
 def decode_frame_bytes(data: bytes) -> Frame:
-    """Decode exactly one frame; the buffer must contain it whole."""
+    """Decode exactly one frame; the buffer must contain it whole. The
+    payload is a view into `data`, not a copy."""
     if len(data) < HEADER_LEN:
         raise FrameError("short frame header")
-    length, kind, corr = _header(data[:HEADER_LEN])
+    length, kind, corr = _header(data)
     if len(data) != HEADER_LEN + length:
         raise FrameError(f"length mismatch: declared {length}, "
                          f"present {len(data) - HEADER_LEN}")
-    return Frame(kind, corr, data[HEADER_LEN:])
+    return Frame(kind, corr, memoryview(data)[HEADER_LEN:])
 
 
 class FrameDecoder:

@@ -10,7 +10,9 @@ round-trip exactly. char arrays are encoded as raw bytes for bulk transfer.
 (`engine/marshal.py`) gives it the rule by which local objects cross, so a
 copied object graph is written straight from its heap records. The decoder
 returns object nodes as `WireObject`s, which the marshaler turns into heap
-objects at the receiving host.
+objects at the receiving host. It copies each char array out of the input
+into a fresh `bytearray`, which the marshaler adopts without another copy;
+only values that are still local are copied there.
 """
 
 from __future__ import annotations

@@ -108,19 +108,19 @@ class Node:
         self._stdout_file = None
         self.engine.capture_stdout = False
         if config.stdout_path:
-            self._stdout_file = open(config.stdout_path, "ab", buffering=0)
-            self.engine.stdout_sink = self._stdout_file.write
-        else:
-            self.engine.stdout_sink = self._write_stdout
+            self._stdout_file = open(config.stdout_path, "ab")
+        self.engine.stdout_sink = self._write_stdout
         self._thread = threading.Thread(target=self.loop.run_forever,
                                         daemon=True,
                                         name=f"mh-loop@{config.host_name}")
         self._thread.start()
 
-    @staticmethod
-    def _write_stdout(data: bytes) -> None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+    def _write_stdout(self, data) -> None:
+        """The engine's stdout sink: write all of `data`, which is valid only
+        during the call, to the stdout file or this process's stdout."""
+        out = self._stdout_file or sys.stdout.buffer
+        out.write(data)
+        out.flush()
 
     def call(self, fn):
         """Run fn() on the node's loop and return its value, or raise the

@@ -140,11 +140,13 @@ def intrinsic_exec_open(engine, ctx, args):
 def intrinsic_exec_read(engine, ctx, args):
     """The status array (n, eof, err) of a read of a command's output into
     a buffer, which `Engine.exec_read` waited for. `args` are the process,
-    maxn and the read's (n, err); at EOF the process is reaped."""
+    maxn and the read's (n, err); at EOF the process is reaped and its
+    output pipe closed."""
     proc, maxn, (n, err) = args
     eof = n < maxn
     if eof and not err:
         proc.wait()
+        proc.stdout.close()
     return Array(TAG_INT, [n, 1 if eof else 0, 1 if err else 0])
 
 
@@ -152,7 +154,9 @@ def intrinsic_write_stdout(engine, ctx, args):
     buf, length = args
     if length < 0 or length > len(buf.data):
         raise EngineError(E_INDEX, "write length exceeds buffer")
-    engine.write_stdout(bytes(buf.data[:length]))
+    # a view, released on return so that the program may resize `buf`
+    with memoryview(buf.data)[:length] as data:
+        engine.write_stdout(data)
     return length
 
 
