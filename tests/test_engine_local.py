@@ -458,6 +458,8 @@ class TestIntrinsics:
         n, eof, err = st.items
         assert bytes(buf.data[:n]) == b"hi\n"
         assert (eof, err) == (1, 0)
+        proc, _owner = engine._exec_handles[handle]
+        assert proc.stdout.closed and proc.returncode == 0  # reaped at eof
         st2 = self.exec_read(scen, [handle, buf, 64], ctx)
         assert st2.items == [0, 1, 0]  # read after eof
 
