@@ -11,8 +11,9 @@ The RPC core does each job at one site:
   is sent and arms its timeout after;
 - `handle_wire_frame` dispatches every arriving frame by kind;
 - a served INVOKE, CREATE or BARRIER is queued by `_serve`, which answers
-  with the task's REPLY payload or with the ERROR it fails with; a POST has
-  no answer, and its refusals are only logged;
+  with the task's REPLY payload or with the ERROR it fails with;
+- one refusal rule: a refused INVOKE, CREATE or BARRIER is answered with an
+  ERROR, and a refused POST, which has no answer, is logged;
 - a REPLY, ERROR or final PACK_DATA claims its open call through
   `_take_pending`, which cancels the call's timer and counts in
   `orphaned_replies` each reply that no open call claims;
@@ -34,7 +35,7 @@ from ..bio import Reader, ShortRead, Writer
 from ..errors import (E_ACCESS_DENIED, E_ACCESS_VIOLATION, E_HANDLE_CLOSED,
                       E_HASH_MISMATCH, E_HOP_UNREACHABLE, E_HOST_UNREACHABLE,
                       E_INDEX, E_NO_MAIN, E_NON_COPYABLE, E_NULL_REF,
-                      E_PACK_NOT_FOUND, E_QUEUE_CLOSED, E_SLOT_FILLED,
+                      E_PACK_NOT_FOUND, E_SLOT_FILLED,
                       E_SLOT_RANGE, E_TIMEOUT, E_UNKNOWN_CLASS,
                       E_UNKNOWN_EVENT, E_UNKNOWN_METHOD, E_UNKNOWN_OBJECT,
                       EngineError, wrap_remote)
@@ -46,7 +47,7 @@ from ..runpack import ir
 from ..runpack.image import (ORIGIN_NETWORK, ImageFormatError, PackStore,
                              RunpackImage, deserialize, serialize)
 from ..runpack.lower import CLASS_QUAL_BITS, METHOD_QUAL_BITS, type_desc
-from ..runtime import QUEUE_CLOSED, Future, HostView, Queue, Request
+from ..runtime import Future, HostView, Queue, Request
 from ..security import (ANONYMOUS_SID, ALL_PRIVS, CREATE, CredentialSet, EXEC,
                         READ, SID_LEN, WRITE, check_access)
 from ..stdlib import (BUILTIN_CLASSES, HOST_OBJECT_OID, HOSTS_NODE_OID,
@@ -111,10 +112,6 @@ class EngineConfig:
 class TaskCtx:
     queue: Queue
     origin: str | None = None  # host to fetch missing packages from
-
-    @property
-    def queue_id(self) -> int:
-        return self.queue.qid
 
     def sids(self) -> list[bytes]:
         return sorted(self.queue.creds.sids())
@@ -240,7 +237,8 @@ class Engine:
         self.fetch_frames_sent = 0
         self.orphaned_replies = 0  # replies no open call took
 
-        self._exec_handles: dict[int, tuple[object, int]] = {}
+        # exec handles live in the queue that opened them; one count per
+        # host, so that one queue's handle never names another's command
         self._exec_id = itertools.count(1)
 
         self._traversals_seen: set[str] = set()
@@ -254,7 +252,7 @@ class Engine:
         self.error_log: list[tuple[str, str]] = []
         self.on_host_event = None  # callable(kind, detail) set by the node
 
-        self.service_queue = self.new_queue(label="service")
+        self.service_queue = self.new_queue()
         self._bootstrap_objects()
 
     # ------------------------------------------------------------------ setup
@@ -275,15 +273,14 @@ class Engine:
         return q
 
     def _release_queue(self, queue: Queue) -> None:
-        """Close a queue made for one request, once that request is done,
-        and forget it and the exec handles it owns, whose pipes it closes."""
-        queue.state = QUEUE_CLOSED
-        self.queues.pop(queue.qid, None)
-        for handle, (proc, owner) in list(self._exec_handles.items()):
-            if owner == queue.qid:
-                del self._exec_handles[handle]
-                proc.stdout.close()
-                proc.poll()
+        """Forget a queue made for one request, once that request is done,
+        and the exec handles it owns, whose pipes it closes. Nothing names
+        the queue any more, so nothing can submit to it."""
+        del self.queues[queue.qid]
+        for proc in queue.exec_handles.values():
+            proc.stdout.close()
+            proc.poll()
+        queue.exec_handles.clear()
 
     def alloc_object(self, cls: ClassKey, partition: int | None,
                      fields: list) -> ObjectRef:
@@ -529,11 +526,6 @@ class Engine:
             raise EngineError(E_UNKNOWN_OBJECT, "queue is gone")
         return q
 
-    def submit(self, queue: Queue, request: Request) -> None:
-        if queue.state != "running":
-            raise EngineError(E_QUEUE_CLOSED, f"queue {queue.qid} not accepting work")
-        self.scheduler.submit(queue, request)
-
     def post_message(self, qref: ObjectRef, target, method: str, args: list,
                      ctx) -> None:
         """The #> operator: fire-and-forget enqueue; copy-qualified and array
@@ -563,7 +555,7 @@ class Engine:
         def factory():
             return self._task_exec_invoke(target, method, snap_args, ctx2)
 
-        self.submit(queue, Request(factory, None, label=f"post:{method}"))
+        self.scheduler.submit(queue, Request(factory))
 
     def _task_exec_invoke(self, target, method, args, ctx):
         try:
@@ -590,7 +582,7 @@ class Engine:
         queue = self.resolve_queue(qref)
         fut = Future()
         self._arm_deadline(fut, self.config.call_timeout_ms)
-        self.submit(queue, Request(thunk, fut, label="queued-eval"))
+        self.scheduler.submit(queue, Request(thunk, fut))
         return (yield fut)
 
     # ------------------------------------------------------------------ events
@@ -615,7 +607,7 @@ class Engine:
                    origin) -> int:
         """Record an event owned by `queue`; one of no slots fires now."""
         eid = next(self._eid)
-        ev = EventRecord(eid, queue.qid, target, method,
+        ev = EventRecord(eid, queue, target, method,
                          [[False, None] for _ in range(arity)])
         self.events[eid] = ev
         if arity == 0:
@@ -644,24 +636,18 @@ class Engine:
             raise EngineError(E_SLOT_FILLED, f"slot {slot}")
         ev.slots[slot][0] = True
         ev.slots[slot][1] = value
-        if ev.unfilled() == 0 and not ev.fired:
-            ev.fired = True
+        if ev.unfilled() == 0:
             self._fire_event(ev, origin)
             return "fired"
         return "pending"
 
     def _fire_event(self, ev: EventRecord, origin) -> None:
-        ev.fired = True
-        queue = self.queues.get(ev.queue_id)
-        if queue is None:
-            self.log_error(E_QUEUE_CLOSED, f"event {ev.eid} owner queue gone")
-            return
-        ctx = TaskCtx(queue, origin)
+        ctx = TaskCtx(ev.queue, origin)
 
         def factory():
             return self._task_event_fire(ev, ctx)
 
-        self.submit(queue, Request(factory, None, label=f"event:{ev.method}"))
+        self.scheduler.submit(ev.queue, Request(factory))
 
     def _task_event_fire(self, ev: EventRecord, ctx):
         # `from_wire` adopts the arrays it is given, and a slot filled on
@@ -736,7 +722,7 @@ class Engine:
             return fut
         cls_code, mc = found
         cls_key = ClassKey(image.package, cls_code.name)
-        queue = self.new_queue(label="main")
+        queue = self.new_queue()
         fut.add_callback(lambda _f: self._release_queue(queue))
         ctx = TaskCtx(queue)
         args = []
@@ -746,7 +732,7 @@ class Engine:
         def factory():
             return self._task_main(cls_key, mc.name, args, ctx)
 
-        self.submit(queue, Request(factory, fut, label="main"))
+        self.scheduler.submit(queue, Request(factory, fut))
         return fut
 
     def _task_main(self, cls_key, method, args, ctx):
@@ -910,11 +896,11 @@ class Engine:
         except EngineError as err:
             self.log_error(err.code, f"reply to {meta.src} lost")
 
-    def _serve(self, meta: FrameMeta, corr: int, queue: Queue, label: str,
+    def _serve(self, meta: FrameMeta, corr: int, queue: Queue,
                factory) -> Future:
         """Queue a served request. Its task returns the REPLY payload, or
-        fails with the error to send back. Returns the request's future; a
-        closed queue raises QueueClosed and nothing is answered."""
+        fails with the error to send back: a request that is queued is
+        always answered. Returns the request's future."""
         done = Future()
 
         def answer(fut: Future) -> None:
@@ -926,14 +912,13 @@ class Engine:
             self._send_back(meta, frames.Frame(frames.REPLY, corr, payload))
 
         done.add_callback(answer)
-        self.submit(queue, Request(factory, done, label=label))
+        self.scheduler.submit(queue, Request(factory, done))
         return done
 
     def _on_invoke(self, frame: frames.Frame, meta: FrameMeta) -> None:
         """Serve an INVOKE. A refused INVOKE, CREATE or BARRIER is answered
-        with an ERROR, except that a closed service queue refuses INVOKE and
-        CREATE unanswered (`handle_wire_frame` logs it and the caller times
-        out); a refused POST is only logged."""
+        with an ERROR, and a refused POST is logged: the access check
+        refuses, and so does a queue reference that names no queue here."""
         r = Reader(frame.payload)
         op = r.u8()
         sender, sids = self._read_creds(r)
@@ -949,9 +934,9 @@ class Engine:
                 self._reply_error(meta, corr, err)
                 return
             traverse = method == "$traverse"
-            queue = self.new_queue(label="traverse") if traverse else self.service_queue
+            queue = self.new_queue() if traverse else self.service_queue
             ctx = TaskCtx(queue, origin=sender)
-            done = self._serve(meta, corr, queue, f"rx:{method}", lambda:
+            done = self._serve(meta, corr, queue, lambda:
                                self._task_remote_invoke(target, method,
                                                         wire_args, ctx))
             if traverse:
@@ -965,9 +950,8 @@ class Engine:
                 self.check_remote_request(EXEC, sids, self._acl_of(target))
                 queue = self.resolve_queue(qref)
                 ctx = TaskCtx(queue, origin=sender)
-                self.submit(queue, Request(
-                    lambda: self._task_remote_post(target, method, wire_args, ctx),
-                    None, label=f"post:{method}"))
+                self.scheduler.submit(queue, Request(
+                    lambda: self._task_remote_post(target, method, wire_args, ctx)))
             except EngineError as err:
                 self.log_error(err.code, f"remote post {method} dropped")
         elif op == OP_CREATE:
@@ -982,14 +966,14 @@ class Engine:
                 return
             ctx = TaskCtx(self.service_queue, origin=sender)
             placement_pid = pid if has_pid else 0
-            self._serve(meta, corr, self.service_queue, "rx:create", lambda:
+            self._serve(meta, corr, self.service_queue, lambda:
                         self._task_remote_create(key, placement_pid,
                                                  wire_args, ctx))
         elif op == OP_BARRIER:
             qref = decode_value_prefix(r)
             try:
                 self.check_remote_request(EXEC, sids, None)
-                self._serve(meta, corr, self.resolve_queue(qref), "barrier",
+                self._serve(meta, corr, self.resolve_queue(qref),
                             lambda: encode_value(1))
             except EngineError as err:
                 self._reply_error(meta, corr, err)
@@ -1230,35 +1214,31 @@ class Engine:
         if self.capture_stdout:
             self.stdout_bytes += data
 
-    def register_exec_handle(self, proc, queue_id: int) -> int:
+    def register_exec_handle(self, proc, queue: Queue) -> int:
+        """A new exec handle for `proc`, owned by `queue`."""
         handle = next(self._exec_id)
-        self._exec_handles[handle] = (proc, queue_id)
+        queue.exec_handles[handle] = proc
         return handle
 
     def exec_read(self, args: list, ctx):
         """The exec_read builtin: wait, while other queues run, until the
         command's pipe has filled maxn bytes of the buffer or reached EOF;
-        INTRINSICS["exec_read"] gives the status. A pipe that an earlier
-        read closed at EOF reads nothing. Generator."""
+        INTRINSICS["exec_read"] gives the status. A handle names a command
+        only on the queue that opened it, and only until the read that
+        reaches EOF, which reaps the command, closes its pipe and drops the
+        handle: a later read fails HandleClosed. Generator."""
         handle, buf, maxn = args
-        proc = self.exec_handle(handle, ctx.queue_id)
+        proc = ctx.queue.exec_handles.get(handle)
+        if proc is None:
+            raise EngineError(E_HANDLE_CLOSED,
+                              f"no exec handle {handle} on this queue")
         if maxn < 0 or maxn > len(buf.data):
             raise EngineError(E_INDEX, "read size exceeds buffer")
-        if proc.stdout.closed:
-            got = (0, False)
-        else:
-            got = yield self.scheduler.read_pipe(proc, buf.data, maxn)
-        return self.call_intrinsic("exec_read", [proc, maxn, got], ctx)
-
-    def exec_handle(self, handle: int, queue_id: int):
-        entry = self._exec_handles.get(handle)
-        if entry is None:
-            raise EngineError(E_HANDLE_CLOSED, f"no exec handle {handle}")
-        proc, owner = entry
-        if owner != queue_id:
-            raise EngineError(E_HANDLE_CLOSED,
-                              "exec handles are confined to their creating queue")
-        return proc
+        got = yield self.scheduler.read_pipe(proc, buf.data, maxn)
+        status = self.call_intrinsic("exec_read", [proc, maxn, got], ctx)
+        if proc.stdout.closed:  # at EOF
+            ctx.queue.exec_handles.pop(handle, None)
+        return status
 
     def log_error(self, code: str, context: str) -> None:
         self.error_log.append((code, context))

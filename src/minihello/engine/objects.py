@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..runtime import Queue
 from ..security import CredentialSet
 from ..values import ClassKey
 
@@ -26,14 +27,14 @@ class ObjectRecord:
 @dataclass
 class EventRecord:
     """A deferred method call. Fires exactly once, when the last argument
-    slot fills; firing enqueues the call on the owner queue."""
+    slot fills (a filled slot cannot be filled again); firing enqueues the
+    call on the owner queue."""
 
     eid: int
-    queue_id: int
+    queue: Queue
     target: object  # ObjectRef
     method: str
     slots: list  # of [filled: bool, value]
-    fired: bool = False
 
     @property
     def arity(self) -> int:

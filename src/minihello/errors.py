@@ -29,7 +29,6 @@ E_UNKNOWN_METHOD = "UnknownMethod"
 E_NON_COPYABLE = "NonCopyableValue"
 
 # Queues and events
-E_QUEUE_CLOSED = "QueueClosed"
 E_UNKNOWN_EVENT = "UnknownEvent"
 E_SLOT_FILLED = "SlotAlreadyFilled"
 E_SLOT_RANGE = "SlotOutOfRange"

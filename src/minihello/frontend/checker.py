@@ -50,10 +50,9 @@ class _Scope:
 
 
 class _MethodCtx:
-    def __init__(self, cls: ClassSig, sig: MethodSig, decl: A.MethodDecl):
+    def __init__(self, cls: ClassSig, sig: MethodSig):
         self.cls = cls
         self.sig = sig
-        self.decl = decl
         self.static = sig.has("static")
         self.next_slot = 0
         self.scope = _Scope(None)
@@ -236,7 +235,7 @@ class Checker:
             self._check_method(sig, m)
 
     def _check_method(self, sig: ClassSig, m: A.MethodDecl) -> None:
-        ctx = _MethodCtx(sig, sig.methods[m.name], m)
+        ctx = _MethodCtx(sig, sig.methods[m.name])
         for p, psig in zip(m.params, ctx.sig.params):
             ctx.declare(p.loc, p.name, psig.ty)
         self._check_block(ctx, m.body)

@@ -196,10 +196,3 @@ class PackStore:
     def resolve(self, name: str) -> RunpackImage | None:
         entry = self._entries.get(name)
         return entry[0] if entry else None
-
-    def origin(self, name: str) -> str | None:
-        entry = self._entries.get(name)
-        return entry[1] if entry else None
-
-    def names(self) -> list[str]:
-        return sorted(self._entries)

@@ -19,9 +19,6 @@ from typing import Callable, Optional
 from .errors import EngineError
 from .security import CredentialSet
 
-QUEUE_RUNNING = "running"
-QUEUE_CLOSED = "closed"
-
 
 class Future:
     """One-shot result container. Resolve/fail wins once; later calls no-op."""
@@ -76,7 +73,6 @@ class Request:
 
     factory: Callable[[], object]
     completion: Optional[Future] = None
-    label: str = ""
 
     def finish(self, value=None, error: EngineError | None = None) -> None:
         """Deliver the result, or the error when there is one."""
@@ -89,12 +85,15 @@ class Request:
 
 class Queue:
     """FIFO execution lane. One request at a time; execution order equals
-    enqueue order. Carries the credentials of the work it runs."""
+    enqueue order. Carries the credentials of the work it runs, and owns
+    the commands that work starts: `exec_handles` maps each exec handle to
+    its process, and only work on this queue can read it. A queue has no
+    closed state: one that nothing reaches any more is simply dropped."""
 
     def __init__(self, qid: int, creds: CredentialSet):
         self.qid = qid
         self.creds = creds
-        self.state = QUEUE_RUNNING
+        self.exec_handles: dict[int, object] = {}  # handle -> Popen
         self.pending: deque[Request] = deque()
         self.busy = False
         self.step_scheduled = False  # HostView bookkeeping
@@ -130,8 +129,9 @@ class HostView:
         return self.core.read_pipe(proc, buf, maxn)
 
     def submit(self, queue: Queue, request: Request) -> None:
-        """Append a request to a queue that accepts work (`Engine.submit`
-        checks that it does)."""
+        """Append a request to a queue. Every queue accepts work: the
+        engine drops a queue made for one request once that request is
+        done, and no other request can name it."""
         queue.pending.append(request)
         self._kick(queue)
 

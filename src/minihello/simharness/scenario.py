@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 
 from ..bio import Reader, Writer
-from ..engine.engine import Engine, EngineConfig
+from ..engine.engine import (EV_CREATE, OP_BARRIER, OP_CREATE, OP_INVOKE,
+                             OP_POST, Engine, EngineConfig)
 from ..errors import EngineError
 from ..net import frames
 from ..net.router import Router
@@ -39,16 +40,16 @@ def describe_frame(frame: frames.Frame) -> str:
             r.wstr()
             for _ in range(r.u16()):
                 r.raw(SID_LEN)
-            if op == 0:
+            if op == OP_INVOKE:
                 decode_value_prefix(r)
                 return f"INVOKE:{r.wstr()}"
-            if op == 1:
+            if op == OP_POST:
                 decode_value_prefix(r)
                 decode_value_prefix(r)
                 return f"POST:{r.wstr()}"
-            if op == 2:
+            if op == OP_CREATE:
                 return f"CREATE:{r.wstr()}.{r.wstr()}"
-            if op == 3:
+            if op == OP_BARRIER:
                 return "BARRIER"
         if frame.kind == frames.ROUTE:
             r = Reader(frame.payload)
@@ -62,7 +63,7 @@ def describe_frame(frame: frames.Frame) -> str:
             return f"ROUTE[{target}]:{describe_frame(inner)}"
         if frame.kind == frames.EVENT_POST:
             r = Reader(frame.payload)
-            return "EVENT:create" if r.u8() == 0 else "EVENT:fill"
+            return "EVENT:create" if r.u8() == EV_CREATE else "EVENT:fill"
     except Exception:
         pass
     return frames.KIND_NAMES.get(frame.kind, "?")
@@ -146,7 +147,6 @@ class Scenario:
         self.mains: list[tuple[str, Future]] = []
         self.host_events: dict[str, list[tuple[int, str, str]]] = {}
         self.config_defaults = config_defaults
-        self.started = False
 
     # ----------------------------------------------------------------- building
 
@@ -187,7 +187,6 @@ class Scenario:
 
             self.core.schedule(0, dial, a)
         self.core.run_until_quiet()
-        self.started = True
 
     # ------------------------------------------------------------------ running
 
@@ -200,9 +199,9 @@ class Scenario:
         """Engine-level helper for tests: run a task generator on a fresh
         queue of the given host."""
         engine = self.hosts[host].engine
-        q = queue if queue is not None else engine.new_queue(label="test")
+        q = queue if queue is not None else engine.new_queue()
         fut = Future()
-        engine.submit(q, Request(factory, fut, label="test"))
+        engine.scheduler.submit(q, Request(factory, fut))
         return fut
 
     def at(self, tick: int, fn) -> None:

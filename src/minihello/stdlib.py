@@ -134,7 +134,7 @@ def intrinsic_exec_open(engine, ctx, args):
                                 stdin=subprocess.DEVNULL)
     except OSError as exc:
         raise EngineError(E_EXEC_FAILED, str(exc)) from exc
-    return engine.register_exec_handle(proc, ctx.queue_id)
+    return engine.register_exec_handle(proc, ctx.queue)
 
 
 def intrinsic_exec_read(engine, ctx, args):

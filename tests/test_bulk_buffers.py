@@ -191,22 +191,32 @@ class TestExecPipes:
             warnings.simplefilter("always", ResourceWarning)
             scen = mesh_scenario(["a", "b"], seed=5)
             a = scen.hosts["a"].engine
+            b = scen.hosts["b"].engine
 
-            def one_run() -> None:
+            def one_run() -> tuple[int, int]:
                 fut = a.run_main(shell_image, ["b", "2", "cat", str(path)])
                 scen.run()
                 assert fut.result() == 0
                 assert bytes(a.stdout_bytes) == data
                 del a.stdout_bytes[:]
+                # `run` executes on b's service queue, which lives as long
+                # as b: the handle of the command it opened must be gone
+                return (sum(len(q.exec_handles) for q in b.queues.values()),
+                        len(b.queues))
 
-            one_run()  # fetches the runpack to b
+            first = one_run()  # fetches the runpack to b
             before = len(os.listdir("/proc/self/fd"))
-            for _ in range(20):
-                one_run()
+            counts = [one_run() for _ in range(20)]
             after = len(os.listdir("/proc/self/fd"))
-            del scen, a
+            del scen, a, b
             gc.collect()
         assert after == before
+        assert first[0] == 0
+        assert [handles for handles, _ in counts] == [0] * 20
+        # one more queue per run: the `rtq` that `run` makes with `create
+        # queue()`, which lives as long as b; no other queue stays behind
+        assert [queues for _, queues in counts] == \
+            [first[1] + i for i in range(1, 21)]
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_releasing_a_queue_closes_the_pipes_it_owns(self):
@@ -215,8 +225,8 @@ class TestExecPipes:
         queue = engine.new_queue()
         ctx = TaskCtx(queue)
         handle = engine.call_intrinsic("exec_open", [CharArray(b"echo hi")], ctx)
-        proc, _owner = engine._exec_handles[handle]
+        proc = queue.exec_handles[handle]
         engine._release_queue(queue)
-        assert handle not in engine._exec_handles
+        assert handle not in queue.exec_handles
         assert proc.stdout.closed
         proc.wait()

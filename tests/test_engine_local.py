@@ -454,14 +454,15 @@ class TestIntrinsics:
         ctx = TaskCtx(engine.service_queue)
         handle = engine.call_intrinsic("exec_open", [CharArray(b"echo hi")], ctx)
         buf = CharArray(bytes(64))
+        proc = ctx.queue.exec_handles[handle]
         st = self.exec_read(scen, [handle, buf, 64], ctx)
         n, eof, err = st.items
         assert bytes(buf.data[:n]) == b"hi\n"
         assert (eof, err) == (1, 0)
-        proc, _owner = engine._exec_handles[handle]
         assert proc.stdout.closed and proc.returncode == 0  # reaped at eof
-        st2 = self.exec_read(scen, [handle, buf, 64], ctx)
-        assert st2.items == [0, 1, 0]  # read after eof
+        with pytest.raises(EngineError) as exc:  # the handle closed at eof
+            self.exec_read(scen, [handle, buf, 64], ctx)
+        assert exc.value.code == "HandleClosed"
 
     def test_exec_handle_confined_to_queue(self):
         scen = single()

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from minihello.bio import Writer
 from minihello.engine.engine import TaskCtx
 from minihello.errors import EngineError
+from minihello.net import frames
 from minihello.stdlib import host_ref
 from minihello.values import ClassKey
 
@@ -199,7 +201,7 @@ class TestFaults:
             yield fut
 
         from minihello.runtime import Request
-        eb.submit(slow, Request(stall))
+        eb.scheduler.submit(slow, Request(stall))
 
         def task(engine, ctx):
             yield from engine.queued_eval(qref, lambda: 1, ctx)
@@ -225,7 +227,7 @@ class TestFaults:
             yield Future()
 
         from minihello.runtime import Request
-        ec.submit(slow, Request(stall))
+        ec.scheduler.submit(slow, Request(stall))
 
         def task(engine, ctx):
             yield from engine.queued_eval(qref, lambda: 1, ctx)
@@ -281,11 +283,9 @@ QUEUE = ClassKey("standard", "queue")
 COUNTER = ClassKey("qtest", "Counter")
 
 
-def remote_queue(engine, closed=False):
-    """A queue on `engine` and a reference to it; closed when asked."""
+def remote_queue(engine):
+    """A reference to a new queue on `engine`."""
     queue = engine.new_queue(label="target")
-    if closed:
-        queue.state = "closed"
     return engine.alloc_object(QUEUE, 0, [queue.qid])
 
 
@@ -296,35 +296,8 @@ def frames_from(scen, host, kind) -> int:
 
 class TestServedRequests:
     """How a host answers an INVOKE, CREATE, BARRIER or POST it cannot
-    serve: refused by the access check, or refused by a closed queue."""
-
-    def test_barrier_on_closed_remote_queue_fails_queue_closed(self):
-        scen = mesh_scenario(["a", "b"], seed=5, call_timeout_ms=3_000)
-        qref = remote_queue(scen.hosts["b"].engine, closed=True)
-
-        def task(engine, ctx):
-            yield from engine.queued_eval(qref, lambda: 1, ctx)
-
-        with pytest.raises(EngineError) as exc:
-            run_task(scen, "a", task)
-        assert exc.value.code == "QueueClosed"
-        assert frames_from(scen, "b", "ERROR") == 1
-
-    def test_invoke_on_closed_service_queue_times_out(self):
-        scen = mesh_scenario(["a", "b"], seed=6, call_timeout_ms=3_000)
-        eb = scen.hosts["b"].engine
-        eb.service_queue.state = "closed"
-
-        def task(engine, ctx):
-            return (yield from engine.invoke(host_ref("b"), "name", [], ctx))
-
-        start = scen.core.now
-        with pytest.raises(EngineError) as exc:
-            run_task(scen, "a", task)
-        assert exc.value.code == "Timeout"
-        assert scen.core.now - start >= 3_000
-        assert [(code, text.split(": ")[:2]) for code, text in eb.error_log] \
-            == [("BadFrame", ["INVOKE", "QueueClosed"])]
+    serve: a refused INVOKE, CREATE or BARRIER is answered with an ERROR,
+    and a refused POST is logged."""
 
     def test_two_barriers_in_a_row_on_an_open_remote_queue(self):
         scen = mesh_scenario(["a", "b"], seed=7)
@@ -337,23 +310,39 @@ class TestServedRequests:
 
         assert run_task(scen, "a", task) == 12
 
-    def test_post_to_closed_remote_queue_is_logged(self, counter_image):
+    def test_an_unknown_invoke_op_is_logged_and_unanswered(self):
         scen = mesh_scenario(["a", "b"], seed=8)
         eb = scen.hosts["b"].engine
-        eb.install_image(counter_image)
-        target = eb.alloc_object(COUNTER, 0, [0])
-        qref = remote_queue(eb, closed=True)
+        w = Writer()
+        w.u8(9)  # no sub-operation of INVOKE
+        w.wstr("a")
+        w.u16(0)  # no credentials
+        start = len(scen.network.frame_log)
 
         def task(engine, ctx):
-            engine.post_message(qref, target, "poke", [], ctx)
+            engine.send_oneway("b", frames.INVOKE, w.buf)
             return 0
 
         assert run_task(scen, "a", task) == 0
-        assert eb.error_log == [("QueueClosed", "remote post poke dropped")]
-        assert frames_from(scen, "b", "ERROR") == 0
-        assert eb.deref(target).fields == [0]
+        assert eb.error_log == [("BadFrame", "unknown INVOKE op 9")]
+        assert [k for _t, src, _dst, k, _n, _i in scen.network.frame_log[start:]
+                if src == "b" and k not in ("PING", "PONG", "GOSSIP")] == []
 
-    @pytest.mark.parametrize("op", ["invoke", "create", "barrier", "post"])
+    def test_a_remote_fill_of_an_unknown_event_fails_unknown_event(self):
+        scen = mesh_scenario(["a", "b"], seed=10)
+        eb = scen.hosts["b"].engine
+
+        def task(engine, ctx):
+            yield from engine.fill_event(("b", 9999), 0, 1, ctx)
+
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", task)
+        assert exc.value.code == "UnknownEvent"
+        assert frames_from(scen, "b", "ERROR") == 1
+        assert eb.events == {}
+
+    @pytest.mark.parametrize("op", ["invoke", "create", "barrier", "post",
+                                    "event"])
     def test_access_denied(self, counter_image, op):
         scen = Scenario(seed=9)
         scen.add_host("a")
@@ -374,6 +363,8 @@ class TestServedRequests:
                                                 [], ctx)
             elif op == "barrier":
                 yield from engine.queued_eval(qref, lambda: 1, ctx)
+            elif op == "event":
+                yield from engine.create_event(qref, target, "poke", 1, ctx)
             else:
                 engine.post_message(qref, target, "poke", [], ctx)
             return "sent"

@@ -99,6 +99,21 @@ def test_reply_delivered_during_send_resolves_the_call():
     assert scheduler.live_timers() == []  # no timeout armed for a closed call
 
 
+@pytest.mark.parametrize("payload", [b"", b"\xee"],
+                         ids=["cut-short", "unknown-tag"])
+def test_malformed_reply_fails_its_call_and_leaves_nothing_pending(payload):
+    engine, scheduler = make_engine(
+        lambda frame: [frames.Frame(frames.REPLY, frame.corr, payload)])
+    fut = engine.send_request("b", frames.INVOKE, b"")
+    assert fut.done()
+    with pytest.raises(EngineError) as exc:
+        fut.result()
+    assert exc.value.code == "BadFrame"
+    assert engine.pending == {}
+    assert engine.orphaned_replies == 0
+    assert scheduler.live_timers() == []
+
+
 def test_pack_delivered_during_send_installs_it():
     engine, scheduler = make_engine(pack_data)
     fut = engine.fetch_pack("b", "fetched")

@@ -29,7 +29,7 @@ class TestQueueOrder:
             def factory(i=i):
                 order.append((i, scen.core.now))
                 return None
-            engine.submit(q, Request(factory))
+            engine.scheduler.submit(q, Request(factory))
         scen.run()
         assert [i for i, _ in order] == list(range(10))
         ticks = [t for _, t in order]
@@ -50,7 +50,7 @@ class TestQueueOrder:
             active["n"] -= 1
 
         for _ in range(5):
-            engine.submit(q, Request(task))
+            engine.scheduler.submit(q, Request(task))
         scen.run()
         assert active["max"] == 1
 
@@ -147,22 +147,6 @@ external class T {
             return value
 
         assert run_task(scen, "a", task) == 80
-
-    def test_closed_queue_rejects_work(self, counter_image):
-        scen = counter_scenario(counter_image)
-        engine = scen.hosts["a"].engine
-        q = engine.new_queue(label="dead")
-        qref = engine.alloc_object(ClassKey("standard", "queue"), 0, [q.qid])
-        q.state = "closed"
-
-        def task(engine, ctx):
-            yield from engine.queued_eval(qref, lambda: 1, ctx)
-
-        fut = scen.submit_task("a", lambda: task(engine, TaskCtx(engine.service_queue)))
-        scen.run()
-        with pytest.raises(EngineError) as exc:
-            fut.result()
-        assert exc.value.code == "QueueClosed"
 
 
 class TestMessagePost:

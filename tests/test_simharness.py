@@ -115,7 +115,7 @@ class TestDeadlockDetection:
 
         from minihello.runtime import Request
         fut = Future()
-        engine.submit(engine.service_queue, Request(task, fut))
+        engine.scheduler.submit(engine.service_queue, Request(task, fut))
         scen.run()
         from minihello.errors import EngineError
         with pytest.raises(EngineError) as exc:

@@ -51,7 +51,7 @@ def run_on(node: Node, gen_fn):
     def submit():
         fut = Future()
         queue = engine.new_queue(label="test")
-        engine.submit(queue, Request(lambda: gen_fn(engine, TaskCtx(queue)), fut))
+        engine.scheduler.submit(queue, Request(lambda: gen_fn(engine, TaskCtx(queue)), fut))
         return fut
 
     return node.wait(node.call(submit))
@@ -335,7 +335,7 @@ class TestBoundedHost:
                 handle = engine.call_intrinsic("exec_open", [CharArray(line)],
                                                ctx)
                 fut = Future()
-                engine.submit(queue, Request(
+                engine.scheduler.submit(queue, Request(
                     lambda: engine.exec_read([handle, buf, 64], ctx), fut))
                 return fut
 

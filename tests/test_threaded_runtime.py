@@ -75,10 +75,10 @@ external class T {
             yield gate
 
         def start():
-            engine.submit(engine.new_queue(label="slow"), Request(slow_task))
+            engine.scheduler.submit(engine.new_queue(label="slow"), Request(slow_task))
             fast = Future()
-            engine.submit(engine.new_queue(label="fast"),
-                          Request(lambda: "ran", fast))
+            engine.scheduler.submit(engine.new_queue(label="fast"),
+                                    Request(lambda: "ran", fast))
             return fast
 
         # the fast queue ran while the slow one stayed parked on its future
@@ -96,7 +96,7 @@ external class T {
             futs = []
             for i in range(50):
                 fut = Future()
-                engine.submit(q, Request(lambda i=i: seen.append(i), fut))
+                engine.scheduler.submit(q, Request(lambda i=i: seen.append(i), fut))
                 futs.append(fut)
             return futs[-1]
 
@@ -113,7 +113,7 @@ external class T {
             def task():
                 yield from engine.invoke(host_ref("elsewhere"), "name", [], ctx)
 
-            engine.submit(engine.new_queue(label="x"), Request(task, fut))
+            engine.scheduler.submit(engine.new_queue(label="x"), Request(task, fut))
             return fut
 
         with pytest.raises(EngineError) as exc:

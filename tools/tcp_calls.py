@@ -97,7 +97,7 @@ def measure(port: int, seconds: float) -> list[float]:
         def start():
             queue = engine.new_queue(label="calls")
             done = Future()
-            engine.submit(queue, Request(
+            engine.scheduler.submit(queue, Request(
                 lambda: calls(engine, TaskCtx(queue), seconds, times), done))
             return done
 
