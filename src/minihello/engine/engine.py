@@ -240,6 +240,9 @@ class Engine:
         # exec handles live in the queue that opened them; one count per
         # host, so that one queue's handle never names another's command
         self._exec_id = itertools.count(1)
+        # the char arrays that exec_read is filling; a copy of one is made
+        # at once, since over TCP the pipe fills it over several callbacks
+        self.filling: list[CharArray] = []
 
         self._traversals_seen: set[str] = set()
         self._traversal_order: deque[str] = deque()
@@ -277,10 +280,7 @@ class Engine:
         and the exec handles it owns, whose pipes it closes. Nothing names
         the queue any more, so nothing can submit to it."""
         del self.queues[queue.qid]
-        for proc in queue.exec_handles.values():
-            proc.stdout.close()
-            proc.poll()
-        queue.exec_handles.clear()
+        queue.close_exec_handles()
 
     def alloc_object(self, cls: ClassKey, partition: int | None,
                      fields: list) -> ObjectRef:
@@ -529,7 +529,11 @@ class Engine:
     def post_message(self, qref: ObjectRef, target, method: str, args: list,
                      ctx) -> None:
         """The #> operator: fire-and-forget enqueue; copy-qualified and array
-        arguments are snapshotted now, so the caller may reuse its buffers."""
+        arguments are snapshotted now, so the caller may reuse its buffers.
+        A `char[]` snapshot is copy-on-write (`CharArray.share`): the bytes
+        are copied only when the caller or the message first writes them,
+        by index, by `+=` or by `exec_read`. A post to another host writes
+        its arguments' wire bytes at once."""
         if qref is None:
             raise EngineError(E_NULL_REF, "post to null queue")
         if qref.host != self.host_name:
@@ -1226,7 +1230,10 @@ class Engine:
         INTRINSICS["exec_read"] gives the status. A handle names a command
         only on the queue that opened it, and only until the read that
         reaches EOF, which reaps the command, closes its pipe and drops the
-        handle: a later read fails HandleClosed. Generator."""
+        handle: a later read fails HandleClosed. The read writes the buffer,
+        so a buffer that shares its bytes with a copy gets its own first,
+        and a copy taken while the read is in flight copies at once
+        (`filling`). Generator."""
         handle, buf, maxn = args
         proc = ctx.queue.exec_handles.get(handle)
         if proc is None:
@@ -1234,7 +1241,11 @@ class Engine:
                               f"no exec handle {handle} on this queue")
         if maxn < 0 or maxn > len(buf.data):
             raise EngineError(E_INDEX, "read size exceeds buffer")
-        got = yield self.scheduler.read_pipe(proc, buf.data, maxn)
+        self.filling.append(buf)
+        try:
+            got = yield self.scheduler.read_pipe(proc, buf.unshare(), maxn)
+        finally:
+            self.filling.remove(buf)
         status = self.call_intrinsic("exec_read", [proc, maxn, got], ctx)
         if proc.stdout.closed:  # at EOF
             ctx.queue.exec_handles.pop(handle, None)

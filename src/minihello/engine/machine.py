@@ -182,6 +182,8 @@ def _write_index(arr, idx, value) -> None:
             raise EngineError(E_INDEX, "char array takes char elements")
         if not 0 <= idx < len(arr.data):
             raise EngineError(E_INDEX, f"index {idx} out of range")
+        if arr.shared:
+            arr.unshare()
         arr.data[idx] = value.code
     else:
         if not 0 <= idx < len(arr.items):

@@ -8,6 +8,12 @@ flag):
 - arrays travel by value across hosts; locally they pass by reference unless
   the parameter is copy-qualified (message posts additionally snapshot array
   arguments at enqueue time so callers may reuse buffers);
+- a local copy of a `char[]`, under a copy-qualified parameter or in a post
+  snapshot, is copy-on-write: it shares the original's bytes, and whichever
+  array is written first gets its own. The three sites that write a
+  `char[]`'s bytes, `machine._write_index`, `CharArray.append` (`+=`) and
+  `Engine.exec_read`, each make that copy; a copy taken while `exec_read`
+  is filling the array is made at once;
 - under a copy-qualified parameter, the reachable local object graph is
   copied with aliasing and cycles preserved; objects living on other hosts
   stay references; builtin instances (hosts, queues, group nodes) always
@@ -45,11 +51,12 @@ def _is_builtin(cls) -> bool:
 def local_copy(engine, v, memo: dict | None = None):
     """Structural deep copy inside one engine: fresh arrays, fresh heap
     objects, aliasing and cycles preserved. References to builtin instances
-    and to remote objects are preserved as references."""
+    and to remote objects are preserved as references. A `char[]` copy is
+    copy-on-write (`_copy_chars`)."""
     if memo is None:
         memo = {}
     if isinstance(v, CharArray):
-        return CharArray(v.data)
+        return _copy_chars(engine, v)
     if isinstance(v, Array):
         key = id(v)
         if key in memo:
@@ -73,11 +80,20 @@ def local_copy(engine, v, memo: dict | None = None):
     return v
 
 
+def _copy_chars(engine, v: CharArray) -> CharArray:
+    """A copy of `v` that shares its bytes until either array is written,
+    or, while `exec_read` is filling `v`, a copy of the bytes it holds now."""
+    if v in engine.filling:
+        return CharArray(v.data)
+    return v.share()
+
+
 def snapshot_arrays(engine, v):
     """Copy used at message-post enqueue: arrays are snapshotted, object
-    references pass through untouched."""
+    references pass through untouched. A `char[]` snapshot is copy-on-write
+    (`_copy_chars`)."""
     if isinstance(v, CharArray):
-        return CharArray(v.data)
+        return _copy_chars(engine, v)
     if isinstance(v, Array):
         return Array(v.elem_tag, [snapshot_arrays(engine, item) for item in v.items])
     return v

@@ -174,6 +174,8 @@ class Node:
         def close() -> None:
             self.router.shutdown()
             self.transport.close()
+            for queue in self.engine.queues.values():
+                queue.close_exec_handles()
 
         self.call(close)
         self.loop.call_soon_threadsafe(self.loop.stop)

@@ -101,6 +101,14 @@ class Queue:
     def idle(self) -> bool:
         return not self.busy and not self.pending
 
+    def close_exec_handles(self) -> None:
+        """Close the pipes of the commands this queue still owns, and drop
+        their handles."""
+        for proc in self.exec_handles.values():
+            proc.stdout.close()
+            proc.poll()
+        self.exec_handles.clear()
+
 
 class HostView:
     """The scheduler one host's engine and router see, over a core that

@@ -64,13 +64,21 @@ class ObjectRef(NamedTuple):
 
 
 class CharArray:
-    """Mutable byte string; the runtime representation of char[]."""
+    """Mutable byte string; the runtime representation of char[].
 
-    __slots__ = ("data",)
+    A copy made by `share` is copy-on-write: the two arrays hold the same
+    `bytearray` and both are marked `shared`. Exactly three sites write an
+    array's bytes: `machine._write_index`, `append` (which `+=` uses) and
+    `Engine.exec_read`, before it hands `data` to the pipe read. Each first
+    gives a shared array bytes of its own (`unshare`); nothing else writes
+    `data`."""
+
+    __slots__ = ("data", "shared")
     elem_tag = TAG_CHAR
 
     def __init__(self, data: bytes | bytearray = b""):
         self.data = bytearray(data)
+        self.shared = False
 
     @classmethod
     def wrap(cls, data: bytearray) -> "CharArray":
@@ -78,6 +86,7 @@ class CharArray:
         buffer over."""
         arr = cls.__new__(cls)
         arr.data = data
+        arr.shared = False
         return arr
 
     @classmethod
@@ -93,11 +102,27 @@ class CharArray:
     def concat(self, other: "CharArray") -> "CharArray":
         return CharArray(self.data + other.data)
 
-    def append(self, other: "CharArray") -> None:
-        self.data += other.data
+    def share(self) -> "CharArray":
+        """A copy of this array that holds the same bytes until either of
+        the two is written."""
+        self.shared = True
+        arr = CharArray.wrap(self.data)
+        arr.shared = True
+        return arr
 
-    def copy(self) -> "CharArray":
-        return CharArray(self.data)
+    def unshare(self) -> bytearray:
+        """This array's bytes, copied first if another array may hold them."""
+        if self.shared:
+            self.data = bytearray(self.data)
+            self.shared = False
+        return self.data
+
+    def append(self, other: "CharArray") -> None:
+        if self.shared:  # the concatenation is this array's own copy
+            self.data = self.data + other.data
+            self.shared = False
+        else:
+            self.data += other.data
 
     def __repr__(self) -> str:
         return f"CharArray({bytes(self.data)!r})"

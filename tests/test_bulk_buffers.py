@@ -13,10 +13,11 @@ import pytest
 
 from conftest import compile_text, mesh_scenario, run_task
 from minihello.engine.engine import Engine, EngineConfig, TaskCtx
+from minihello.engine.machine import _write_index
 from minihello.engine.marshal import from_wire
 from minihello.net import frames
 from minihello.net.wirevalues import decode_value, encode_value
-from minihello.values import CharArray, ClassKey, ObjectRef
+from minihello.values import Char, CharArray, ClassKey, ObjectRef
 from test_wirevalues import CapturePort, ManualScheduler
 
 SIZE = 4 << 20
@@ -91,6 +92,25 @@ class TestZeroCopyPins:
         assert engine.stdout_bytes == buf.data[:n]
         assert rise < n + MIB
 
+    def test_a_post_shares_its_char_array_until_the_first_write(self):
+        scen = mesh_scenario(["solo"])
+        engine = scen.hosts["solo"].engine
+        engine.install_image(compile_text(SINK_SRC, "Sink.hlo"))
+        ctx = TaskCtx(engine.service_queue)
+        box = engine.alloc_object(ClassKey("own", "Box"), None, [None])
+        qref = engine.alloc_object(ClassKey("standard", "queue"), 0,
+                                   [engine.new_queue().qid])
+        buf = CharArray(bulk())
+        _, post_rise = peak_rise(
+            lambda: engine.post_message(qref, box, "keep", [buf], ctx))
+        _, write_rise = peak_rise(lambda: _write_index(buf, 0, Char(88)))
+        scen.run()
+        assert post_rise < MIB
+        # the write gives the caller's array one copy of its own
+        assert SIZE <= write_rise < SIZE + MIB
+        assert engine.deref(box).fields[0].data == bulk()
+        assert buf.data[:2] == b"X\x01"
+
 
 SINK_SRC = """
 package own;
@@ -108,6 +128,54 @@ external class Box {
     }
 }
 """
+
+
+COW_SRC = """
+package cow;
+external class Box {
+    external public Box() {}
+    public char[] seen;
+    public char[][] rows;
+    public external message void keep(char[] d) { seen = d; }
+    public external message void scribble(char[] d) {
+        d[0] = 'X';
+        d += "!";
+        seen = d;
+    }
+    public external message void keep_rows(char[][] d) {
+        d[1][0] = 'Q';
+        rows = d;
+    }
+    public external int mangle(copy char[] d) {
+        d[0] = 'X';
+        seen = d;
+        return 0;
+    }
+    static public int main(char[][] argv) {
+        Box box = new Box();
+        queue q = create queue();
+        char[] buf = create char[0];
+        buf += "abc";
+        %s
+        q <=> 1;
+        %s
+        return 0;
+    }
+}
+"""
+
+
+def run_cow(body: str, after: str) -> bytes:
+    """The stdout of COW_SRC's main with `body` run after its buffer `buf`
+    is "abc" and `after` run once the posts to `q` are done."""
+    scen = mesh_scenario(["solo"])
+    fut = scen.run_main("solo", compile_text(COW_SRC % (body, after),
+                                             "Box.hlo"), [])
+    scen.run()
+    engine = scen.hosts["solo"].engine
+    assert fut.result() == 0
+    assert engine.error_log == []
+    return bytes(engine.stdout_bytes)
 
 
 class TestOwnership:
@@ -178,6 +246,41 @@ class M {
         assert fut.result() == 0
         assert engine.error_log == []
         assert bytes(engine.stdout_bytes) == b"helloJel"
+
+    def test_overwriting_a_posted_buffer_by_index(self):
+        out = run_cow("q #> (box, keep(buf)); buf[0] = 'X';",
+                      'print(box.seen + " " + buf);')
+        assert out == b"abc Xbc"
+
+    def test_appending_to_a_posted_buffer(self):
+        out = run_cow('q #> (box, keep(buf)); buf += "def";',
+                      'print(box.seen + " " + buf);')
+        assert out == b"abc abcdef"
+
+    def test_reading_a_pipe_into_a_posted_buffer(self):
+        out = run_cow(
+            'q #> (box, keep(buf)); int p = exec_open("printf XY");'
+            " int[] st = exec_read(p, buf, 3);",
+            'print(box.seen + " " + buf);')
+        assert out == b"abc XYc"
+
+    def test_a_message_writing_its_array_leaves_the_callers(self):
+        out = run_cow("q #> (box, scribble(buf));",
+                      'print(box.seen + " " + buf);')
+        assert out == b"Xbc! abc"
+
+    def test_a_posted_array_of_char_arrays_is_isolated(self):
+        out = run_cow(
+            "char[][] rows = create char[2][0]; rows[0] += buf;"
+            ' rows[1] += "def"; q #> (box, keep_rows(rows));'
+            ' rows[0][0] = \'X\'; rows[1] += "g";',
+            'print(box.rows[0] + box.rows[1] + " " + rows[0] + rows[1]);')
+        assert out == b"abcQef Xbcdefg"
+
+    def test_a_copy_parameter_is_isolated(self):
+        out = run_cow("box.mangle(buf); buf[1] = 'Y';",
+                      'print(box.seen + " " + buf);')
+        assert out == b"Xbc aYc"
 
 
 class TestExecPipes:

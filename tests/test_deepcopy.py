@@ -6,10 +6,11 @@ import random
 import pytest
 
 from minihello.engine.engine import TaskCtx
+from minihello.engine.machine import _write_index
 from minihello.engine.marshal import local_copy, to_wire
 from minihello.errors import EngineError
 from minihello.net.wirevalues import decode_value
-from minihello.values import (Array, CharArray, ClassKey, ObjectRef,
+from minihello.values import (Array, Char, CharArray, ClassKey, ObjectRef,
                               TAG_ARRAY, TAG_OBJECT, WireObject)
 
 from conftest import graphs_isomorphic, mesh_scenario, reachable_nodes, run_task
@@ -63,8 +64,10 @@ class TestLocalCopy:
         engine = scen.hosts["a"].engine
         src = CharArray(b"buffer")
         out = local_copy(engine, src)
-        out.data[0] = 0
+        # the copy shares the bytes until a write, which copies them first
+        _write_index(out, 0, Char(0))
         assert src.data == bytearray(b"buffer")
+        assert out.data == bytearray(b"\x00uffer")
 
     def test_cycle_two_nodes(self, graph_image):
         scen = graph_scenario(graph_image, hosts=("a",))

@@ -65,4 +65,6 @@ def test_remote_shell_between_two_hee_processes(tmp_path):
         except subprocess.TimeoutExpired:
             server.kill()
             server.wait()
+        server.stdout.close()
+        server.stderr.close()
     assert server.returncode == 0

@@ -285,8 +285,10 @@ class M { static public int main(char[][] argv) { int s = 3; return %s; } }
 
 class TestBufferRelease:
     def test_method_buffers_are_freed_when_its_body_returns(self):
-        # 4 MiB of buffers, and 4 MiB more of the snapshots that #> takes;
-        # with the cyclic collector off, only reference counting frees them
+        # 4 MiB of buffers, and 4 MiB more of the snapshots that #> takes:
+        # a snapshot shares its buffer's bytes until the write after the post
+        # copies them; with the cyclic collector off, only reference counting
+        # frees them
         image = compile_text("""
 package p;
 external class Sink {
@@ -295,8 +297,10 @@ external class Sink {
     public external int fill() {
         queue q = create queue();
         char[][] bufs = create char[4][1048576];
-        for (int i = 0; i < 4; i++)
+        for (int i = 0; i < 4; i++) {
             q #> (this, take(bufs[i]));
+            bufs[i][0] = 'x';
+        }
         q <=> 1;
         return sizear(bufs, 1);
     }
@@ -473,6 +477,9 @@ class TestIntrinsics:
         with pytest.raises(EngineError) as exc:
             self.exec_read(scen, [handle, CharArray(bytes(4)), 4], other)
         assert exc.value.code == "HandleClosed"
+        # the opening queue reads its command to EOF, which reaps it
+        st = self.exec_read(scen, [handle, CharArray(bytes(4)), 4], ctx)
+        assert st.items == [2, 1, 0]
 
     def test_exec_open_empty_command_fails(self):
         scen = single()

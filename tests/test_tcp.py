@@ -15,6 +15,7 @@ import time
 import pytest
 
 from minihello.engine.engine import EngineConfig, TaskCtx
+from minihello.engine.marshal import snapshot_arrays
 from minihello.errors import EngineError
 from minihello.net.frames import HELLO, HELLO_ACK, PREAMBLE, Frame
 from minihello.net.router import Router, _hello_payload
@@ -263,6 +264,27 @@ class TestGracefulShutdown:
             b.shutdown()
 
 
+    def test_shutdown_closes_the_exec_pipes_of_every_queue(self):
+        node = make_node("a")
+        engine = node.engine
+
+        def open_commands():
+            procs = []
+            for queue in (engine.service_queue, engine.new_queue()):
+                ctx = TaskCtx(queue)
+                handle = engine.call_intrinsic(
+                    "exec_open", [CharArray(b"echo x")], ctx)
+                procs.append(queue.exec_handles[handle])
+            return procs
+
+        procs = node.call(open_commands)
+        node.shutdown()
+        assert all(proc.stdout.closed for proc in procs)
+        assert all(not q.exec_handles for q in engine.queues.values())
+        for proc in procs:
+            proc.wait()
+
+
 class TestCrossDial:
     def test_simultaneous_dials_settle_consistently(self):
         a = make_node("a")
@@ -361,3 +383,36 @@ class TestBoundedHost:
         finally:
             a.shutdown()
             b.shutdown()
+
+    def test_a_copy_taken_while_a_read_fills_the_buffer_keeps_its_bytes(
+            self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        node = make_node("b")
+        try:
+            engine = node.engine
+            buf = CharArray(b"old bytes here!!")
+
+            def start_read():
+                ctx = TaskCtx(engine.new_queue())
+                handle = engine.call_intrinsic(
+                    "exec_open", [CharArray(f"cat {fifo}".encode())], ctx)
+                fut = Future()
+                engine.scheduler.submit(ctx.queue, Request(
+                    lambda: engine.exec_read([handle, buf, 16], ctx), fut))
+                return fut
+
+            def snapshot():
+                assert engine.filling == [buf]  # the read is in flight
+                return snapshot_arrays(engine, buf)
+
+            read = node.call(start_read)
+            copy = node.call(snapshot)
+            with open(fifo, "wb") as pipe:
+                pipe.write(b"new")
+            assert node.wait(read).items == [3, 1, 0]
+            assert bytes(buf.data) == b"new bytes here!!"
+            assert bytes(copy.data) == b"old bytes here!!"
+            assert engine.filling == []
+        finally:
+            node.shutdown()
