@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from minihello.cli import het
 from minihello.errors import EngineError
-from minihello.frontend import check, load_units, parse_package
+from minihello.frontend import SourceUnit, check, load_units, parse_package
+from minihello.frontend import ast_nodes as A
 from minihello.runpack import (ImageFormatError, PackStore, RunpackImage,
                                compile_package, compute_hash, deserialize,
                                serialize, ORIGIN_NETWORK)
@@ -104,6 +105,136 @@ def _node_types(node, out):
     return out
 
 
+# A package that uses every statement and expression form the checker
+# accepts, so the frontend's output is pinned as well as the image format.
+# The constant pool numbers a method call's arguments before its receiver
+# (`hello("b").print("x")`) and an `if`'s else branch before its condition
+# and then branch.
+FRONTEND_PACKAGE = """\
+package golden;
+
+external class Node
+{
+    enum { K = 3, NEG = -2 * K + 1, M = 17 % 5 - 9 / 2 }
+
+    int n;
+    char[] s;
+    Node next;
+    int[] xs;
+    bool on;
+
+    external public Node(int start) { n = start; s = "node"; }
+
+    public external message void bump(int by, copy char[] note)
+    {
+        n += by;
+        s += note;
+    }
+
+    static public int helper(int x) { return x * K + NEG; }
+
+    public external int twice(int x) { return x + x - M; }
+
+    public external copy char[] label(char c)
+    {
+        char[] out = create char[2];
+        out[0] = c;
+        out[1] = c < 'm' ? 'a' : 'z';
+        return out;
+    }
+
+    public external void walk()
+    {
+        int i;
+        i = twice(this.n);
+        n++;
+        this.n++;
+        xs = create int[4];
+        xs[1]++;
+        xs[i % 4] -= helper(i);
+        on = !on && (n > 2 || n <= -K);
+        if (next == null)
+            next = this;
+        else {
+            next.n += 1;
+        }
+        for (;;) { break_out(); return; }
+    }
+
+    public void break_out() { ; }
+
+    static public void main()
+    {
+        int a = 7;
+        int b;
+        a += 2;
+        a -= -1;
+        b = a / 2 * 3 % 5;
+        a++;
+        char[] t = "ab";
+        t += "cd" + "e";
+        bool same = t[0] == 'a' && t[1] != 'c' || t[0] >= 'b';
+        char[][] grid = create char[2][3];
+        Node[] nodes = create Node[2];
+        Node[][] mesh = create Node[1][2];
+        mesh[0] = nodes;
+        Node x = new Node(1);
+        Node y = create Node(2);
+        Node z = create (this_host) Node(K);
+        nodes[0] = x;
+        queue q = create queue();
+        queue rq = create (this_host) queue();
+        int got = q <=> Node.helper(a);
+        rq #> (y, bump(got, "hi"));
+        hosts.+print("all");
+        hello("b").print("x");
+        print(this_host.name());
+        int size = sizear(grid, 2) + parse_int("12");
+        bool stop = false;
+        while (a >= 0 && !stop) {
+            a = a - 3;
+            stop = true;
+        }
+        for (int j = 0; j < size; j++)
+            z.walk();
+        if (same)
+            x.n = x.twice(NEG) > 0 ? 1 : -1;
+        if (z != null && x.next == null) print(y.label('q'));
+        if (parse_int("7") > a) print("then"); else print("else");
+        char c = x.s[0];
+        Node maybe = same ? null : x;
+        maybe = same ? x : null;
+        host_group everyone = hosts;
+        bool nothing = null == null;
+        return;
+    }
+}
+
+class Plain
+{
+    Plain self;
+
+    static public int count(int[] xs) { return sizear(xs, 1); }
+}
+"""
+
+
+def frontend_image():
+    return compile_text(FRONTEND_PACKAGE, "golden.hlo")
+
+
+def _ast_forms(node, out):
+    """Node classes, and the operator of each operator node, under `node`."""
+    out.add(type(node))
+    if isinstance(node, (A.Binary, A.Unary, A.Assign)):
+        out.add((type(node), node.op))
+    for value in vars(node).values():
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, A.Node):
+                _ast_forms(child, out)
+    return out
+
+
 # (SHA-256 of the serialized image, content hash) per package. These pin
 # the .rpk format: a change to either number changes what every host reads.
 GOLDEN = {
@@ -116,13 +247,17 @@ GOLDEN = {
     "corpus": (
         "4de819d1c3fcead7ac3721ad4b23f36daac8cd0edb75b28da5011fbdb92ca901",
         "68d2bf1d1f0267b2a5b8cd33c0d9c6080c7d7036e4a6f8fc11bf49fcc13f5920"),
+    "frontend": (
+        "fb42707ff632a65477f51f5250fb65c794a1fdf411b3570d4adf67c84a93e655",
+        "154aa5128ab4e25b76a16b5169c8bc88ccbc7c80ab9634a51e6576c2f83a6836"),
 }
 
 
 class TestGoldenBytes:
     @pytest.mark.parametrize("name", GOLDEN)
     def test_image_bytes_and_content_hash(self, name):
-        image = corpus_image() if name == "corpus" else _image(name)
+        images = {"corpus": corpus_image, "frontend": frontend_image}
+        image = images[name]() if name in images else _image(name)
         data = serialize(image)
         assert (hashlib.sha256(data).hexdigest(),
                 compute_hash(image).hex()) == GOLDEN[name]
@@ -143,6 +278,24 @@ class TestGoldenBytes:
                 _node_types(m.body, used)
         assert used == set(ir.IrNode.__subclasses__())
         assert len(used) == 34
+
+    def test_frontend_package_uses_every_form(self):
+        used = _ast_forms(parse_package([SourceUnit("golden.hlo", FRONTEND_PACKAGE)]),
+                          set())
+        forms = set(A.Expr.__subclasses__()) | set(A.Stmt.__subclasses__())
+        forms |= {(A.Binary, op) for op in ("+", "-", "*", "/", "%", "<", "<=", ">",
+                                            ">=", "==", "!=", "&&", "||")}
+        forms |= {(A.Unary, "-"), (A.Unary, "!")}
+        forms |= {(A.Assign, op) for op in ("=", "+=", "-=")}
+        assert forms <= used
+        image = frontend_image()
+        nodes = set()
+        for cls in image.classes:
+            for m in cls.methods:
+                _node_types(m.body, nodes)
+        assert nodes == set(ir.IrNode.__subclasses__())
+        assert image.constants == [b"node", b"ab", b"cd", b"e", b"hi", b"all",
+                                   b"x", b"b", b"12", b"else", b"7", b"then"]
 
 
 def _stmt(expr: bytes) -> bytes:
