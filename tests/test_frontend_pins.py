@@ -20,10 +20,12 @@ import interp  # noqa: E402
 def canon(value) -> str:
     """`repr`, except that the members of a frozenset are sorted: set order
     follows the string hash, which differs from process to process. A named
-    tuple (`ClassKey`) renders as the dataclass it once was."""
+    tuple (`ClassKey`) renders as the dataclass it once was. Fields that the
+    parser does not set (`init=False`, such as the checker's `Expr.ty`) are
+    left out: they are not parser output."""
     if dataclasses.is_dataclass(value):
         inner = ", ".join(f"{f.name}={canon(getattr(value, f.name))}"
-                          for f in dataclasses.fields(value))
+                          for f in dataclasses.fields(value) if f.init)
         return f"{type(value).__name__}({inner})"
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         inner = ", ".join(f"{name}={canon(getattr(value, name))}"
@@ -81,12 +83,12 @@ public external class Tour {
 
 
 AST_HASHES = {
-    "tour": "d81cbfebb8ecca24caff1e5f5aa5085893102c8997f4ad5ed0594fe4dbe79248",
-    "hello_world": "374028b8f6b90f7822ce37e555458068c114e6064178af21e58861e9cc5bb467",
-    "shell_world": "fd162846240e7a5587565587fbeec7748b9196a1fa36931c38539c506f5efcaa",
-    "interp-1": "3697abe92fdbaced032bd14a27fb387ec78c560afec676d5a0e7c16e5e02f9ce",
-    "interp-5": "78a707e950ebd748ba68001e63106bb85d94d60765f3518f120208bd1a803193",
-    "interp-77": "08655d651b89bfdb473f4ae0aa5fe94183ec498c3b49c940bb5030be33c445a0",
+    "tour": "cf8624dbecf9e46f71debcb519a5283841e4ebbd144a49411f1cd01609944ec3",
+    "hello_world": "946a1e238f40d585a74d4560072370d302a765c23429df945f2e3214fe30720d",
+    "shell_world": "bfb4ae6d9459bc8b47b9fadc3759e612bc04ef4c928f3c412775556a5476aac0",
+    "interp-1": "454a3a9b300dddcbf388dc2c57acb1d933efcf2ee7e7c803e103cd83728ab1ae",
+    "interp-5": "69afc220b2e07399a6227ff3e61709fee9bb85e8f6b8b120be0981de3ac91216",
+    "interp-77": "b332ba075d80b40330afaefbcf4f3a7046df6114919744d52772667a99e404dc",
 }
 
 
