@@ -18,7 +18,8 @@ from ..runpack import compile_package, serialize
 
 
 def translate_dir(package_dir: str):
-    """Frontend + lowering for one package directory; returns (image, warnings)."""
+    """Parse and check one package directory, which emits its IR, and wrap
+    the result in an image; returns (image, warnings)."""
     units = load_units(package_dir)
     if not units:
         raise SourceErrors([])

@@ -39,14 +39,15 @@ from ..errors import (E_ACCESS_DENIED, E_ACCESS_VIOLATION, E_HANDLE_CLOSED,
                       E_SLOT_RANGE, E_TIMEOUT, E_UNKNOWN_CLASS,
                       E_UNKNOWN_EVENT, E_UNKNOWN_METHOD, E_UNKNOWN_OBJECT,
                       EngineError, wrap_remote)
+from ..frontend.checker import class_code, method_code
 from ..frontend.types import HOST_GROUP_KEY, HOST_KEY, QUEUE_KEY
 from ..net import frames
+from ..net.frames import FrameMeta
 from ..net.wirevalues import (MalformedEncoding, decode_value_prefix,
                               encode_value)
 from ..runpack import ir
 from ..runpack.image import (ORIGIN_NETWORK, ImageFormatError, PackStore,
                              RunpackImage, deserialize, serialize)
-from ..runpack.lower import CLASS_QUAL_BITS, METHOD_QUAL_BITS, type_desc
 from ..runtime import Future, HostView, Queue, Request
 from ..security import (ANONYMOUS_SID, ALL_PRIVS, CREATE, CredentialSet, EXEC,
                         READ, SID_LEN, WRITE, check_access)
@@ -117,12 +118,6 @@ class TaskCtx:
         return sorted(self.queue.creds.sids())
 
 
-@dataclass(frozen=True)
-class FrameMeta:
-    src: str
-    reverse_path: tuple = ()
-
-
 class RuntimeClass:
     """A loaded class: IR code plus any native method bindings."""
 
@@ -165,20 +160,12 @@ class RuntimeClass:
 
 def _builtin_runtime_classes() -> dict[ClassKey, RuntimeClass]:
     """The builtin classes as the checker sees them (`BUILTIN_CLASSES`),
-    lowered as `runpack/lower.py` lowers a declared class, with their
-    native methods."""
+    lowered as the checker lowers a declared class, with their native
+    methods."""
     out = {}
     for sig in BUILTIN_CLASSES.values():
-        methods = [ir.MethodCode(
-            m.name,
-            sum(METHOD_QUAL_BITS[q] for q in m.quals)
-            | (ir.MQ_CTOR if m.is_ctor else 0),
-            [ir.IrParam(p.name, type_desc(p.ty), p.copy) for p in m.params],
-            type_desc(m.ret), m.ret_copy, len(m.params))
-            for m in sig.methods.values()]
-        code = ir.ClassCode(
-            sig.key.name, sum(CLASS_QUAL_BITS[q] for q in sig.quals),
-            [(f.name, type_desc(f.ty)) for f in sig.fields.values()], methods)
+        code = class_code(sig, [method_code(m, len(m.params), ir.IrBlock([]))
+                                for m in sig.methods.values()])
         natives = {name: fn for (ckey, name), fn in NATIVE_METHODS.items()
                    if ckey == sig.key}
         out[sig.key] = RuntimeClass(sig.key, code, [], natives)

@@ -1,8 +1,8 @@
 """Abstract syntax for a source package.
 
-Every node carries its source location. The checker annotates expression
-nodes in place: `ty` receives the static type, and the `res_*` fields
-receive name-resolution results consumed by the lowering pass.
+Every node carries its source location. The checker sets each expression
+node's `ty` to its static type; it leaves the tree otherwise as parsed and
+returns what it resolves in the IR it emits.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ class NullLit(Expr):
 @dataclass
 class NameRef(Expr):
     name: str
-    # filled by the checker: ('local', slot) | ('field', index) | ('enum', value)
-    res: tuple | None = field(default=None, init=False, compare=False)
 
 
 @dataclass
@@ -76,7 +74,6 @@ class HostsExpr(Expr):
 class FieldAccess(Expr):
     obj: Expr
     name: str
-    res_index: int | None = field(default=None, init=False, compare=False)
 
 
 @dataclass
@@ -96,7 +93,6 @@ class Binary(Expr):
     op: str  # + - * / % < <= > >= == != && ||
     left: Expr
     right: Expr
-    res_kind: str | None = field(default=None, init=False, compare=False)  # 'int' arith vs 'concat' etc
 
 
 @dataclass
@@ -116,15 +112,12 @@ class PostIncr(Expr):
 class Call(Expr):
     callee: Expr  # NameRef (bare) or FieldAccess (method)
     args: list[Expr]
-    # checker: ('method', ClassKey, MethodSig) | ('builtin', BuiltinFuncSig) | ('static', ClassKey, MethodSig)
-    res: tuple | None = field(default=None, init=False, compare=False)
 
 
 @dataclass
 class NewObject(Expr):
     class_name: str
     args: list[Expr]
-    res_class: object | None = field(default=None, init=False, compare=False)
 
 
 @dataclass
@@ -132,7 +125,6 @@ class CreateObject(Expr):
     host: Expr | None  # None = local host's default partition
     class_name: str
     args: list[Expr]
-    res_class: object | None = field(default=None, init=False, compare=False)
 
 
 @dataclass
@@ -152,7 +144,6 @@ class GroupIterate(Expr):
     group: Expr
     method: str
     args: list[Expr]
-    res_sig: object | None = field(default=None, init=False, compare=False)
 
 
 # --- statements ------------------------------------------------------------
@@ -172,7 +163,6 @@ class VarDecl(Stmt):
     declared: Type
     name: str
     init: Expr | None
-    slot: int | None = field(default=None, init=False, compare=False)
 
 
 @dataclass
@@ -180,7 +170,6 @@ class Assign(Stmt):
     target: Expr  # NameRef | FieldAccess | Index
     op: str       # '=' | '+=' | '-='
     value: Expr
-    res_kind: str | None = field(default=None, init=False, compare=False)
 
 
 @dataclass
@@ -220,7 +209,6 @@ class MessagePost(Stmt):
     target: Expr
     method: str
     args: list[Expr]
-    res_sig: object | None = field(default=None, init=False, compare=False)
 
 
 @dataclass
@@ -259,7 +247,6 @@ class MethodDecl(Node):
     ret_copy: bool
     body: Block
     is_ctor: bool = False
-    n_slots: int | None = field(default=None, init=False, compare=False)
 
 
 @dataclass

@@ -1,9 +1,13 @@
-"""Static checker: name resolution, typing, and qualifier rules.
+"""Static checker and IR emitter: name resolution, typing, qualifier rules,
+and the typed IR of every method body, in one walk.
 
-The checker annotates the AST in place (expression types, resolved slots,
-field indices, call targets) and returns a CheckedPackage the lowering pass
-consumes. All failures raise CheckError with one of the stable codes
-TypeError, UnknownName, QualifierError.
+Each expression check sets the node's static type (`Expr.ty`) and returns
+the IR node it compiles to, each statement check returns its IR statement,
+so `check` returns a CheckedPackage that already holds the lowered classes
+and the constant pool; `runpack.compile_package` only wraps them in an
+image. Every table is in source order, so compiling the same sources twice
+yields byte-identical images. All failures raise CheckError with one of the
+stable codes TypeError, UnknownName, QualifierError.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from . import ast_nodes as A
 from .diagnostics import CheckError, Diagnostic, Loc
 from .types import (
     T_BOOL, T_CHAR, T_HOST, T_INT, T_NULL, T_QUEUE, T_STRING, T_VOID,
-    ClassSig, FieldSig, MethodSig, ParamSig, TArray, TClass, Type, assignable,
-    is_reference,
+    ClassSig, FieldSig, MethodSig, ParamSig, TArray, TClass, TPrim, Type,
+    assignable, is_reference,
 )
 from .. import stdlib  # a module: stdlib imports this package too
-from ..values import ClassKey
+from ..runpack import ir
+from ..values import ClassKey, wrap_i64
 
 
 @dataclass
@@ -26,9 +31,48 @@ class CheckedPackage:
     name: str
     ast: A.PackageAst
     class_sigs: dict[str, ClassSig]
-    class_order: list[str]
     main: tuple[str, str] | None  # (class name, method name)
+    classes: list[ir.ClassCode]   # in source order
+    constants: list[bytes]        # the constant pool
     warnings: list[Diagnostic] = dc_field(default_factory=list)
+
+
+CLASS_QUAL_BITS = {"external": ir.CQ_EXTERNAL, "group": ir.CQ_GROUP,
+                   "public": ir.CQ_PUBLIC}
+METHOD_QUAL_BITS = {"public": ir.MQ_PUBLIC, "static": ir.MQ_STATIC,
+                    "external": ir.MQ_EXTERNAL, "message": ir.MQ_MESSAGE,
+                    "iterator": ir.MQ_ITERATOR}
+
+_BIN_OP = {"-": "sub", "*": "mul", "/": "div", "%": "mod",
+           "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
+           "==": "eq", "!=": "ne"}
+
+
+def type_desc(ty: Type) -> ir.TypeDesc:
+    depth = 0
+    while isinstance(ty, TArray):
+        depth += 1
+        ty = ty.elem
+    if isinstance(ty, TClass):
+        return ir.TypeDesc("class", depth, ty.key)
+    assert isinstance(ty, TPrim)
+    base = "int" if ty.kind == "null" else ty.kind
+    return ir.TypeDesc(base, depth)
+
+
+def method_code(sig: MethodSig, n_slots: int, body: ir.IrBlock) -> ir.MethodCode:
+    quals = sum(METHOD_QUAL_BITS[q] for q in sig.quals)
+    if sig.is_ctor:
+        quals |= ir.MQ_CTOR
+    params = [ir.IrParam(p.name, type_desc(p.ty), p.copy) for p in sig.params]
+    return ir.MethodCode(sig.name, quals, params, type_desc(sig.ret), sig.ret_copy,
+                         n_slots, body)
+
+
+def class_code(sig: ClassSig, methods: list[ir.MethodCode]) -> ir.ClassCode:
+    return ir.ClassCode(sig.key.name, sum(CLASS_QUAL_BITS[q] for q in sig.quals),
+                        [(f.name, type_desc(f.ty)) for f in sig.fields.values()],
+                        methods)
 
 
 def _err(loc: Loc, code: str, msg: str) -> CheckError:
@@ -79,15 +123,29 @@ class Checker:
         self.sigs: dict[str, ClassSig] = {}
         self.warnings: list[Diagnostic] = []
         self.main: tuple[str, str] | None = None
+        # Each string literal's bytes and IR node, in the order the constant
+        # pool numbers them (see _number_later_first).
+        self.strings: list[tuple[bytes, ir.IrStr]] = []
 
     # -- entry point --
 
     def run(self) -> CheckedPackage:
         self._collect_signatures()
-        for decl in self.ast.classes:
-            self._check_class(decl)
-        return CheckedPackage(self.package, self.ast, self.sigs,
-                              [c.name for c in self.ast.classes], self.main, self.warnings)
+        classes = [self._check_class(decl) for decl in self.ast.classes]
+        pool: dict[bytes, int] = {}
+        for data, node in self.strings:
+            node.pool = pool.setdefault(data, len(pool))
+        return CheckedPackage(self.package, self.ast, self.sigs, self.main,
+                              classes, list(pool), self.warnings)
+
+    def _number_later_first(self, start: int, mid: int) -> None:
+        """Number the strings met since `mid` before those met from `start`
+        to `mid`. The pool numbers a method call's arguments before its
+        receiver, and an if's else branch before its condition and then
+        branch: the order images have always had, so that the same sources
+        keep compiling to the same bytes and content hash."""
+        strings = self.strings
+        strings[start:] = strings[mid:] + strings[start:mid]
 
     # -- signature collection --
 
@@ -164,28 +222,29 @@ class Checker:
             sig.enums[entry.name] = self._fold_const(entry.expr, sig)
 
     def _fold_const(self, expr: A.Expr, sig: ClassSig) -> int:
+        """An enum value, folded as compiled code computes it: wrapping to
+        64 bits, with `/` and `%` truncated toward zero."""
         expr.ty = T_INT
         if isinstance(expr, A.IntLit):
             return expr.value
         if isinstance(expr, A.Unary) and expr.op == "-":
-            return -self._fold_const(expr.operand, sig)
+            return wrap_i64(-self._fold_const(expr.operand, sig))
         if isinstance(expr, A.Binary):
             left = self._fold_const(expr.left, sig)
             right = self._fold_const(expr.right, sig)
             if expr.op == "+":
-                return left + right
+                return wrap_i64(left + right)
             if expr.op == "-":
-                return left - right
+                return wrap_i64(left - right)
             if expr.op == "*":
-                return left * right
-            if expr.op == "/":
+                return wrap_i64(left * right)
+            if expr.op in ("/", "%"):
                 if right == 0:
                     raise _err(expr.loc, "TypeError", "division by zero in constant")
-                return int(left / right)
-            if expr.op == "%":
-                if right == 0:
-                    raise _err(expr.loc, "TypeError", "division by zero in constant")
-                return left - int(left / right) * right
+                quot = abs(left) // abs(right)
+                if (left < 0) != (right < 0):
+                    quot = -quot
+                return wrap_i64(quot) if expr.op == "/" else left - quot * right
         if isinstance(expr, A.NameRef) and expr.name in sig.enums:
             return sig.enums[expr.name]
         raise _err(expr.loc, "TypeError", "enum value must be a constant integer expression")
@@ -229,168 +288,177 @@ class Checker:
 
     # -- class and method bodies --
 
-    def _check_class(self, decl: A.ClassDecl) -> None:
+    def _check_class(self, decl: A.ClassDecl) -> ir.ClassCode:
         sig = self.sigs[decl.name]
-        for m in decl.methods:
-            self._check_method(sig, m)
+        return class_code(sig, [self._check_method(sig, m) for m in decl.methods])
 
-    def _check_method(self, sig: ClassSig, m: A.MethodDecl) -> None:
+    def _check_method(self, sig: ClassSig, m: A.MethodDecl) -> ir.MethodCode:
         ctx = _MethodCtx(sig, sig.methods[m.name])
         for p, psig in zip(m.params, ctx.sig.params):
             ctx.declare(p.loc, p.name, psig.ty)
-        self._check_block(ctx, m.body)
-        m.n_slots = ctx.next_slot
+        body = self._check_block(ctx, m.body)
+        return method_code(ctx.sig, ctx.next_slot, body)
 
-    def _check_block(self, ctx: _MethodCtx, block: A.Block) -> None:
+    def _check_block(self, ctx: _MethodCtx, block: A.Block) -> ir.IrBlock:
         ctx.push()
-        for stmt in block.stmts:
-            self._check_stmt(ctx, stmt)
+        stmts = [self._check_stmt(ctx, stmt) for stmt in block.stmts]
         ctx.pop()
+        return ir.IrBlock(stmts)
 
-    def _check_stmt(self, ctx: _MethodCtx, stmt: A.Stmt) -> None:
+    def _check_stmt(self, ctx: _MethodCtx, stmt: A.Stmt) -> ir.IrNode:
         if isinstance(stmt, A.Block):
-            self._check_block(ctx, stmt)
-        elif isinstance(stmt, A.VarDecl):
+            return self._check_block(ctx, stmt)
+        if isinstance(stmt, A.VarDecl):
             ty = self._resolve_type(stmt.declared, stmt.loc)
             if ty == T_VOID:
                 raise _err(stmt.loc, "TypeError", "variable cannot have type void")
-            stmt.declared = ty
+            init = None
             if stmt.init is not None:
-                ity = self._check_expr(ctx, stmt.init)
+                init, ity = self._check_expr(ctx, stmt.init)
                 if not assignable(ty, ity):
                     raise _err(stmt.loc, "TypeError",
                                f"cannot initialize {ty} from {ity}")
-            stmt.slot = ctx.declare(stmt.loc, stmt.name, ty)
-        elif isinstance(stmt, A.Assign):
-            self._check_assign(ctx, stmt)
-        elif isinstance(stmt, A.ExprStmt):
-            self._check_expr(ctx, stmt.expr)
-        elif isinstance(stmt, A.If):
-            self._require(ctx, stmt.cond, T_BOOL, "if condition")
-            self._check_stmt(ctx, stmt.then)
-            if stmt.other is not None:
-                self._check_stmt(ctx, stmt.other)
-        elif isinstance(stmt, A.While):
-            self._require(ctx, stmt.cond, T_BOOL, "while condition")
-            self._check_stmt(ctx, stmt.body)
-        elif isinstance(stmt, A.For):
+            return ir.IrVarDecl(ctx.declare(stmt.loc, stmt.name, ty), type_desc(ty), init)
+        if isinstance(stmt, A.Assign):
+            return self._check_assign(ctx, stmt)
+        if isinstance(stmt, A.ExprStmt):
+            return ir.IrExprStmt(self._check_expr(ctx, stmt.expr)[0])
+        if isinstance(stmt, A.If):
+            start = len(self.strings)
+            cond = self._require(ctx, stmt.cond, T_BOOL, "if condition")
+            then = self._check_stmt(ctx, stmt.then)
+            if stmt.other is None:
+                return ir.IrIf(cond, then, None)
+            mid = len(self.strings)
+            other = self._check_stmt(ctx, stmt.other)
+            self._number_later_first(start, mid)
+            return ir.IrIf(cond, then, other)
+        if isinstance(stmt, A.While):
+            cond = self._require(ctx, stmt.cond, T_BOOL, "while condition")
+            return ir.IrWhile(cond, self._check_stmt(ctx, stmt.body))
+        if isinstance(stmt, A.For):
             ctx.push()
+            init = cond = step = None
             if stmt.init is not None:
-                self._check_stmt(ctx, stmt.init)
+                init = self._check_stmt(ctx, stmt.init)
             if stmt.cond is not None:
-                self._require(ctx, stmt.cond, T_BOOL, "for condition")
+                cond = self._require(ctx, stmt.cond, T_BOOL, "for condition")
             if stmt.step is not None:
-                self._check_stmt(ctx, stmt.step)
-            self._check_stmt(ctx, stmt.body)
+                step = self._check_stmt(ctx, stmt.step)
+            body = self._check_stmt(ctx, stmt.body)
             ctx.pop()
-        elif isinstance(stmt, A.Return):
+            return ir.IrFor(init, cond, step, body)
+        if isinstance(stmt, A.Return):
             want = ctx.sig.ret
             if stmt.value is None:
                 if want != T_VOID:
                     raise _err(stmt.loc, "TypeError", f"return needs a value of type {want}")
-            else:
-                got = self._check_expr(ctx, stmt.value)
-                if want == T_VOID:
-                    raise _err(stmt.loc, "TypeError", "void method cannot return a value")
-                if not assignable(want, got):
-                    raise _err(stmt.loc, "TypeError", f"cannot return {got} as {want}")
-        elif isinstance(stmt, A.MessagePost):
-            self._check_post(ctx, stmt)
-        elif isinstance(stmt, A.Empty):
-            pass
-        else:
-            raise AssertionError(f"unhandled statement {stmt!r}")
+                return ir.IrReturn(None)
+            value, got = self._check_expr(ctx, stmt.value)
+            if want == T_VOID:
+                raise _err(stmt.loc, "TypeError", "void method cannot return a value")
+            if not assignable(want, got):
+                raise _err(stmt.loc, "TypeError", f"cannot return {got} as {want}")
+            return ir.IrReturn(value)
+        if isinstance(stmt, A.MessagePost):
+            return self._check_post(ctx, stmt)
+        if isinstance(stmt, A.Empty):
+            return ir.IrNop()
+        raise AssertionError(f"unhandled statement {stmt!r}")
 
-    def _check_assign(self, ctx: _MethodCtx, stmt: A.Assign) -> None:
-        tty = self._check_lvalue(ctx, stmt.target)
-        vty = self._check_expr(ctx, stmt.value)
+    def _check_assign(self, ctx: _MethodCtx, stmt: A.Assign) -> ir.IrAssign:
+        target, tty = self._check_lvalue(ctx, stmt.target)
+        value, vty = self._check_expr(ctx, stmt.value)
         if stmt.op == "=":
             if not assignable(tty, vty):
                 raise _err(stmt.loc, "TypeError", f"cannot assign {vty} to {tty}")
-            stmt.res_kind = "set"
+            op = "set"
         elif stmt.op == "+=":
             if tty == T_INT and vty == T_INT:
-                stmt.res_kind = "int"
+                op = "addi"
             elif tty == T_STRING and vty == T_STRING:
-                stmt.res_kind = "concat"
+                op = "concat"
             else:
                 raise _err(stmt.loc, "TypeError", f"'+=' not defined for {tty} and {vty}")
-        elif stmt.op == "-=":
+        else:  # "-="
             if tty != T_INT or vty != T_INT:
                 raise _err(stmt.loc, "TypeError", f"'-=' not defined for {tty} and {vty}")
-            stmt.res_kind = "int"
+            op = "subi"
+        return ir.IrAssign(target, op, value)
 
-    def _check_lvalue(self, ctx: _MethodCtx, expr: A.Expr) -> Type:
-        if isinstance(expr, A.NameRef):
-            ty = self._check_expr(ctx, expr)
-            if expr.res is not None and expr.res[0] == "enum":
-                raise _err(expr.loc, "TypeError", "enum constant is not assignable")
-            return ty
-        if isinstance(expr, (A.FieldAccess, A.Index)):
-            return self._check_expr(ctx, expr)
-        raise _err(expr.loc, "TypeError", "expression is not assignable")
+    def _check_lvalue(self, ctx: _MethodCtx, expr: A.Expr) -> tuple[ir.IrNode, Type]:
+        if not isinstance(expr, (A.NameRef, A.FieldAccess, A.Index)):
+            raise _err(expr.loc, "TypeError", "expression is not assignable")
+        node, ty = self._check_expr(ctx, expr)
+        if isinstance(node, ir.IrInt):  # a name that is an enum constant
+            raise _err(expr.loc, "TypeError", "enum constant is not assignable")
+        return node, ty
 
-    def _require(self, ctx: _MethodCtx, expr: A.Expr, want: Type, what: str) -> None:
-        got = self._check_expr(ctx, expr)
+    def _require(self, ctx: _MethodCtx, expr: A.Expr, want: Type, what: str) -> ir.IrNode:
+        node, got = self._check_expr(ctx, expr)
         if got != want:
             raise _err(expr.loc, "TypeError", f"{what} must be {want}, found {got}")
+        return node
 
     # -- expressions --
 
-    def _check_expr(self, ctx: _MethodCtx, expr: A.Expr) -> Type:
-        ty = self._infer(ctx, expr)
+    def _check_expr(self, ctx: _MethodCtx, expr: A.Expr) -> tuple[ir.IrNode, Type]:
+        node, ty = self._infer(ctx, expr)
         expr.ty = ty
-        return ty
+        return node, ty
 
-    def _infer(self, ctx: _MethodCtx, expr: A.Expr) -> Type:
+    def _infer(self, ctx: _MethodCtx, expr: A.Expr) -> tuple[ir.IrNode, Type]:
         if isinstance(expr, A.IntLit):
-            return T_INT
+            return ir.IrInt(expr.value), T_INT
         if isinstance(expr, A.BoolLit):
-            return T_BOOL
+            return ir.IrBool(expr.value), T_BOOL
         if isinstance(expr, A.CharLit):
-            return T_CHAR
+            return ir.IrChar(expr.code), T_CHAR
         if isinstance(expr, A.StrLit):
-            return T_STRING
+            node = ir.IrStr(0)  # numbered in run()
+            self.strings.append((expr.data, node))
+            return node, T_STRING
         if isinstance(expr, A.NullLit):
-            return T_NULL
+            return ir.IrNull(), T_NULL
         if isinstance(expr, A.ThisExpr):
             if ctx.static:
                 raise _err(expr.loc, "TypeError", "'this' is not available in a static method")
-            return TClass(ctx.cls.key)
+            return ir.IrThis(), TClass(ctx.cls.key)
         if isinstance(expr, A.ThisHostExpr):
-            return T_HOST
+            return ir.IrThisHost(), T_HOST
         if isinstance(expr, A.HostsExpr):
-            return TClass(stdlib.BUILTIN_CLASSES["host_group"].key)
+            return ir.IrHostsRoot(), TClass(stdlib.BUILTIN_CLASSES["host_group"].key)
         if isinstance(expr, A.NameRef):
             return self._infer_name(ctx, expr)
         if isinstance(expr, A.FieldAccess):
             return self._infer_field(ctx, expr)
         if isinstance(expr, A.Index):
-            oty = self._check_expr(ctx, expr.obj)
+            obj, oty = self._check_expr(ctx, expr.obj)
             if not isinstance(oty, TArray):
                 raise _err(expr.loc, "TypeError", f"cannot index {oty}")
-            self._require(ctx, expr.index, T_INT, "array index")
-            return oty.elem
+            index = self._require(ctx, expr.index, T_INT, "array index")
+            return ir.IrIndex(obj, index), oty.elem
         if isinstance(expr, A.Unary):
             return self._infer_unary(ctx, expr)
         if isinstance(expr, A.Binary):
             return self._infer_binary(ctx, expr)
         if isinstance(expr, A.Ternary):
-            self._require(ctx, expr.cond, T_BOOL, "condition")
-            t1 = self._check_expr(ctx, expr.then)
-            t2 = self._check_expr(ctx, expr.other)
+            cond = self._require(ctx, expr.cond, T_BOOL, "condition")
+            then, t1 = self._check_expr(ctx, expr.then)
+            other, t2 = self._check_expr(ctx, expr.other)
+            node = ir.IrTernary(cond, then, other)
             if t1 == t2:
-                return t1
+                return node, t1
             if t1 == T_NULL and is_reference(t2):
-                return t2
+                return node, t2
             if t2 == T_NULL and is_reference(t1):
-                return t1
+                return node, t1
             raise _err(expr.loc, "TypeError", f"ternary branches disagree: {t1} vs {t2}")
         if isinstance(expr, A.PostIncr):
-            tty = self._check_lvalue(ctx, expr.target)
+            target, tty = self._check_lvalue(ctx, expr.target)
             if tty != T_INT:
                 raise _err(expr.loc, "TypeError", "'++' needs an int operand")
-            return T_INT
+            return ir.IrPostIncr(target, expr.delta), T_INT
         if isinstance(expr, A.Call):
             return self._infer_call(ctx, expr)
         if isinstance(expr, A.NewObject):
@@ -398,48 +466,43 @@ class Checker:
             if cls.builtin:
                 raise _err(expr.loc, "QualifierError",
                            f"builtin class '{cls.key.name}' cannot be created with new")
-            self._check_ctor_args(ctx, expr.loc, cls, expr.args)
-            expr.res_class = cls
-            return TClass(cls.key)
+            args = self._check_ctor_args(ctx, expr.loc, cls, expr.args)
+            return ir.IrNew(cls.key, args), TClass(cls.key)
         if isinstance(expr, A.CreateObject):
             return self._infer_create(ctx, expr)
         if isinstance(expr, A.NewArray):
             elem = self._resolve_type(expr.elem, expr.loc)
             if elem == T_VOID:
                 raise _err(expr.loc, "TypeError", "array element cannot be void")
-            expr.elem = elem
-            for dim in expr.dims:
-                self._require(ctx, dim, T_INT, "array dimension")
+            dims = [self._require(ctx, dim, T_INT, "array dimension") for dim in expr.dims]
             ty: Type = TArray(elem)
             if len(expr.dims) == 2:
                 ty = TArray(ty)
-            return ty
+            return ir.IrNewArray(type_desc(elem), dims), ty
         if isinstance(expr, A.QueuedEval):
-            qty = self._check_expr(ctx, expr.queue)
+            queue, qty = self._check_expr(ctx, expr.queue)
             if qty != T_QUEUE:
                 raise _err(expr.loc, "TypeError", f"'<=>' needs a queue, found {qty}")
-            return self._check_expr(ctx, expr.body)
+            body, ty = self._check_expr(ctx, expr.body)
+            return ir.IrQueuedEval(queue, body), ty
         if isinstance(expr, A.GroupIterate):
             return self._infer_iterate(ctx, expr)
         raise AssertionError(f"unhandled expression {expr!r}")
 
-    def _infer_name(self, ctx: _MethodCtx, expr: A.NameRef) -> Type:
+    def _infer_name(self, ctx: _MethodCtx, expr: A.NameRef) -> tuple[ir.IrNode, Type]:
         hit = ctx.scope.lookup(expr.name)
         if hit is not None:
             slot, ty = hit
-            expr.res = ("local", slot)
-            return ty
+            return ir.IrLocal(slot), ty
         if not ctx.static and expr.name in ctx.cls.fields:
             fsig = ctx.cls.fields[expr.name]
-            expr.res = ("field", fsig.index)
-            return fsig.ty
+            return ir.IrFieldGet(ir.IrThis(), fsig.index, expr.name), fsig.ty
         if expr.name in ctx.cls.enums:
-            expr.res = ("enum", ctx.cls.enums[expr.name])
-            return T_INT
+            return ir.IrInt(ctx.cls.enums[expr.name]), T_INT
         raise _err(expr.loc, "UnknownName", f"unknown name '{expr.name}'")
 
-    def _infer_field(self, ctx: _MethodCtx, expr: A.FieldAccess) -> Type:
-        oty = self._check_expr(ctx, expr.obj)
+    def _infer_field(self, ctx: _MethodCtx, expr: A.FieldAccess) -> tuple[ir.IrNode, Type]:
+        obj, oty = self._check_expr(ctx, expr.obj)
         cls = self._class_for(oty)
         if cls is None:
             raise _err(expr.loc, "TypeError", f"{oty} has no fields")
@@ -447,63 +510,62 @@ class Checker:
         if fsig is None:
             raise _err(expr.loc, "UnknownName",
                        f"class '{cls.key.name}' has no field '{expr.name}'")
-        expr.res_index = fsig.index
-        return fsig.ty
+        return ir.IrFieldGet(obj, fsig.index, expr.name), fsig.ty
 
-    def _infer_unary(self, ctx: _MethodCtx, expr: A.Unary) -> Type:
-        oty = self._check_expr(ctx, expr.operand)
+    def _infer_unary(self, ctx: _MethodCtx, expr: A.Unary) -> tuple[ir.IrNode, Type]:
+        operand, oty = self._check_expr(ctx, expr.operand)
         if expr.op == "-":
             if oty != T_INT:
                 raise _err(expr.loc, "TypeError", f"unary '-' needs int, found {oty}")
-            return T_INT
+            return ir.IrUn("neg", operand), T_INT
         if oty != T_BOOL:
             raise _err(expr.loc, "TypeError", f"'!' needs bool, found {oty}")
-        return T_BOOL
+        return ir.IrUn("not", operand), T_BOOL
 
-    def _infer_binary(self, ctx: _MethodCtx, expr: A.Binary) -> Type:
-        lty = self._check_expr(ctx, expr.left)
-        rty = self._check_expr(ctx, expr.right)
+    def _infer_binary(self, ctx: _MethodCtx, expr: A.Binary) -> tuple[ir.IrNode, Type]:
+        left, lty = self._check_expr(ctx, expr.left)
+        right, rty = self._check_expr(ctx, expr.right)
         op = expr.op
         if op == "+":
             if lty == T_INT and rty == T_INT:
-                expr.res_kind = "int"
-                return T_INT
+                return ir.IrBin("add", left, right), T_INT
             if lty == T_STRING and rty == T_STRING:
-                expr.res_kind = "concat"
-                return T_STRING
+                return ir.IrBin("concat", left, right), T_STRING
             raise _err(expr.loc, "TypeError", f"'+' not defined for {lty} and {rty}")
+        if op in ("&&", "||"):
+            if lty == T_BOOL and rty == T_BOOL:
+                return ir.IrLogic("and" if op == "&&" else "or", left, right), T_BOOL
+            raise _err(expr.loc, "TypeError", f"'{op}' needs bool operands")
+        node = ir.IrBin(_BIN_OP[op], left, right)
         if op in ("-", "*", "/", "%"):
             if lty == T_INT and rty == T_INT:
-                return T_INT
+                return node, T_INT
             raise _err(expr.loc, "TypeError", f"'{op}' not defined for {lty} and {rty}")
         if op in ("<", "<=", ">", ">="):
             if lty == rty and lty in (T_INT, T_CHAR):
-                return T_BOOL
+                return node, T_BOOL
             raise _err(expr.loc, "TypeError", f"'{op}' not defined for {lty} and {rty}")
-        if op in ("==", "!="):
-            ok = (lty == rty and lty in (T_INT, T_CHAR, T_BOOL)) \
-                or (lty == rty and isinstance(lty, TClass)) \
-                or (lty == T_NULL and is_reference(rty)) \
-                or (rty == T_NULL and is_reference(lty)) \
-                or (lty == T_NULL and rty == T_NULL)
-            if not ok:
-                raise _err(expr.loc, "TypeError", f"'{op}' not defined for {lty} and {rty}")
-            return T_BOOL
-        if op in ("&&", "||"):
-            if lty == T_BOOL and rty == T_BOOL:
-                return T_BOOL
-            raise _err(expr.loc, "TypeError", f"'{op}' needs bool operands")
-        raise AssertionError(f"unhandled operator {op}")
+        # == and !=
+        ok = (lty == rty and lty in (T_INT, T_CHAR, T_BOOL)) \
+            or (lty == rty and isinstance(lty, TClass)) \
+            or (lty == T_NULL and is_reference(rty)) \
+            or (rty == T_NULL and is_reference(lty)) \
+            or (lty == T_NULL and rty == T_NULL)
+        if not ok:
+            raise _err(expr.loc, "TypeError", f"'{op}' not defined for {lty} and {rty}")
+        return node, T_BOOL
 
     # -- calls --
 
     def _check_args(self, ctx: _MethodCtx, loc: Loc, what: str,
-                    params, args: list[A.Expr]) -> None:
+                    params, args: list[A.Expr]) -> list[ir.IrNode]:
         if len(args) != len(params):
             raise _err(loc, "TypeError",
                        f"{what} takes {len(params)} argument(s), got {len(args)}")
+        nodes = []
         for psig, arg in zip(params, args):
-            aty = self._check_expr(ctx, arg)
+            node, aty = self._check_expr(ctx, arg)
+            nodes.append(node)
             want = psig.ty if isinstance(psig, ParamSig) else psig
             if want is None:  # polymorphic (any array)
                 if not isinstance(aty, TArray):
@@ -511,14 +573,15 @@ class Checker:
                 continue
             if not assignable(want, aty):
                 raise _err(arg.loc, "TypeError", f"expected {want}, found {aty}")
+        return nodes
 
     def _check_ctor_args(self, ctx: _MethodCtx, loc: Loc, cls: ClassSig,
-                         args: list[A.Expr]) -> None:
+                         args: list[A.Expr]) -> list[ir.IrNode]:
         ctor = cls.methods.get(cls.key.name)
         params = ctor.params if ctor is not None else ()
-        self._check_args(ctx, loc, f"constructor of '{cls.key.name}'", params, args)
+        return self._check_args(ctx, loc, f"constructor of '{cls.key.name}'", params, args)
 
-    def _infer_call(self, ctx: _MethodCtx, expr: A.Call) -> Type:
+    def _infer_call(self, ctx: _MethodCtx, expr: A.Call) -> tuple[ir.IrNode, Type]:
         callee = expr.callee
         if isinstance(callee, A.NameRef):
             return self._infer_bare_call(ctx, expr, callee)
@@ -538,11 +601,11 @@ class Checker:
                 raise _err(expr.loc, "TypeError",
                            f"'{callee.name}' is not static")
             callee.obj.ty = TClass(cls.key)
-            self._check_args(ctx, expr.loc, f"'{callee.name}'", msig.params, expr.args)
-            expr.res = ("static", cls.key, msig)
+            args = self._check_args(ctx, expr.loc, f"'{callee.name}'", msig.params, expr.args)
             callee.ty = msig.ret
-            return msig.ret
-        oty = self._check_expr(ctx, callee.obj)
+            return ir.IrCallStatic(cls.key, callee.name, args), msig.ret
+        start = len(self.strings)
+        obj, oty = self._check_expr(ctx, callee.obj)
         cls = self._class_for(oty)
         if cls is None:
             raise _err(expr.loc, "TypeError", f"{oty} has no methods")
@@ -562,12 +625,14 @@ class Checker:
             raise _err(expr.loc, "QualifierError",
                        f"method '{callee.name}' is not external and may only be "
                        "invoked on 'this'")
-        self._check_args(ctx, expr.loc, f"'{callee.name}'", msig.params, expr.args)
-        expr.res = ("method", cls.key, msig)
+        mid = len(self.strings)
+        args = self._check_args(ctx, expr.loc, f"'{callee.name}'", msig.params, expr.args)
+        self._number_later_first(start, mid)
         callee.ty = msig.ret
-        return msig.ret
+        return ir.IrCallMethod(obj, callee.name, args), msig.ret
 
-    def _infer_bare_call(self, ctx: _MethodCtx, expr: A.Call, callee: A.NameRef) -> Type:
+    def _infer_bare_call(self, ctx: _MethodCtx, expr: A.Call,
+                         callee: A.NameRef) -> tuple[ir.IrNode, Type]:
         name = callee.name
         if ctx.scope.lookup(name) is not None or name in ctx.cls.fields:
             raise _err(expr.loc, "TypeError", f"'{name}' is not callable")
@@ -576,22 +641,22 @@ class Checker:
             if not msig.has("static") and ctx.static:
                 raise _err(expr.loc, "TypeError",
                            f"cannot call instance method '{name}' from a static method")
-            self._check_args(ctx, expr.loc, f"'{name}'", msig.params, expr.args)
-            kind = "static" if msig.has("static") else "method"
-            expr.res = (kind, ctx.cls.key, msig)
+            args = self._check_args(ctx, expr.loc, f"'{name}'", msig.params, expr.args)
             callee.ty = msig.ret
-            return msig.ret
+            if msig.has("static"):
+                return ir.IrCallStatic(ctx.cls.key, name, args), msig.ret
+            return ir.IrCallMethod(ir.IrThis(), name, args), msig.ret
         fsig = stdlib.BUILTIN_FUNCS.get(name)
         if fsig is not None:
-            self._check_args(ctx, expr.loc, f"'{name}'", fsig.params, expr.args)
-            expr.res = ("builtin", fsig)
+            args = self._check_args(ctx, expr.loc, f"'{name}'", fsig.params, expr.args)
             callee.ty = fsig.ret
-            return fsig.ret
+            return ir.IrCallBuiltin(fsig.hook, args), fsig.ret
         raise _err(expr.loc, "UnknownName", f"unknown function '{name}'")
 
-    def _infer_create(self, ctx: _MethodCtx, expr: A.CreateObject) -> Type:
+    def _infer_create(self, ctx: _MethodCtx, expr: A.CreateObject) -> tuple[ir.IrNode, Type]:
+        host = None
         if expr.host is not None:
-            hty = self._check_expr(ctx, expr.host)
+            host, hty = self._check_expr(ctx, expr.host)
             if hty != T_HOST:
                 raise _err(expr.loc, "TypeError",
                            f"create placement must be a host, found {hty}")
@@ -603,12 +668,11 @@ class Checker:
             raise _err(expr.loc, "QualifierError",
                        f"class '{cls.key.name}' is not external and cannot be "
                        "created on another host")
-        self._check_ctor_args(ctx, expr.loc, cls, expr.args)
-        expr.res_class = cls
-        return TClass(cls.key)
+        args = self._check_ctor_args(ctx, expr.loc, cls, expr.args)
+        return ir.IrCreate(host, cls.key, args), TClass(cls.key)
 
-    def _infer_iterate(self, ctx: _MethodCtx, expr: A.GroupIterate) -> Type:
-        gty = self._check_expr(ctx, expr.group)
+    def _infer_iterate(self, ctx: _MethodCtx, expr: A.GroupIterate) -> tuple[ir.IrNode, Type]:
+        group, gty = self._check_expr(ctx, expr.group)
         cls = self._class_for(gty)
         if cls is None or not cls.is_group:
             raise _err(expr.loc, "QualifierError",
@@ -620,15 +684,14 @@ class Checker:
         if not msig.has("iterator"):
             raise _err(expr.loc, "QualifierError",
                        f"'{expr.method}' is not an iterator method")
-        self._check_args(ctx, expr.loc, f"'{expr.method}'", msig.params, expr.args)
-        expr.res_sig = msig
-        return T_VOID
+        args = self._check_args(ctx, expr.loc, f"'{expr.method}'", msig.params, expr.args)
+        return ir.IrIterate(group, expr.method, args), T_VOID
 
-    def _check_post(self, ctx: _MethodCtx, stmt: A.MessagePost) -> None:
-        qty = self._check_expr(ctx, stmt.queue)
+    def _check_post(self, ctx: _MethodCtx, stmt: A.MessagePost) -> ir.IrPost:
+        queue, qty = self._check_expr(ctx, stmt.queue)
         if qty != T_QUEUE:
             raise _err(stmt.loc, "TypeError", f"'#>' needs a queue, found {qty}")
-        tty = self._check_expr(ctx, stmt.target)
+        target, tty = self._check_expr(ctx, stmt.target)
         cls = self._class_for(tty)
         if cls is None:
             raise _err(stmt.loc, "TypeError", f"{tty} has no methods")
@@ -644,8 +707,8 @@ class Checker:
             raise _err(stmt.loc, "QualifierError",
                        f"method '{stmt.method}' is not external and may only be "
                        "posted to 'this'")
-        self._check_args(ctx, stmt.loc, f"'{stmt.method}'", msig.params, stmt.args)
-        stmt.res_sig = msig
+        args = self._check_args(ctx, stmt.loc, f"'{stmt.method}'", msig.params, stmt.args)
+        return ir.IrPost(queue, target, stmt.method, args)
 
 
 def check(ast: A.PackageAst) -> CheckedPackage:

@@ -40,8 +40,8 @@ _BINARY_BP = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4,
 # every binary or postfix operator of a chain, which the parser reads in a
 # loop but which makes a left-deep tree. The levels of a chain are counted
 # while its later operands are parsed, so the tree is at most twice
-# MAX_NESTING deep, which the checker and lowering walk well within the
-# recursion limit that het and hee set.
+# MAX_NESTING deep, which the checker walks well within the recursion limit
+# that het and hee set.
 MAX_EXPR_DEPTH = 48
 MAX_NESTING = 2048
 

@@ -1,4 +1,5 @@
-"""Static types and declaration signatures used by the checker and the lowering pass."""
+"""Static types and declaration signatures used by the checker, the builtin
+class table and the engine."""
 
 from __future__ import annotations
 

@@ -59,6 +59,14 @@ class Frame:
         return KIND_NAMES.get(self.kind, f"0x{self.kind:02x}")
 
 
+@dataclass(frozen=True)
+class FrameMeta:
+    """Where a frame that the engine handles came from: the sending host,
+    and the path back to it when the frame was routed by table."""
+    src: str
+    reverse_path: tuple = ()
+
+
 def encode_frame(frame: Frame) -> bytes:
     if frame.kind not in KIND_NAMES:
         raise FrameError(f"unknown frame kind {frame.kind}")

@@ -17,9 +17,10 @@ from ..bio import Reader, ShortRead, Writer
 from ..errors import (E_CONNECT_REFUSED, E_HANDSHAKE_TIMEOUT,
                       E_HOST_UNREACHABLE, E_HOP_UNREACHABLE, E_NAME_COLLISION,
                       EngineError)
-from .frames import (ERROR, Frame, FrameError, GOSSIP, HELLO, HELLO_ACK, PING,
-                     PONG, ROUTE, decode_frame_bytes, encode_frame,
-                     error_payload, read_error)
+from ..runtime import Future
+from .frames import (ERROR, Frame, FrameError, FrameMeta, GOSSIP, HELLO,
+                     HELLO_ACK, PING, PONG, ROUTE, decode_frame_bytes,
+                     encode_frame, error_payload, read_error)
 
 ROUTE_TTL = 16
 MODE_TABLE = 0
@@ -61,7 +62,6 @@ class Router:
         self.conn_names: dict[int, str] = {}
         self.missed: dict[str, int] = {}
         self.incarnations: dict[str, int] = {}
-        self.liveness_ms: dict[str, int] = {}
         self.routes_via: dict[str, dict[str, tuple[str, ...]]] = {}
         # dest -> (intermediate hops, learned-from neighbor)
         self.path_table: dict[str, tuple[tuple[str, ...], str]] = {}
@@ -93,7 +93,6 @@ class Router:
 
     def connect(self, endpoint: str):
         """Dial and handshake; returns a Future resolving to the peer name."""
-        from ..runtime import Future
         fut = Future()
         try:
             conn = self.transport.dial(endpoint)
@@ -180,7 +179,6 @@ class Router:
                 name = self.conn_names.get(id(conn))
                 if name is not None:
                     self.missed[name] = 0
-                    self.liveness_ms[name] = self.scheduler.now_ms()
             elif frame.kind == GOSSIP:
                 self._on_gossip(conn, frame)
             elif frame.kind == ROUTE:
@@ -195,7 +193,6 @@ class Router:
                 src = self.conn_names.get(id(conn))
                 if src is None:
                     return  # frames before handshake are dropped
-                from ..engine.engine import FrameMeta
                 self.engine.handle_wire_frame(frame, FrameMeta(src=src))
         except (ShortRead, FrameError) as exc:
             self.engine.log_error("BadFrame", f"router: {exc}")
@@ -265,7 +262,6 @@ class Router:
         self.conn_names[id(conn)] = name
         self.incarnations[name] = incarnation
         self.missed[name] = 0
-        self.liveness_ms[name] = self.scheduler.now_ms()
         self.routes_via.setdefault(name, {})
         self._recompute()
         self.engine.on_neighbor_added(name)
@@ -278,7 +274,6 @@ class Router:
         self.conn_names.pop(id(conn), None)
         self.missed.pop(name, None)
         self.incarnations.pop(name, None)
-        self.liveness_ms.pop(name, None)
         self.routes_via.pop(name, None)
         conn.close()
         # report routed frames we forwarded through the lost neighbor
@@ -412,7 +407,6 @@ class Router:
                 self.engine.log_error("BadFrame", f"routed: {exc}")
                 return
             reverse = tuple(reversed(hops)) if mode == MODE_TABLE else ()
-            from ..engine.engine import FrameMeta
             self.engine.handle_wire_frame(inner, FrameMeta(src=origin,
                                                            reverse_path=reverse))
             return

@@ -32,7 +32,6 @@ class LoopCore:
 
     def __init__(self, loop: asyncio.AbstractEventLoop):
         self.loop = loop
-        self.parked: dict[str, int] = {}
         self.log_error = None  # Engine.log_error, set once the engine exists
 
     @property

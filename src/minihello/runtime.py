@@ -113,9 +113,9 @@ class Queue:
 class HostView:
     """The scheduler one host's engine and router see, over a core that
     keeps time. The core provides `now` (ms), `schedule(delay_ms, fn, owner,
-    maintenance=...)`, `cancel(handle)`, `read_pipe(proc, buf, maxn)` and the
-    `parked` counts; every event this view schedules is tagged with its
-    host, so that the simulator's kill-host silences it."""
+    maintenance=...)`, `cancel(handle)` and `read_pipe(proc, buf, maxn)`;
+    every event this view schedules is tagged with its host, so that the
+    simulator's kill-host silences it."""
 
     def __init__(self, core, owner: str):
         self.core = core
@@ -182,7 +182,6 @@ class HostView:
             if not isinstance(fut, Future):
                 raise AssertionError(f"task yielded a non-future: {fut!r}")
             if not fut.done():
-                self.core.parked[self.owner] = self.core.parked.get(self.owner, 0) + 1
                 fut.add_callback(self._resumer(queue, request, gen))
                 return
             try:
@@ -194,7 +193,6 @@ class HostView:
 
     def _resumer(self, queue: Queue, request: Request, gen):
         def on_ready(fut: Future) -> None:
-            self.core.parked[self.owner] -= 1
             try:
                 value, error = fut.result(), None
             except EngineError as err:

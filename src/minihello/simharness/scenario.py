@@ -226,11 +226,15 @@ class Scenario:
 
     def run(self) -> None:
         """Run to quiescence; raise ScenarioDeadlock if live tasks are parked
-        with nothing left to wake them."""
+        with nothing left to wake them. With no work event left, a queue is
+        busy exactly when its task is parked."""
         self.core.run_until_quiet()
-        if self.core.live_parked() > 0:
-            waiting = {h: n for h, n in self.core.parked.items()
-                       if n > 0 and h not in self.core.dead}
+        waiting = {}
+        for name, host in self.hosts.items():
+            busy = sum(q.busy for q in host.engine.queues.values())
+            if busy and name not in self.core.dead:
+                waiting[name] = busy
+        if waiting:
             raise ScenarioDeadlock(f"parked tasks with no runnable events: {waiting}")
 
     # --------------------------------------------------------------- transcript

@@ -31,7 +31,6 @@ class SimScheduler:
         self._heap: list = []
         self._seq = itertools.count()
         self.work_count = 0
-        self.parked: dict[str, int] = {}
         self.dead: set[str] = set()
         self.events_run = 0
 
@@ -89,10 +88,6 @@ class SimScheduler:
             if self.events_run > max_events:
                 raise RuntimeError("event budget exceeded; runaway simulation")
             fn()
-
-    def live_parked(self) -> int:
-        return sum(n for owner, n in self.parked.items()
-                   if owner not in self.dead)
 
 
 __all__ = ["HostView", "SimScheduler"]

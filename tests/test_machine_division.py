@@ -1,13 +1,15 @@
 """Division and remainder in compiled bodies. A divisor that is an int
 literal, or a negated one, other than 0 and -1 is divided inline; every
 other divisor calls `_div` or `_mod`. Both must give the same truncating
-64-bit results, and `/ 0` must fault only when it runs."""
+64-bit results, and `/ 0` must fault only when it runs. The checker folds
+enum constants with the same arithmetic."""
 
 import pytest
 
 from minihello.engine import machine
 from minihello.errors import E_ARITHMETIC, EngineError
-from minihello.runpack import ir
+from minihello.frontend import CheckError, SourceUnit, check, parse_package
+from minihello.runpack import compile_package, ir, serialize
 from minihello.values import ClassKey
 
 from conftest import compile_text, mesh_scenario, run_task
@@ -115,3 +117,44 @@ class M {
     assert not {"_div", "_mod"} & set(f.__code__.co_names)
     g, _ = machine.compile_method(code["g"], CLS, image.constants)
     assert "_div" in g.__code__.co_names and "_mod" not in g.__code__.co_names
+
+
+FOLD_SRC = """
+package fold;
+class M {
+    enum { A = 9007199254740993 / 1, C = 9223372036854775807 + 1,
+           R = -7 % 2, Q = (0 - 9223372036854775807 - 1) / -1,
+           N = -(0 - 9223372036854775807 - 1), P = 4294967296 * 4294967296 }
+    static public int main(char[][] argv) {
+        if (A != 9007199254740993 / 1) { return 1; }
+        if (C != 9223372036854775807 + 1) { return 2; }
+        if (R != -7 % 2) { return 3; }
+        if (Q != (0 - 9223372036854775807 - 1) / -1) { return 4; }
+        if (N != -(0 - 9223372036854775807 - 1)) { return 5; }
+        if (P != 4294967296 * 4294967296) { return 6; }
+        return 0;
+    }
+}
+"""
+
+
+def test_enum_constants_fold_as_compiled_code_computes():
+    pkg = check(parse_package([SourceUnit("fold.hlo", FOLD_SRC)]))
+    assert pkg.class_sigs["M"].enums == {
+        "A": 9007199254740993, "C": INT_MIN, "R": -1, "Q": INT_MIN,
+        "N": INT_MIN, "P": 0}
+    image = compile_package(pkg)
+    serialize(image)  # every folded constant fits the image's i64
+    scen = mesh_scenario(["solo"])
+    fut = scen.run_main("solo", image, ["x"])
+    scen.run()
+    assert fut.result() == 0
+
+
+@pytest.mark.parametrize("expr", ["1 / 0", "1 % (2 - 2)"])
+def test_enum_division_by_zero_is_a_check_error(expr):
+    with pytest.raises(CheckError) as info:
+        check(parse_package([SourceUnit(
+            "z.hlo", f"package z; class M {{ enum {{ Z = {expr} }} }}")]))
+    assert info.value.code == "TypeError"
+    assert "division by zero in constant" in str(info.value)

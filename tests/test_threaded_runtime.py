@@ -75,17 +75,19 @@ external class T {
             yield gate
 
         def start():
-            engine.scheduler.submit(engine.new_queue(label="slow"), Request(slow_task))
-            fast = Future()
+            slow, slow_done, fast = engine.new_queue(label="slow"), Future(), Future()
+            engine.scheduler.submit(slow, Request(slow_task, slow_done))
             engine.scheduler.submit(engine.new_queue(label="fast"),
                                     Request(lambda: "ran", fast))
-            return fast
+            return slow, slow_done, fast
 
+        slow, slow_done, fast = node.call(start)
         # the fast queue ran while the slow one stayed parked on its future
-        assert node.wait(node.call(start)) == "ran"
-        assert node.call(lambda: dict(node.core.parked)) == {"t": 1}
+        assert node.wait(fast) == "ran"
+        assert node.call(lambda: slow.busy)
         node.call(lambda: gate.resolve(None))
-        assert node.call(lambda: dict(node.core.parked)) == {"t": 0}
+        node.wait(slow_done)
+        assert node.call(slow.idle)
 
     def test_queue_fifo_under_threads(self, node):
         engine = node.engine

@@ -5,10 +5,12 @@
 Generates the package that the benchmark's interp workload compiles in its
 set-up (`bench/interp.py`, `Recipe(SEED).source()`) and translates it
 REPEATS times (default 20) in this process, as `het` and the workload's
-loader do: tokenize, parse, check, lower, serialize, deserialize. Each
-repeat starts from the source text, so check and lower see a fresh tree.
-`parse` is `parse_package`, which tokenizes again, as the benchmark's
-`frontend.parse_ms` counts it. It prints the median and the minimum
+loader do: tokenize, parse, check, serialize, deserialize. Each repeat
+starts from the source text, so check sees a fresh tree. `parse` is
+`parse_package`, which tokenizes again, as the benchmark's
+`frontend.parse_ms` counts it. `check` is the one walk that types the tree
+and emits its IR, with the wrapping of the result in an image
+(`compile_package`). It prints the median and the minimum
 milliseconds of each phase, the token count and the image size, then the
 same as one JSON object.
 """
@@ -29,7 +31,7 @@ import interp  # noqa: E402  (bench/interp.py)
 from minihello.frontend import SourceUnit, check, parse_package, tokenize  # noqa: E402
 from minihello.runpack import compile_package, deserialize, serialize  # noqa: E402
 
-PHASES = ("tokenize", "parse", "check", "lower", "serialize", "deserialize")
+PHASES = ("tokenize", "parse", "check", "serialize", "deserialize")
 
 
 def main(argv: list[str]) -> int:
@@ -51,8 +53,7 @@ def main(argv: list[str]) -> int:
     for _ in range(repeats):
         tokens = timed("tokenize", tokenize, unit)
         ast = timed("parse", parse_package, [unit])
-        checked = timed("check", check, ast)
-        image = timed("lower", compile_package, checked)
+        image = timed("check", lambda: compile_package(check(ast)))
         data = timed("serialize", serialize, image)
         timed("deserialize", deserialize, data)
 
