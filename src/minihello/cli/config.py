@@ -75,21 +75,19 @@ def load_config_file(path: str) -> dict:
     return parse_config_text(text, path)
 
 
+# Keys whose value is the EngineConfig field of the same name.
+_FIELDS = ("listen", "primary", "call_timeout_ms", "fetch_timeout_ms",
+           "ping_interval_ms", "ping_miss_limit", "gossip_interval_ms",
+           "lockdown", "stdout_path")
+
+
 def build_engine_config(values: dict) -> EngineConfig:
+    """The engine configuration of `values`. A key that is not given keeps
+    EngineConfig's own default, so every host has the same defaults."""
     host = values.get("host")
     if not host:
         raise ConfigError("host name is required")
-    return EngineConfig(
-        host_name=host,
-        listen=values.get("listen"),
-        seeds=tuple(values.get("seed", ())),
-        primary=values.get("primary", False),
-        call_timeout_ms=values.get("call_timeout_ms", 30_000),
-        fetch_timeout_ms=values.get("fetch_timeout_ms", 30_000),
-        ping_interval_ms=values.get("ping_interval_ms", 2_000),
-        ping_miss_limit=values.get("ping_miss_limit", 3),
-        gossip_interval_ms=values.get("gossip_interval_ms", 500),
-        grants=tuple(values.get("grant", ())),
-        lockdown=values.get("lockdown", False),
-        stdout_path=values.get("stdout_path"),
-    )
+    return EngineConfig(host_name=host,
+                        seeds=tuple(values.get("seed", ())),
+                        grants=tuple(values.get("grant", ())),
+                        **{key: values[key] for key in _FIELDS if key in values})

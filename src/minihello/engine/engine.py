@@ -17,8 +17,9 @@ The RPC core does each job at one site:
 - a REPLY, ERROR or final PACK_DATA claims its open call through
   `_take_pending`, which cancels the call's timer and counts in
   `orphaned_replies` each reply that no open call claims;
-- ERROR payloads are written and read by `frames.error_payload` and
-  `frames.read_error`, which the router uses too.
+- every payload's fixed-form fields are written and read through its
+  layout in `net/frames.py`, which the router uses too; this module writes
+  and reads only the wire values around them.
 It stays in this module and class because `bench/tracing.py` wraps
 `Engine.handle_wire_frame` and `Engine._run_body` in the class's own
 namespace, and the codec and marshaling functions in this module's.
@@ -31,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .. import groups
-from ..bio import Reader, ShortRead, Writer
+from ..bio import STR, BadString, Reader, ShortRead, Writer
 from ..errors import (E_ACCESS_DENIED, E_ACCESS_VIOLATION, E_HANDLE_CLOSED,
                       E_HASH_MISMATCH, E_HOP_UNREACHABLE, E_HOST_UNREACHABLE,
                       E_INDEX, E_NO_MAIN, E_NON_COPYABLE, E_NULL_REF,
@@ -42,7 +43,11 @@ from ..errors import (E_ACCESS_DENIED, E_ACCESS_VIOLATION, E_HANDLE_CLOSED,
 from ..frontend.checker import class_code, method_code
 from ..frontend.types import HOST_GROUP_KEY, HOST_KEY, QUEUE_KEY
 from ..net import frames
-from ..net.frames import FrameMeta
+from ..net.frames import (CREATE_HEAD, ERROR_PAYLOAD, EV_CREATE, EV_FILL,
+                          EVENT_SIGNATURE, EVENT_SLOT, FETCH_PACK_PAYLOAD,
+                          OP_BARRIER, OP_CREATE, OP_INVOKE, OP_POST,
+                          PACK_DATA_PAYLOAD, REQUEST_HEAD, CreateHead,
+                          ErrorInfo, FrameMeta, PackData, RequestHead)
 from ..net.wirevalues import (MalformedEncoding, decode_value_prefix,
                               encode_value)
 from ..runpack import ir
@@ -50,7 +55,7 @@ from ..runpack.image import (ORIGIN_NETWORK, ImageFormatError, PackStore,
                              RunpackImage, deserialize, serialize)
 from ..runtime import Future, HostView, Queue, Request
 from ..security import (ANONYMOUS_SID, ALL_PRIVS, CREATE, CredentialSet, EXEC,
-                        READ, SID_LEN, WRITE, check_access)
+                        READ, WRITE, check_access)
 from ..stdlib import (BUILTIN_CLASSES, HOST_OBJECT_OID, HOSTS_NODE_OID,
                       INTRINSICS, NATIVE_METHODS, SERVICE_QUEUE_OID, host_ref,
                       hosts_node_ref)
@@ -62,16 +67,6 @@ from .marshal import (from_wire, local_copy, marshal_args, marshal_result,
 from .objects import EventRecord, ObjectRecord
 
 PACK_CHUNK = 64 * 1024
-
-# INVOKE sub-operations.
-OP_INVOKE = 0
-OP_POST = 1
-OP_CREATE = 2
-OP_BARRIER = 3
-
-# EVENT_POST sub-operations.
-EV_CREATE = 0
-EV_FILL = 1
 
 # System methods: name -> (privilege, per-parameter copy flags).
 SYS_METHODS = {
@@ -485,15 +480,8 @@ class Engine:
             raise EngineError(E_ACCESS_VIOLATION,
                               f"class {cls} is not external")
         params = list(rc.method(cls.name).params) if rc and rc.method(cls.name) else None
-        w = self._invoke_head(OP_CREATE, ctx)
-        w.wstr(cls.package)
-        w.wstr(cls.name)
-        if pid is None:
-            w.u8(0)
-            w.u32(0)
-        else:
-            w.u8(1)
-            w.u32(pid)
+        w = self._request_head(OP_CREATE, ctx)
+        CREATE_HEAD.write(w, CreateHead(cls, pid is not None, pid or 0))
         _leaving(write_args, self, params, args, w.buf)
         fut = self.send_request(host, frames.INVOKE, w.buf)
         raw = yield fut
@@ -525,10 +513,10 @@ class Engine:
             raise EngineError(E_NULL_REF, "post to null queue")
         if qref.host != self.host_name:
             params = self.param_sigs(target.cls, method) if isinstance(target, ObjectRef) else None
-            w = self._invoke_head(OP_POST, ctx)
+            w = self._request_head(OP_POST, ctx)
             w.raw(encode_value(qref))
             _leaving(to_wire, self, target, False, w.buf)
-            w.wstr(method)
+            STR.write(w, method)
             _leaving(write_args, self, params, args, w.buf)
             self.send_oneway(qref.host, frames.INVOKE, w.buf)
             return
@@ -582,11 +570,10 @@ class Engine:
         if qref is None:
             raise EngineError(E_NULL_REF, "event on null queue")
         if qref.host != self.host_name:
-            w = self._invoke_head(EV_CREATE, ctx)
+            w = self._request_head(EV_CREATE, ctx)
             w.raw(encode_value(qref))
             _leaving(to_wire, self, target, False, w.buf)
-            w.wstr(method)
-            w.u16(arity)
+            EVENT_SIGNATURE.write(w, (method, arity))
             fut = self.send_request(qref.host, frames.EVENT_POST, w.buf)
             eid = yield fut
             return (qref.host, eid)
@@ -608,9 +595,8 @@ class Engine:
     def fill_event(self, event_id: tuple, slot: int, value, ctx):
         host, eid = event_id
         if host != self.host_name:
-            w = self._invoke_head(EV_FILL, ctx)
-            w.u64(eid)
-            w.u16(slot)
+            w = self._request_head(EV_FILL, ctx)
+            EVENT_SLOT.write(w, (eid, slot))
             _leaving(to_wire, self, value, False, w.buf)
             fut = self.send_request(host, frames.EVENT_POST, w.buf)
             status = yield fut
@@ -813,37 +799,28 @@ class Engine:
 
     # ------------------------------------------------------- payload plumbing
 
-    def _invoke_head(self, op: int, ctx) -> Writer:
-        """A writer holding the start of an INVOKE or EVENT_POST payload: the
-        sub-operation and the sender's credentials."""
+    def _request_head(self, op: int, ctx) -> Writer:
+        """A writer holding the REQUEST_HEAD of an INVOKE or EVENT_POST that
+        `ctx`'s task sends, for the sub-operation's fields to follow."""
         w = Writer()
-        w.u8(op)
-        w.wstr(self.host_name)
-        sids = ctx.sids() if ctx is not None else [ANONYMOUS_SID]
-        w.u16(len(sids))
-        for sid in sids:
-            w.raw(sid)
+        REQUEST_HEAD.write(w, RequestHead(
+            op, self.host_name,
+            ctx.sids() if ctx is not None else [ANONYMOUS_SID]))
         return w
 
     def _call_payload(self, ref: ObjectRef, method: str, args: list,
                       ctx) -> bytearray:
-        w = self._invoke_head(OP_INVOKE, ctx)
+        w = self._request_head(OP_INVOKE, ctx)
         w.raw(encode_value(ref))
-        w.wstr(method)
+        STR.write(w, method)
         _leaving(write_args, self, self.param_sigs(ref.cls, method), args,
                  w.buf)
         return w.buf
 
     def _barrier_payload(self, qref: ObjectRef, ctx) -> bytearray:
-        w = self._invoke_head(OP_BARRIER, ctx)
+        w = self._request_head(OP_BARRIER, ctx)
         w.raw(encode_value(qref))
         return w.buf
-
-    @staticmethod
-    def _read_creds(r: Reader) -> tuple[str, list[bytes]]:
-        sender = r.wstr()
-        n = r.u16()
-        return sender, [r.raw(SID_LEN) for _ in range(n)]
 
     @staticmethod
     def _read_values(r: Reader) -> list:
@@ -868,15 +845,15 @@ class Engine:
                 self._on_event_post(frame, meta)
             else:
                 self.log_error("BadFrame", f"unexpected {frame.kind_name}")
-        except (MalformedEncoding, ShortRead, EngineError) as exc:
+        except (MalformedEncoding, ShortRead, BadString, EngineError) as exc:
             self.log_error("BadFrame", f"{frame.kind_name}: {exc}")
 
     def _reply_value(self, meta: FrameMeta, corr: int, value) -> None:
         self._send_back(meta, frames.Frame(frames.REPLY, corr, encode_value(value)))
 
     def _reply_error(self, meta: FrameMeta, corr: int, err: EngineError) -> None:
-        payload = frames.error_payload(err.code, err.message or "",
-                                       err.remote_code or "")
+        payload = ERROR_PAYLOAD.pack(ErrorInfo(err.code, err.remote_code or "",
+                                               err.message or ""))
         self._send_back(meta, frames.Frame(frames.ERROR, corr, payload))
 
     def _send_back(self, meta: FrameMeta, frame: frames.Frame) -> None:
@@ -911,12 +888,11 @@ class Engine:
         with an ERROR, and a refused POST is logged: the access check
         refuses, and so does a queue reference that names no queue here."""
         r = Reader(frame.payload)
-        op = r.u8()
-        sender, sids = self._read_creds(r)
+        op, sender, sids = REQUEST_HEAD.read(r)
         corr = frame.corr
         if op == OP_INVOKE:
             target = decode_value_prefix(r)
-            method = r.wstr()
+            method = STR.read(r)
             wire_args = self._read_values(r)
             priv = SYS_METHODS[method][0] if method in SYS_METHODS else EXEC
             try:
@@ -935,7 +911,7 @@ class Engine:
         elif op == OP_POST:
             qref = decode_value_prefix(r)
             target = decode_value_prefix(r)
-            method = r.wstr()
+            method = STR.read(r)
             wire_args = self._read_values(r)
             try:
                 self.check_remote_request(EXEC, sids, self._acl_of(target))
@@ -946,9 +922,7 @@ class Engine:
             except EngineError as err:
                 self.log_error(err.code, f"remote post {method} dropped")
         elif op == OP_CREATE:
-            key = ClassKey(r.wstr(), r.wstr())
-            has_pid = r.u8()
-            pid = r.u32()
+            key, has_pid, pid = CREATE_HEAD.read(r)
             wire_args = self._read_values(r)
             try:
                 self.check_remote_request(CREATE, sids, None)
@@ -1042,7 +1016,7 @@ class Engine:
 
     def _on_error(self, frame: frames.Frame) -> None:
         # read before claiming: a cut-short payload leaves the call its timeout
-        code, remote_code, message = frames.read_error(frame.payload)
+        code, remote_code, message = ERROR_PAYLOAD.unpack(frame.payload)
         entry = self._take_pending(frame.corr)
         if entry is None:
             return
@@ -1066,10 +1040,9 @@ class Engine:
             if self.port is None:
                 raise EngineError(E_HOST_UNREACHABLE, "engine has no network")
             corr = self.next_corr()
-            w = Writer()
-            w.wstr(package)
             self._send_pending(origin,
-                               frames.Frame(frames.FETCH_PACK, corr, w.buf),
+                               frames.Frame(frames.FETCH_PACK, corr,
+                                            FETCH_PACK_PAYLOAD.pack(package)),
                                _PendingCall(fut, package=package, chunks=[]),
                                self.config.fetch_timeout_ms)
             self.fetch_frames_sent += 1
@@ -1078,8 +1051,7 @@ class Engine:
         return fut
 
     def _on_fetch_pack(self, frame: frames.Frame, meta: FrameMeta) -> None:
-        r = Reader(frame.payload)
-        package = r.wstr()
+        package = FETCH_PACK_PAYLOAD.unpack(frame.payload)
         image = self.packstore.resolve(package)
         if image is None:
             self._reply_error(meta, frame.corr,
@@ -1091,11 +1063,9 @@ class Engine:
             chunk = data[offset:offset + PACK_CHUNK]
             offset += len(chunk)
             last = offset >= len(data)
-            w = Writer()
-            w.u8(1 if last else 0)
-            w.raw(chunk)
-            self._send_back(meta, frames.Frame(frames.PACK_DATA, frame.corr,
-                                               w.buf))
+            self._send_back(meta, frames.Frame(
+                frames.PACK_DATA, frame.corr,
+                PACK_DATA_PAYLOAD.pack(PackData(last, chunk))))
             if last:
                 break
 
@@ -1106,9 +1076,8 @@ class Engine:
         if entry is None or entry.chunks is None:
             self.orphaned_replies += 1
             return
-        r = Reader(frame.payload)
-        last = r.u8()
-        entry.chunks.append(r.raw(r.remaining()))
+        last, chunk = PACK_DATA_PAYLOAD.unpack(frame.payload)
+        entry.chunks.append(chunk)
         if not last:
             return
         self._take_pending(frame.corr)
@@ -1130,8 +1099,7 @@ class Engine:
 
     def _on_event_post(self, frame: frames.Frame, meta: FrameMeta) -> None:
         r = Reader(frame.payload)
-        sub = r.u8()
-        sender, sids = self._read_creds(r)
+        sub, sender, sids = REQUEST_HEAD.read(r)
         try:
             self.check_remote_request(EXEC, sids, None)
         except EngineError as err:
@@ -1141,14 +1109,12 @@ class Engine:
             if sub == EV_CREATE:
                 qref = decode_value_prefix(r)
                 target = decode_value_prefix(r)
-                method = r.wstr()
-                arity = r.u16()
+                method, arity = EVENT_SIGNATURE.read(r)
                 eid = self._new_event(self.resolve_queue(qref), target,
                                       method, arity, sender)
                 self._reply_value(meta, frame.corr, eid)
             else:
-                eid = r.u64()
-                slot = r.u16()
+                eid, slot = EVENT_SLOT.read(r)
                 value = decode_value_prefix(r)
                 status = self._fill_local(eid, slot, value, sender)
                 self._reply_value(meta, frame.corr, 1 if status == "fired" else 0)

@@ -13,40 +13,19 @@ from __future__ import annotations
 
 import hashlib
 
-from ..bio import Reader, ShortRead, Writer
+from ..bio import BadString, ShortRead
 from ..errors import (E_CONNECT_REFUSED, E_HANDSHAKE_TIMEOUT,
                       E_HOST_UNREACHABLE, E_HOP_UNREACHABLE, E_NAME_COLLISION,
                       EngineError)
 from ..runtime import Future
-from .frames import (ERROR, Frame, FrameError, FrameMeta, GOSSIP, HELLO,
-                     HELLO_ACK, PING, PONG, ROUTE, decode_frame_bytes,
-                     encode_frame, error_payload, read_error)
+from .frames import (ERROR, ERROR_PAYLOAD, ErrorInfo, Frame, FrameError,
+                     FrameMeta, GOSSIP, GOSSIP_PAYLOAD, HELLO, HELLO_ACK,
+                     HELLO_PAYLOAD, Hello, PING, PONG, ROUTE, ROUTE_PAYLOAD,
+                     Route, decode_frame_bytes, encode_frame)
 
 ROUTE_TTL = 16
 MODE_TABLE = 0
 MODE_EXPLICIT = 1
-
-
-def _hello_payload(name: str, incarnation: int, digest: bytes) -> bytes:
-    w = Writer()
-    w.wstr(name)
-    w.u64(incarnation)
-    w.raw(digest)
-    return w.getvalue()
-
-
-def _route_payload(mode: int, ttl: int, target: str, origin: str,
-                   hops: list[str], inner: bytes) -> bytes:
-    w = Writer()
-    w.u8(mode)
-    w.u8(ttl)
-    w.wstr(target)
-    w.wstr(origin)
-    w.u16(len(hops))
-    for h in hops:
-        w.wstr(h)
-    w.lp_bytes(inner)
-    return w.getvalue()
 
 
 class Router:
@@ -104,9 +83,12 @@ class Router:
         timer = self.scheduler.call_later(
             5_000, lambda: self._handshake_timeout(conn))
         self._handshakes[id(conn)] = (fut, timer, conn)
-        conn.send_frame(Frame(HELLO, 0, _hello_payload(
-            self.host_name, self.engine.incarnation, self._digest)))
+        conn.send_frame(Frame(HELLO, 0, self._hello_payload()))
         return fut
+
+    def _hello_payload(self) -> bytearray:
+        return HELLO_PAYLOAD.pack(Hello(self.host_name, self.engine.incarnation,
+                                        self._digest))
 
     def _handshake_timeout(self, conn) -> None:
         entry = self._handshakes.pop(id(conn), None)
@@ -140,8 +122,9 @@ class Router:
         conn = self.neighbors.get(first)
         if conn is None:
             raise EngineError(E_HOST_UNREACHABLE, f"route to {dst} lost")
-        payload = _route_payload(MODE_TABLE, ROUTE_TTL, dst, self.host_name,
-                                 [], encode_frame(frame))
+        payload = ROUTE_PAYLOAD.pack(Route(MODE_TABLE, ROUTE_TTL, dst,
+                                           self.host_name, [],
+                                           encode_frame(frame)))
         conn.send_frame(Frame(ROUTE, frame.corr, payload))
         return first
 
@@ -159,8 +142,9 @@ class Router:
         if conn is None:
             self.send(dst, frame)  # stale reverse path: best effort by table
             return
-        payload = _route_payload(MODE_EXPLICIT, ROUTE_TTL, dst, self.host_name,
-                                 list(path_hops[1:]), encode_frame(frame))
+        payload = ROUTE_PAYLOAD.pack(Route(MODE_EXPLICIT, ROUTE_TTL, dst,
+                                           self.host_name, path_hops[1:],
+                                           encode_frame(frame)))
         conn.send_frame(Frame(ROUTE, frame.corr, payload))
 
     # ----------------------------------------------------------------- inbound
@@ -186,7 +170,7 @@ class Router:
             elif frame.kind == ERROR and id(conn) in self._handshakes:
                 fut, timer, _ = self._handshakes.pop(id(conn))
                 self.scheduler.cancel(timer)
-                code, _, message = read_error(frame.payload)
+                code, _, message = ERROR_PAYLOAD.unpack(frame.payload)
                 fut.fail(EngineError(code, message))
                 conn.close()
             else:
@@ -194,7 +178,7 @@ class Router:
                 if src is None:
                     return  # frames before handshake are dropped
                 self.engine.handle_wire_frame(frame, FrameMeta(src=src))
-        except (ShortRead, FrameError) as exc:
+        except (ShortRead, BadString, FrameError) as exc:
             self.engine.log_error("BadFrame", f"router: {exc}")
 
     def _on_conn_close(self, conn) -> None:
@@ -208,26 +192,21 @@ class Router:
     # --------------------------------------------------------------- handshake
 
     def _on_hello(self, conn, frame: Frame) -> None:
-        r = Reader(frame.payload)
-        name = r.wstr()
-        incarnation = r.u64()
+        name, incarnation, _digest = HELLO_PAYLOAD.unpack(frame.payload)
         if name == self.host_name:
             self._refuse(conn, E_NAME_COLLISION, f"both hosts claim '{name}'")
             return
         if name in self.neighbors:
             self._refuse(conn, E_CONNECT_REFUSED, f"'{name}' already connected")
             return
-        conn.send_frame(Frame(HELLO_ACK, frame.corr, _hello_payload(
-            self.host_name, self.engine.incarnation, self._digest)))
+        conn.send_frame(Frame(HELLO_ACK, frame.corr, self._hello_payload()))
         self._register_neighbor(conn, name, incarnation)
 
     def _on_hello_ack(self, conn, frame: Frame) -> None:
         entry = self._handshakes.pop(id(conn), None)
         if entry is not None:
             self.scheduler.cancel(entry[1])
-        r = Reader(frame.payload)
-        name = r.wstr()
-        incarnation = r.u64()
+        name, incarnation, _digest = HELLO_PAYLOAD.unpack(frame.payload)
         # Our dial crossed the peer's dial of us if we took its HELLO first:
         # both hosts then keep the connection that the smaller name dialed.
         crossed = self.incarnations.get(name) == incarnation
@@ -252,7 +231,8 @@ class Router:
 
     def _refuse(self, conn, code: str, message: str) -> None:
         try:
-            conn.send_frame(Frame(ERROR, 0, error_payload(code, message)))
+            conn.send_frame(Frame(ERROR, 0, ERROR_PAYLOAD.pack(
+                ErrorInfo(code, "", message))))
         except EngineError:
             pass
         conn.close()
@@ -327,7 +307,7 @@ class Router:
         self._gossip_to_all()
         self._arm_gossip()
 
-    def _gossip_payload_for(self, nb: str) -> bytes:
+    def _gossip_payload_for(self, nb: str) -> bytearray:
         entries = []
         for dest in sorted(self.neighbors):
             if dest != nb:
@@ -338,14 +318,7 @@ class Router:
                 continue  # split horizon
             entries.append((dest, hops))
         entries.sort()
-        w = Writer()
-        w.u16(len(entries))
-        for dest, hops in entries:
-            w.wstr(dest)
-            w.u8(len(hops))
-            for h in hops:
-                w.wstr(h)
-        return w.getvalue()
+        return GOSSIP_PAYLOAD.pack(entries)
 
     def _gossip_to_all(self, force_to: str | None = None) -> None:
         for nb in sorted(self.neighbors):
@@ -363,14 +336,11 @@ class Router:
         nb = self.conn_names.get(id(conn))
         if nb is None:
             return
-        r = Reader(frame.payload)
         table: dict[str, tuple[str, ...]] = {}
-        for _ in range(r.u16()):
-            dest = r.wstr()
-            hops = tuple(r.wstr() for _ in range(r.u8()))
+        for dest, hops in GOSSIP_PAYLOAD.unpack(frame.payload):
             if dest == self.host_name or self.host_name in hops:
                 continue
-            full = (nb,) + hops
+            full = (nb, *hops)
             if dest in full[1:]:
                 continue
             table[dest] = full
@@ -393,13 +363,8 @@ class Router:
     # -------------------------------------------------------------------- route
 
     def _on_route(self, conn, frame: Frame) -> None:
-        r = Reader(frame.payload)
-        mode = r.u8()
-        ttl = r.u8()
-        target = r.wstr()
-        origin = r.wstr()
-        hops = [r.wstr() for _ in range(r.u16())]
-        inner_bytes = r.lp_bytes()
+        mode, ttl, target, origin, hops, inner_bytes = ROUTE_PAYLOAD.unpack(
+            frame.payload)
         if target == self.host_name:
             try:
                 inner = decode_frame_bytes(inner_bytes)
@@ -425,9 +390,9 @@ class Router:
             if nxt is None:
                 self._send_hop_error(frame.corr, tuple(reversed(hops)), origin)
                 return
-            new_hops = hops + [self.host_name]
-            payload = _route_payload(MODE_TABLE, ttl, target, origin, new_hops,
-                                     inner_bytes)
+            payload = ROUTE_PAYLOAD.pack(Route(
+                MODE_TABLE, ttl, target, origin, hops + [self.host_name],
+                inner_bytes))
             self._forwarded[frame.corr] = (nxt, tuple(reversed(hops)), origin,
                                            self.scheduler.now_ms())
             try:
@@ -446,8 +411,8 @@ class Router:
                 except (EngineError, FrameError):
                     pass
                 return
-            payload = _route_payload(MODE_EXPLICIT, ttl, target, origin,
-                                     remaining, inner_bytes)
+            payload = ROUTE_PAYLOAD.pack(Route(
+                MODE_EXPLICIT, ttl, target, origin, remaining, inner_bytes))
             try:
                 conn2.send_frame(Frame(ROUTE, frame.corr, payload))
             except EngineError:
@@ -455,8 +420,8 @@ class Router:
 
     def _send_hop_error(self, corr: int, reverse: tuple[str, ...],
                         origin: str) -> None:
-        err = Frame(ERROR, corr, error_payload(
-            E_HOP_UNREACHABLE, f"hop {self.host_name} could not forward"))
+        err = Frame(ERROR, corr, ERROR_PAYLOAD.pack(ErrorInfo(
+            E_HOP_UNREACHABLE, "", f"hop {self.host_name} could not forward")))
         try:
             self.send_via(list(reverse), origin, err)
         except EngineError:

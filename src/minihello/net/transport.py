@@ -5,7 +5,8 @@ close, and two callbacks the router installs (on_frame, on_close). The TCP
 implementation here is a set of asyncio protocols on its node's event loop,
 the thread that owns the node's engine and router; the simulated
 implementation lives in the simharness and delivers frames as logical-clock
-events. Both exchange the HLO1 preamble before any frame.
+events. A TCP connection exchanges the HLO1 preamble before any frame; a
+simulated one sends none, since it delivers whole frames.
 """
 
 from __future__ import annotations

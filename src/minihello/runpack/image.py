@@ -7,10 +7,10 @@ the serialized name/class-table/constants/bodies sections (everything but
 the magic, version, and the hash section itself), so identical packages
 compile to byte-identical, identically-hashed images.
 
-The class table is written and read through the field codecs of `ir`, and
-each method body is one length-prefixed `ir.encode` tree. `serialize` builds
-the four hashed sections once; `deserialize` checks the hash before it
-decodes anything, then checks every reference as it decodes.
+The class table is written and read through the codecs of `bio` and `ir`,
+and each method body is one length-prefixed `ir.encode` tree. `serialize`
+builds the four hashed sections once; `deserialize` checks the hash before
+it decodes anything, then checks every reference as it decodes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..bio import Reader, ShortRead, Writer
+from ..bio import (BOOL, BYTES, STR, U8, U16, U32, BadString, Codec, Reader,
+                   ShortRead, Writer, list_of, struct, tuple_of)
 from ..errors import E_HASH_MISMATCH, EngineError
 from . import ir
 
@@ -53,21 +54,20 @@ class RunpackImage:
 
 # --- sections -------------------------------------------------------------------
 
-PARAM = ir.struct(ir.IrParam, ir.STR, ir.TYPE, ir.BOOL)
+PARAM = struct(ir.IrParam, STR, ir.TYPE, BOOL)
 # A method's body travels in the bodies section, not in the class table.
-METHOD = ir.struct(ir.MethodCode, ir.STR, ir.U8, ir.list_of(PARAM, ir.U8),
-                   ir.TYPE, ir.BOOL, ir.U16)
-CLASS = ir.struct(ir.ClassCode, ir.STR, ir.U8,
-                  ir.list_of(ir.pair(ir.STR, ir.TYPE)), ir.list_of(METHOD))
-CLASS_TABLE = ir.list_of(CLASS)
-CONSTANTS = ir.list_of(ir.BYTES, ir.U32)
+METHOD = struct(ir.MethodCode, STR, U8, list_of(PARAM, U8), ir.TYPE, BOOL, U16)
+CLASS = struct(ir.ClassCode, STR, U8, list_of(tuple_of(STR, ir.TYPE)),
+               list_of(METHOD))
+CLASS_TABLE = list_of(CLASS)
+CONSTANTS = list_of(BYTES, U32)
 
 
 def _sections(image: RunpackImage) -> list[bytes]:
     """The hashed sections in order: package name, class table, constant
     pool, method bodies."""
     name, classes, constants, bodies = Writer(), Writer(), Writer(), Writer()
-    ir.STR.write(name, image.package)
+    STR.write(name, image.package)
     CLASS_TABLE.write(classes, image.classes)
     CONSTANTS.write(constants, image.constants)
     for cls in image.classes:
@@ -105,7 +105,7 @@ def serialize(image: RunpackImage) -> bytes:
     return w.getvalue()
 
 
-def _read_section(codec: ir.Codec, data: bytes, what: str):
+def _read_section(codec: Codec, data: bytes, what: str):
     r = Reader(data)
     value = codec.read(r)
     if not r.at_end():
@@ -135,7 +135,7 @@ def deserialize(data: bytes) -> RunpackImage:
 
     _, classes_sec, constants_sec, bodies_sec = sections
     try:
-        package = _read_section(ir.STR, name_sec, "package name")
+        package = _read_section(STR, name_sec, "package name")
         classes = _read_section(CLASS_TABLE, classes_sec, "class table")
         constants = _read_section(CONSTANTS, constants_sec, "constant pool")
         br = Reader(bodies_sec)
@@ -147,7 +147,7 @@ def deserialize(data: bytes) -> RunpackImage:
             raise ImageFormatError("MalformedImage", "trailing bytes in bodies")
     except ShortRead as exc:
         raise ImageFormatError("TruncatedImage", str(exc)) from exc
-    except (ir.IrFormatError, RecursionError, UnicodeDecodeError) as exc:
+    except (ir.IrFormatError, RecursionError, BadString) as exc:
         # The sender computes the content hash, so it does not vouch for the
         # structure: a body nested past the recursion limit or a name that is
         # not UTF-8 is malformed input, not a crash.

@@ -7,17 +7,18 @@ functions the first time a method runs. Method and class references are
 name-based so images stay stable across hosts.
 
 The codec is one table, NODE_TABLE, that gives each node class its tag and
-one field codec per dataclass field; `encode` and `decode` walk it, and
+one field codec per dataclass field, from `bio`'s codec toolkit and the
+IR-specific codecs here; `encode` and `decode` walk it, and
 `runpack/image.py` builds the class table from the same field codecs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
 
-from ..bio import Reader, Writer
-from ..values import ClassKey
+from ..bio import (BOOL, I64, STR, U8, U16, Codec, Reader, Writer, list_of,
+                   optional, struct)
+from ..values import KEY, ClassKey
 
 # Class qualifier bits.
 CQ_EXTERNAL = 1
@@ -305,19 +306,13 @@ class ClassCode:
 
 # --- binary codec ---------------------------------------------------------------
 #
-# A Codec is a (write, read) pair: write(w, value) appends a value to a
-# Writer, read(r) takes one back from a Reader. A node is its u8 tag, which
-# is its index in NODE_TABLE, then its dataclass fields in order, each through
-# the codec the table gives it. Reading checks tags, op indices, constant-pool
-# indices and local slots as it goes, so a decoded body needs no second walk.
+# A node is its u8 tag, which is its index in NODE_TABLE, then its dataclass
+# fields in order, each through the codec the table gives it. Reading checks
+# tags, op indices, constant-pool indices and local slots as it goes, so a
+# decoded body needs no second walk.
 
 class IrFormatError(Exception):
     pass
-
-
-class Codec(NamedTuple):
-    write: Callable[[Writer, Any], Any]
-    read: Callable[[Reader], Any]
 
 
 class BodyReader(Reader):
@@ -339,14 +334,7 @@ def _below(read, limit: str, what: str):
     return read_checked
 
 
-U8 = Codec(Writer.u8, Reader.u8)
-U16 = Codec(Writer.u16, Reader.u16)
-U32 = Codec(Writer.u32, Reader.u32)
-I64 = Codec(Writer.i64, Reader.i64)
-BOOL = Codec(lambda w, v: w.u8(1 if v else 0), lambda r: r.u8() != 0)
 DELTA = Codec(lambda w, v: w.u8(v & 0xFF), lambda r: (r.u8() ^ 0x80) - 0x80)
-STR = Codec(Writer.wstr, Reader.wstr)
-BYTES = Codec(Writer.lp_bytes, Reader.lp_bytes)
 SLOT = Codec(Writer.u16, _below(Reader.u16, "n_slots", "slot"))
 POOL = Codec(Writer.u32, _below(Reader.u32, "pool_size", "constant index"))
 
@@ -359,52 +347,6 @@ def enum(*names: str) -> Codec:
             raise IrFormatError(f"index {i} is not one of {names}")
         return names[i]
     return Codec(lambda w, name: w.u8(names.index(name)), read)
-
-
-def optional(codec: Codec) -> Codec:
-    """Codec of a value or None, after a u8 presence flag."""
-    write, read = codec
-
-    def write_opt(w: Writer, value) -> None:
-        w.u8(0 if value is None else 1)
-        if value is not None:
-            write(w, value)
-    return Codec(write_opt, lambda r: read(r) if r.u8() else None)
-
-
-def list_of(codec: Codec, count: Codec = U16) -> Codec:
-    """Codec of a list: its length through `count`, then each item."""
-    write, read = codec
-    write_n, read_n = count
-
-    def write_list(w: Writer, items: list) -> None:
-        write_n(w, len(items))
-        for item in items:
-            write(w, item)
-    return Codec(write_list, lambda r: [read(r) for _ in range(read_n(r))])
-
-
-def pair(first: Codec, second: Codec) -> Codec:
-    """Codec of a 2-tuple."""
-    def write(w: Writer, value: tuple) -> None:
-        first.write(w, value[0])
-        second.write(w, value[1])
-    return Codec(write, lambda r: (first.read(r), second.read(r)))
-
-
-def struct(cls, *codecs: Codec) -> Codec:
-    """Codec of dataclass `cls`: its first len(codecs) fields in order, each
-    through its own codec. Reading passes them to `cls` positionally."""
-    writers = list(zip(cls.__match_args__, [c.write for c in codecs]))
-    readers = [c.read for c in codecs]
-
-    def write(w: Writer, obj) -> None:
-        for name, write_field in writers:
-            write_field(w, getattr(obj, name))
-    return Codec(write, lambda r: cls(*[read(r) for read in readers]))
-
-
-KEY = struct(ClassKey, STR, STR)
 
 
 def _type_codec() -> Codec:

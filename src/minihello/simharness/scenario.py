@@ -12,16 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..bio import Reader, Writer
-from ..engine.engine import (EV_CREATE, OP_BARRIER, OP_CREATE, OP_INVOKE,
-                             OP_POST, Engine, EngineConfig)
+from ..bio import BYTES, STR, U8, U32, U64, Reader, list_of, tuple_of
+from ..engine.engine import Engine, EngineConfig
 from ..errors import EngineError
 from ..net import frames
 from ..net.router import Router
 from ..net.wirevalues import decode_value_prefix
 from ..runpack.image import RunpackImage, load_file
 from ..runtime import Future, Request
-from ..security import SID_LEN
 from .network import SimNetwork
 from .scheduler import SimScheduler
 from .topology import Topology
@@ -36,37 +34,38 @@ def describe_frame(frame: frames.Frame) -> str:
     try:
         if frame.kind == frames.INVOKE:
             r = Reader(frame.payload)
-            op = r.u8()
-            r.wstr()
-            for _ in range(r.u16()):
-                r.raw(SID_LEN)
-            if op == OP_INVOKE:
+            op = frames.REQUEST_HEAD.read(r).op
+            if op == frames.OP_INVOKE:
                 decode_value_prefix(r)
-                return f"INVOKE:{r.wstr()}"
-            if op == OP_POST:
+                return f"INVOKE:{STR.read(r)}"
+            if op == frames.OP_POST:
                 decode_value_prefix(r)
                 decode_value_prefix(r)
-                return f"POST:{r.wstr()}"
-            if op == OP_CREATE:
-                return f"CREATE:{r.wstr()}.{r.wstr()}"
-            if op == OP_BARRIER:
+                return f"POST:{STR.read(r)}"
+            if op == frames.OP_CREATE:
+                return f"CREATE:{frames.CREATE_HEAD.read(r).cls}"
+            if op == frames.OP_BARRIER:
                 return "BARRIER"
         if frame.kind == frames.ROUTE:
-            r = Reader(frame.payload)
-            r.u8()
-            r.u8()
-            target = r.wstr()
-            r.wstr()
-            for _ in range(r.u16()):
-                r.wstr()
-            inner = frames.decode_frame_bytes(r.lp_bytes())
-            return f"ROUTE[{target}]:{describe_frame(inner)}"
+            route = frames.ROUTE_PAYLOAD.unpack(frame.payload)
+            inner = frames.decode_frame_bytes(route.inner)
+            return f"ROUTE[{route.target}]:{describe_frame(inner)}"
         if frame.kind == frames.EVENT_POST:
-            r = Reader(frame.payload)
-            return "EVENT:create" if r.u8() == EV_CREATE else "EVENT:fill"
+            op = frames.REQUEST_HEAD.unpack(frame.payload).op
+            return "EVENT:create" if op == frames.EV_CREATE else "EVENT:fill"
     except Exception:
         pass
     return frames.KIND_NAMES.get(frame.kind, "?")
+
+
+# A transcript's bytes: the seed and end tick; per host, in name order, its
+# name, exit code, stdout, errors, host events, neighbors and path table;
+# then every delivered frame.
+_TRANSCRIPT = tuple_of(U64, U64, list_of(tuple_of(
+    STR, STR, BYTES, list_of(tuple_of(STR, STR), U32),
+    list_of(tuple_of(U64, STR, STR), U32), list_of(STR),
+    list_of(tuple_of(STR, list_of(STR, U8))))),
+    list_of(tuple_of(U64, STR, STR, STR, U32, STR), U32))
 
 
 @dataclass
@@ -82,45 +81,13 @@ class Transcript:
     path_tables: dict[str, dict[str, list[str]]]
 
     def to_bytes(self) -> bytes:
-        w = Writer()
-        w.u64(self.seed)
-        w.u64(self.end_tick)
-        w.u16(len(self.stdout))
-        for host in sorted(self.stdout):
-            w.wstr(host)
-            code = self.exit_codes.get(host)
-            w.wstr(repr(code))
-            w.lp_bytes(self.stdout[host])
-            errs = self.errors.get(host, [])
-            w.u32(len(errs))
-            for code_, ctx in errs:
-                w.wstr(code_)
-                w.wstr(ctx[:200])
-            evs = self.events.get(host, [])
-            w.u32(len(evs))
-            for tick, kind, detail in evs:
-                w.u64(tick)
-                w.wstr(kind)
-                w.wstr(detail)
-            w.u16(len(self.neighborhoods.get(host, [])))
-            for n in self.neighborhoods.get(host, []):
-                w.wstr(n)
-            table = self.path_tables.get(host, {})
-            w.u16(len(table))
-            for dest in sorted(table):
-                w.wstr(dest)
-                w.u8(len(table[dest]))
-                for hop in table[dest]:
-                    w.wstr(hop)
-        w.u32(len(self.frames))
-        for tick, src, dst, kind, size, info in self.frames:
-            w.u64(tick)
-            w.wstr(src)
-            w.wstr(dst)
-            w.wstr(kind)
-            w.u32(size)
-            w.wstr(info)
-        return w.getvalue()
+        hosts = [(host, repr(self.exit_codes.get(host)), self.stdout[host],
+                  [(code, ctx[:200]) for code, ctx in self.errors.get(host, [])],
+                  self.events.get(host, []), self.neighborhoods.get(host, []),
+                  sorted(self.path_tables.get(host, {}).items()))
+                 for host in sorted(self.stdout)]
+        return bytes(_TRANSCRIPT.pack(
+            (self.seed, self.end_tick, hosts, self.frames)))
 
     def frames_between(self, src: str, dst: str) -> list[tuple]:
         return [f for f in self.frames if f[1] == src and f[2] == dst]

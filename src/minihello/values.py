@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .bio import STR, struct
+
 # Wire tags; also used as array element tags.
 TAG_NULL = 0
 TAG_BOOL = 1
@@ -47,6 +49,9 @@ class ClassKey(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.package}.{self.name}"
+
+
+KEY = struct(ClassKey, STR, STR)  # a class key in images and frame payloads
 
 
 @dataclass(frozen=True, slots=True)

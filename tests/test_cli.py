@@ -9,6 +9,7 @@ import pytest
 from minihello.cli import het, hee
 from minihello.cli.config import (ConfigError, build_engine_config,
                                   parse_config_text)
+from minihello.engine.engine import EngineConfig
 from minihello.security import READ, EXEC
 
 from conftest import SAMPLES
@@ -110,6 +111,11 @@ stdout = /tmp/out.bin
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("wat = 1")
+
+    def test_only_a_host_gives_the_engine_defaults(self):
+        assert build_engine_config({"host": "h"}) == EngineConfig(host_name="h")
+        assert build_engine_config(parse_config_text("host = h")) == \
+            EngineConfig(host_name="h")
 
     def test_host_required(self):
         with pytest.raises(ConfigError):

@@ -596,3 +596,39 @@ class TestFetchIntegrity:
         assert exc.value.remote_code in ("HashMismatch", "UnknownClass") or \
             exc.value.code in ("HashMismatch", "UnknownClass", "RemoteException")
         assert eb.packstore.resolve("qtest") is None  # never installed
+
+
+# A u16-prefixed string whose two bytes are not UTF-8.
+BAD_STR = b"\x00\x02\xff\xfe"
+
+
+class TestMalformedStrings:
+    """A payload string that is not UTF-8 makes its frame a BadFrame, like
+    any other malformed payload: one error record, and nothing queued or
+    sent. Each frame arrives at b on its connection from a."""
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("INVOKE", b"\x00" + BAD_STR + b"\x00\x00"),       # the sender
+        ("EVENT_POST", b"\x01" + BAD_STR + b"\x00\x00"),   # the sender
+        ("FETCH_PACK", BAD_STR),                           # the package
+        ("HELLO", BAD_STR + bytes(8)),                     # the host name
+        ("GOSSIP", b"\x00\x01" + BAD_STR + b"\x00"),       # a destination
+        ("ROUTE", b"\x00\x10" + BAD_STR + b"\x00\x01a\x00\x00"
+                  + bytes(4)),                             # the target
+    ])
+    def test_a_bad_string_is_one_bad_frame(self, kind, payload):
+        scen = mesh_scenario(["a", "b"], seed=3)
+        b = scen.hosts["b"]
+        conn = b.router.neighbors["a"]
+        start = len(scen.network.frame_log)
+        b.router._on_frame(conn, frames.Frame(getattr(frames, kind), 5,
+                                              payload))
+        assert [code for code, _ in b.engine.error_log] == ["BadFrame"]
+        assert "not UTF-8" in b.engine.error_log[0][1]
+        scen.run()
+        assert [k for _t, src, _dst, k, _n, _i in scen.network.frame_log[start:]
+                if src == "b" and k not in ("PING", "PONG")] == []
+        assert b.engine.pending == {}
+        assert all(q.idle() for q in b.engine.queues.values())
+        assert b.router.neighbor_names() == ["a"]
+        assert b.router.path_table == {}

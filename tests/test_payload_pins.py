@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from minihello.bio import EMPTY, Reader
 from minihello.engine.engine import TaskCtx
 from minihello.errors import EngineError
 from minihello.frontend.types import QUEUE_KEY
@@ -218,3 +219,16 @@ class TestPayloadPins:
         got = {name: describe_frame(frames.Frame(EXAMPLE_KINDS[name], 0, p))
                for name, p in pinned_examples.items()}
         assert got == LABELS
+
+    def test_every_kind_has_a_layout(self):
+        assert set(frames.LAYOUTS) == set(frames.KIND_NAMES)
+        assert frames.LAYOUTS[frames.PING] is EMPTY
+        assert frames.LAYOUTS[frames.PONG] is EMPTY
+
+    def test_each_example_reads_and_writes_back_through_its_layout(
+            self, pinned_examples):
+        for name, payload in pinned_examples.items():
+            layout = frames.LAYOUTS[EXAMPLE_KINDS[name]]
+            r = Reader(payload)
+            value = layout.read(r)
+            assert layout.pack(value) == payload[:r.pos], name

@@ -188,7 +188,8 @@ def test_unreachable_fetch_fails_and_leaves_nothing_pending():
 def test_reply_with_unknown_corr_is_orphaned(kind):
     engine, _ = make_engine(reply_42)
     payload = {"REPLY": encode_value(1),
-               "ERROR": frames.error_payload("Timeout", "late"),
+               "ERROR": frames.ERROR_PAYLOAD.pack(
+                   frames.ErrorInfo("Timeout", "", "late")),
                "PACK_DATA": b"\x01"}[kind]
     engine.handle_wire_frame(frames.Frame(getattr(frames, kind), 99, payload),
                              FrameMeta("b"))
@@ -223,8 +224,8 @@ def test_reply_after_timeout_is_orphaned():
 
 def test_refused_fetch_drops_its_pack_buffer():
     def not_found(frame):
-        return [frames.Frame(frames.ERROR, frame.corr, frames.error_payload(
-            "PackNotFoundAtOrigin", "fetched"))]
+        return [frames.Frame(frames.ERROR, frame.corr, frames.ERROR_PAYLOAD.pack(
+            frames.ErrorInfo("PackNotFoundAtOrigin", "", "fetched")))]
 
     engine, scheduler = make_engine(not_found)
     fut = engine.fetch_pack("b", "fetched")
@@ -239,7 +240,8 @@ def test_truncated_error_leaves_the_call_to_its_timeout():
     engine, scheduler = make_engine(lambda frame: [])
     fut = engine.send_request("b", frames.INVOKE, b"", timeout_ms=250)
     (corr,) = engine.pending
-    cut = frames.error_payload("AccessDenied", "denied at host layer")[:-3]
+    cut = frames.ERROR_PAYLOAD.pack(
+        frames.ErrorInfo("AccessDenied", "", "denied at host layer"))[:-3]
     engine.handle_wire_frame(frames.Frame(frames.ERROR, corr, cut),
                              FrameMeta("b"))
     assert [code for code, _ in engine.error_log] == ["BadFrame"]

@@ -17,8 +17,9 @@ import pytest
 from minihello.engine.engine import EngineConfig, TaskCtx
 from minihello.engine.marshal import snapshot_arrays
 from minihello.errors import EngineError
-from minihello.net.frames import HELLO, HELLO_ACK, PREAMBLE, Frame
-from minihello.net.router import Router, _hello_payload
+from minihello.net.frames import (HELLO, HELLO_ACK, HELLO_PAYLOAD, PREAMBLE,
+                                   Frame, Hello)
+from minihello.net.router import Router
 from minihello.node import Node
 from minihello.runtime import Future, Request
 from minihello.stdlib import host_ref
@@ -233,13 +234,15 @@ class TestGracefulShutdown:
         engine, scheduler = make_engine(reply_42)
         router = Router("b", None, scheduler, engine.config, engine)
         first = StubConn()
-        router._on_frame(first, Frame(HELLO, 0, _hello_payload("a", 1, b"")))
+        router._on_frame(first, Frame(HELLO, 0,
+                                      HELLO_PAYLOAD.pack(Hello("a", 1, b""))))
         assert first.sent[0] == HELLO_ACK  # then gossip to the new neighbor
         assert router.neighbor_names() == ["a"]
         router.shutdown()
         assert first.closed
         late = StubConn()
-        router._on_frame(late, Frame(HELLO, 0, _hello_payload("c", 1, b"")))
+        router._on_frame(late, Frame(HELLO, 0,
+                                     HELLO_PAYLOAD.pack(Hello("c", 1, b""))))
         assert late.sent == []
         assert router.neighbor_names() == []
 

@@ -1,6 +1,6 @@
 """Lines of `src/minihello` that the tier-1 tests never run.
 
-    python3 tools/untested_lines.py [PYTEST_ARGS...]
+    python3 tools/untested_lines.py [--baseline FILE] [PYTEST_ARGS...]
 
 Runs pytest in this process, from the repository root, with `src` on the
 path (by default the tier-1 command's arguments, `-q
@@ -13,11 +13,20 @@ minus the lines the tracer saw. It uses only the standard library.
 The tracer is set again before each test's setup, call and teardown:
 something in the suite switches it off (Hypothesis runs its own tracer),
 and without that every later test would count as running nothing.
+
+With `--baseline FILE` it also fails, with exit status 1, if any file has
+more unrun lines than FILE allows. FILE holds lines as this tool prints
+them, `<file>: <count> lines never ran: <lines>`, and `#` comments; a file
+it does not name is allowed none. `tools/untested_baseline.txt` is the
+committed baseline; to renew it, keep the per-file lines of a run:
+
+    python3 tools/untested_lines.py | grep '^src/' > tools/untested_baseline.txt
 """
 
 from __future__ import annotations
 
 import os
+import re
 import sys
 import threading
 
@@ -88,9 +97,24 @@ def ranges(lines: list[int]) -> str:
     return ", ".join(out)
 
 
+def read_baseline(path: str) -> dict[str, int]:
+    """The unrun-line count that a baseline file allows each file."""
+    allowed = {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            match = re.match(r"(\S+\.py): (\d+) lines never ran", line)
+            if match:
+                allowed[match[1]] = int(match[2])
+    return allowed
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
+    allowed = None
+    if argv[:1] == ["--baseline"]:
+        allowed = read_baseline(argv[1])
+        argv = argv[2:]
     tracer = LineTracer()
 
     class Rearm:
@@ -119,19 +143,25 @@ def main(argv: list[str]) -> int:
         threading.settrace(None)
 
     total = 0
+    over = []
     for dirpath, _dirs, files in sorted(os.walk(PACKAGE)):
         for name in sorted(files):
             if not name.endswith(".py"):
                 continue
             path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, ROOT)
             unrun = sorted(executable_lines(path) - tracer.ran.get(path, set()))
             total += len(unrun)
             if unrun:
-                print(f"{os.path.relpath(path, ROOT)}: {len(unrun)} lines "
-                      f"never ran: {ranges(unrun)}")
+                print(f"{rel}: {len(unrun)} lines never ran: {ranges(unrun)}")
+            if allowed is not None and len(unrun) > allowed.get(rel, 0):
+                over.append(f"{rel}: {len(unrun)} unrun lines, "
+                            f"baseline {allowed.get(rel, 0)}")
     print(f"{total} executable lines of src/minihello never ran "
           f"(pytest exit status {int(status)})")
-    return int(status)
+    for line in over:
+        print(f"over the baseline: {line}")
+    return int(status) or (1 if over else 0)
 
 
 if __name__ == "__main__":
