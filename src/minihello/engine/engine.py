@@ -19,10 +19,17 @@ The RPC core does each job at one site:
   `orphaned_replies` each reply that no open call claims;
 - every payload's fixed-form fields are written and read through its
   layout in `net/frames.py`, which the router uses too; this module writes
-  and reads only the wire values around them.
+  and reads only the wire values around them;
+- a frame's values are decoded into the heap through one `Intake`, whose
+  records join `objects` once the frame is accepted; the task that serves
+  it, or waits for it (`reply_value`), runs `from_wire` first.
 It stays in this module and class because `bench/tracing.py` wraps
 `Engine.handle_wire_frame` and `Engine._run_body` in the class's own
 namespace, and the codec and marshaling functions in this module's.
+
+`deep_copy`, `create_event`/`fill_event` and `Scenario.submit_task` are
+reached only from tests and `bench/`, which test them through this API; no
+Hello syntax reaches them. They stay (ROADMAP item 15).
 """
 
 from __future__ import annotations
@@ -62,18 +69,19 @@ from ..stdlib import (BUILTIN_CLASSES, HOST_OBJECT_OID, HOSTS_NODE_OID,
 from ..values import (Array, CharArray, ClassKey, ObjectRef, TAG_ARRAY,
                       TAG_OBJECT)
 from . import machine
-from .marshal import (from_wire, local_copy, marshal_args, marshal_result,
+from .marshal import (Intake, from_wire, local_copy, marshal_args,
                       snapshot_arrays, to_wire, write_args)
 from .objects import EventRecord, ObjectRecord
 
 PACK_CHUNK = 64 * 1024
 
-# System methods: name -> (privilege, per-parameter copy flags).
+# System methods: name -> (privilege, copy flag and type of each parameter).
 SYS_METHODS = {
-    "$echo": (EXEC, (True,)),
-    "$traverse": (EXEC, (False, True, False, False)),
-    "$getf": (READ, (False,)),
-    "$setf": (WRITE, (False, False)),
+    "$echo": (EXEC, (True,), (object,)),
+    "$traverse": (EXEC, (False, True, False, False),
+                  (CharArray, Array, CharArray, Array)),
+    "$getf": (READ, (False,), (CharArray,)),
+    "$setf": (WRITE, (False, False), (CharArray, object)),
 }
 
 
@@ -167,6 +175,12 @@ def _builtin_runtime_classes() -> dict[ClassKey, RuntimeClass]:
     return out
 
 
+class _Reply(Future):
+    """The future of an open call: it resolves with the reply's value, and
+    `missing` is the `Intake.missing` of the reply's frame."""
+    missing = ()
+
+
 @dataclass(slots=True)
 class _PendingCall:
     """An open call. The call of a runpack fetch also holds the package it
@@ -197,7 +211,7 @@ class Engine:
 
         # every object of this host, keyed by oid; oids are never reused
         self.objects: dict[int, ObjectRecord] = {}
-        self._oid = itertools.count(10)
+        self.oids = itertools.count(10)
 
         self.queues: dict[int, Queue] = {}
         self._qid = itertools.count(0)
@@ -268,7 +282,7 @@ class Engine:
                      fields: list) -> ObjectRef:
         """A new object in the heap (`partition` None) or in the shared
         partition (0)."""
-        oid = next(self._oid)
+        oid = next(self.oids)
         self.objects[oid] = ObjectRecord(cls, fields, partition)
         return ObjectRef(self.host_name, partition, oid, cls)
 
@@ -378,8 +392,7 @@ class Engine:
             return (yield from self.invoke_local(ref, method, args, ctx))
         fut = self.send_request(ref.host, frames.INVOKE,
                                 self._call_payload(ref, method, args, ctx))
-        raw = yield fut
-        return (yield from from_wire(self, raw, ref.host, ctx))
+        return (yield from self.reply_value(fut, ref.host, ctx))
 
     def invoke_local(self, ref: ObjectRef, method: str, args: list, ctx, *,
                      from_remote: bool = False):
@@ -398,25 +411,23 @@ class Engine:
         if from_remote and mc is not None and not mc.has(ir.MQ_EXTERNAL):
             raise EngineError(E_ACCESS_VIOLATION,
                               f"method '{method}' is not external")
-        if from_remote:
-            call_args = list(args)
-        else:
+        if not from_remote:  # a received argument list is the call's own
             self.check_local_object(record, EXEC, ctx)
-            call_args = marshal_args(self, list(mc.params) if mc else None,
-                                     args, post=False)
+            args = marshal_args(self, list(mc.params) if mc else None, args,
+                                post=False)
         try:
             if native is not None:
-                result = native(self, ctx, ref, call_args)
+                result = native(self, ctx, ref, args)
                 if hasattr(result, "send"):
                     result = yield from result
             else:
-                result = yield from self._run_body(rc, mc, ref, call_args, ctx)
+                result = yield from self._run_body(rc, mc, ref, args, ctx)
         except EngineError as err:
             raise wrap_remote(err) from None
         if from_remote:
             return result  # the reply path applies the crossing marshal
         ret_copy = mc.ret_copy if mc is not None else False
-        return marshal_result(self, result, ret_copy)
+        return local_copy(self, result) if ret_copy else result
 
     def invoke_static(self, cls: ClassKey, method: str, args: list, ctx):
         """Call a static method. The method is looked up once per class
@@ -441,7 +452,7 @@ class Engine:
             return (yield from self._run_body(rc, mc, None, args, ctx))
         call_args = marshal_args(self, list(mc.params), args, post=False)
         result = yield from self._run_body(rc, mc, None, call_args, ctx)
-        return marshal_result(self, result, mc.ret_copy)
+        return local_copy(self, result) if mc.ret_copy else result
 
     def _run_body(self, rc: RuntimeClass, mc: ir.MethodCode, this_ref,
                   args: list, ctx):
@@ -484,9 +495,7 @@ class Engine:
         CREATE_HEAD.write(w, CreateHead(cls, pid is not None, pid or 0))
         _leaving(write_args, self, params, args, w.buf)
         fut = self.send_request(host, frames.INVOKE, w.buf)
-        raw = yield fut
-        ref = yield from from_wire(self, raw, host, ctx)
-        return ref
+        return (yield from self.reply_value(fut, host, ctx))
 
     # ------------------------------------------------------- queues and posts
 
@@ -511,8 +520,8 @@ class Engine:
         its arguments' wire bytes at once."""
         if qref is None:
             raise EngineError(E_NULL_REF, "post to null queue")
+        params = self.param_sigs(target.cls, method) if isinstance(target, ObjectRef) else None
         if qref.host != self.host_name:
-            params = self.param_sigs(target.cls, method) if isinstance(target, ObjectRef) else None
             w = self._request_head(OP_POST, ctx)
             w.raw(encode_value(qref))
             _leaving(to_wire, self, target, False, w.buf)
@@ -521,7 +530,6 @@ class Engine:
             self.send_oneway(qref.host, frames.INVOKE, w.buf)
             return
         queue = self.resolve_queue(qref)
-        params = self.param_sigs(target.cls, method) if isinstance(target, ObjectRef) else None
         if params is not None and isinstance(target, ObjectRef):
             rc = self.classes.get(target.cls)
             mc = rc.method(method) if rc else None
@@ -601,9 +609,12 @@ class Engine:
             fut = self.send_request(host, frames.EVENT_POST, w.buf)
             status = yield fut
             return "fired" if status == 1 else "pending"
-        return self._fill_local(eid, slot, value, ctx.origin)
+        # a snapshot, as a post takes, so that the filler may reuse buffers
+        return self._fill_local(self._free_slot(eid, slot), slot,
+                                snapshot_arrays(self, value), ctx.origin)
 
-    def _fill_local(self, eid: int, slot: int, value, origin) -> str:
+    def _free_slot(self, eid: int, slot: int) -> EventRecord:
+        """The event `eid` of this host, whose slot `slot` is free."""
         ev = self.events.get(eid)
         if ev is None:
             raise EngineError(E_UNKNOWN_EVENT, f"no event {eid}")
@@ -611,6 +622,9 @@ class Engine:
             raise EngineError(E_SLOT_RANGE, f"slot {slot} of {ev.arity}")
         if ev.slots[slot][0]:
             raise EngineError(E_SLOT_FILLED, f"slot {slot}")
+        return ev
+
+    def _fill_local(self, ev: EventRecord, slot: int, value, origin) -> str:
         ev.slots[slot][0] = True
         ev.slots[slot][1] = value
         if ev.unfilled() == 0:
@@ -627,13 +641,10 @@ class Engine:
         self.scheduler.submit(ev.queue, Request(factory))
 
     def _task_event_fire(self, ev: EventRecord, ctx):
-        # `from_wire` adopts the arrays it is given, and a slot filled on
-        # this host holds the filler's own arrays: hand over copies
-        args = yield from self._args_from_wire(
-            [snapshot_arrays(self, value) for _filled, value in ev.slots], ctx)
         self.events.pop(ev.eid, None)
         try:
-            yield from self.invoke(ev.target, ev.method, args, ctx)
+            yield from self.invoke(ev.target, ev.method,
+                                   [value for _filled, value in ev.slots], ctx)
         except EngineError as err:
             self.log_error(err.code, f"event {ev.method}: {err.message}")
 
@@ -654,30 +665,21 @@ class Engine:
             self._traversals_seen.discard(self._traversal_order.popleft())
         return True
 
-    def _traverse_args(self, method: str, args: list, tid: str,
-                       visited: list[str]) -> list:
-        return [CharArray.from_str(method),
-                Array(TAG_OBJECT, list(args)),
-                CharArray.from_str(tid),
-                Array(TAG_ARRAY, [CharArray.from_str(v) for v in visited])]
-
     def start_traverse(self, node_ref: ObjectRef, method: str, args: list,
                        tid: str, visited: list[str], ctx) -> Future:
         """Forward a traversal to a node on another host (`groups.run_node`
         visits this host's node itself); returns the reply future."""
-        payload = self._call_payload(
-            node_ref, "$traverse",
-            self._traverse_args(method, args, tid, visited), ctx)
+        payload = self._call_payload(node_ref, "$traverse", [
+            CharArray.from_str(method), Array(TAG_OBJECT, list(args)),
+            CharArray.from_str(tid),
+            Array(TAG_ARRAY, [CharArray.from_str(v) for v in visited])], ctx)
         return self.send_request(node_ref.host, frames.INVOKE, payload)
 
-    def send_traverse(self, node_ref: ObjectRef, method: str, args: list,
-                      tid: str, visited: list[str], ctx):
-        fut = self.start_traverse(node_ref, method, args, tid, visited, ctx)
-        raw = yield fut
-        return (yield from from_wire(self, raw, node_ref.host, ctx))
-
-    def materialize(self, value, from_host: str | None, ctx):
-        return (yield from from_wire(self, value, from_host, ctx))
+    def reply_value(self, fut: _Reply, fetch_from: str | None, ctx):
+        """A call's reply value, once `from_wire` has run. Generator."""
+        value = yield fut
+        yield from from_wire(self, fut.missing, fetch_from, ctx)
+        return value
 
     # --------------------------------------------------------------- deep copy
 
@@ -730,7 +732,7 @@ class Engine:
                      timeout_ms: int | None = None) -> Future:
         if self.port is None:
             raise EngineError(E_HOST_UNREACHABLE, "engine has no network")
-        fut = Future()
+        fut = _Reply()
         timeout = timeout_ms if timeout_ms is not None else self.config.call_timeout_ms
         self._send_pending(dst, frames.Frame(kind, self.next_corr(), payload),
                            _PendingCall(fut), timeout)
@@ -822,11 +824,6 @@ class Engine:
         w.raw(encode_value(qref))
         return w.buf
 
-    @staticmethod
-    def _read_values(r: Reader) -> list:
-        n = r.u16()
-        return [decode_value_prefix(r) for _ in range(n)]
-
     # ------------------------------------------------------------ frame intake
 
     def handle_wire_frame(self, frame: frames.Frame, meta: FrameMeta) -> None:
@@ -886,56 +883,61 @@ class Engine:
     def _on_invoke(self, frame: frames.Frame, meta: FrameMeta) -> None:
         """Serve an INVOKE. A refused INVOKE, CREATE or BARRIER is answered
         with an ERROR, and a refused POST is logged: the access check
-        refuses, and so does a queue reference that names no queue here."""
+        refuses, and so does a queue reference that names no queue here.
+        Only a frame that is served commits its `intake`."""
         r = Reader(frame.payload)
         op, sender, sids = REQUEST_HEAD.read(r)
         corr = frame.corr
+        intake = Intake(self)
         if op == OP_INVOKE:
-            target = decode_value_prefix(r)
+            target = decode_value_prefix(r, intake)
             method = STR.read(r)
-            wire_args = self._read_values(r)
+            args = [decode_value_prefix(r, intake) for _ in range(r.u16())]
             priv = SYS_METHODS[method][0] if method in SYS_METHODS else EXEC
             try:
                 self.check_remote_request(priv, sids, self._acl_of(target))
             except EngineError as err:
                 self._reply_error(meta, corr, err)
                 return
+            intake.commit()
             traverse = method == "$traverse"
             queue = self.new_queue() if traverse else self.service_queue
             ctx = TaskCtx(queue, origin=sender)
             done = self._serve(meta, corr, queue, lambda:
-                               self._task_remote_invoke(target, method,
-                                                        wire_args, ctx))
+                               self._task_remote_invoke(target, method, args,
+                                                        intake.missing, ctx))
             if traverse:
                 done.add_callback(lambda _f: self._release_queue(queue))
         elif op == OP_POST:
-            qref = decode_value_prefix(r)
-            target = decode_value_prefix(r)
+            qref = decode_value_prefix(r, intake)
+            target = decode_value_prefix(r, intake)
             method = STR.read(r)
-            wire_args = self._read_values(r)
+            args = [decode_value_prefix(r, intake) for _ in range(r.u16())]
             try:
                 self.check_remote_request(EXEC, sids, self._acl_of(target))
                 queue = self.resolve_queue(qref)
+                intake.commit()
                 ctx = TaskCtx(queue, origin=sender)
-                self.scheduler.submit(queue, Request(
-                    lambda: self._task_remote_post(target, method, wire_args, ctx)))
+                self.scheduler.submit(queue, Request(lambda: self._task_remote_post(
+                    target, method, args, intake.missing, ctx)))
             except EngineError as err:
                 self.log_error(err.code, f"remote post {method} dropped")
         elif op == OP_CREATE:
             key, has_pid, pid = CREATE_HEAD.read(r)
-            wire_args = self._read_values(r)
+            args = [decode_value_prefix(r, intake) for _ in range(r.u16())]
             try:
                 self.check_remote_request(CREATE, sids, None)
             except EngineError as err:
                 self._reply_error(meta, corr, err)
                 return
+            intake.commit()
             ctx = TaskCtx(self.service_queue, origin=sender)
             placement_pid = pid if has_pid else 0
             self._serve(meta, corr, self.service_queue, lambda:
-                        self._task_remote_create(key, placement_pid,
-                                                 wire_args, ctx))
+                        self._task_remote_create(key, placement_pid, args,
+                                                 intake.missing, ctx))
         elif op == OP_BARRIER:
-            qref = decode_value_prefix(r)
+            qref = decode_value_prefix(r, intake)
             try:
                 self.check_remote_request(EXEC, sids, None)
                 self._serve(meta, corr, self.resolve_queue(qref),
@@ -945,19 +947,12 @@ class Engine:
         else:
             self.log_error("BadFrame", f"unknown INVOKE op {op}")
 
-    def _args_from_wire(self, wire_args: list, ctx):
-        """The received arguments of a task, built on this host."""
-        args = []
-        for wa in wire_args:
-            args.append((yield from from_wire(self, wa, ctx.origin, ctx)))
-        return args
-
-    def _task_remote_invoke(self, target, method: str, wire_args: list, ctx):
-        args = yield from self._args_from_wire(wire_args, ctx)
-        if method in SYS_METHODS:
-            return (yield from self._run_sys_method(target, method, args, ctx))
+    def _task_remote_invoke(self, target, method: str, args, missing, ctx):
+        yield from from_wire(self, missing, ctx.origin, ctx)
         if not isinstance(target, ObjectRef):
             raise wrap_remote(EngineError(E_NULL_REF, "invoke on null target"))
+        if method in SYS_METHODS:
+            return (yield from self._run_sys_method(target, method, args, ctx))
         result = yield from self.invoke_local(target, method, args, ctx,
                                               from_remote=True)
         rc = self.classes.get(target.cls)
@@ -965,6 +960,12 @@ class Engine:
         return _leaving(to_wire, self, result, mc.ret_copy if mc else False)
 
     def _run_sys_method(self, target, method: str, args: list, ctx):
+        kinds = SYS_METHODS[method][2]
+        if len(args) != len(kinds) or not all(map(isinstance, args, kinds)) \
+                or method == "$traverse" and not all(
+                    type(v) is CharArray for v in args[3].items):
+            raise wrap_remote(EngineError(
+                E_UNKNOWN_METHOD, f"{method} takes no such arguments"))
         if method == "$echo":
             return _leaving(to_wire, self, args[0], False)
         if method == "$traverse":
@@ -986,18 +987,18 @@ class Engine:
         record.fields[idx] = args[1]
         return encode_value(None)
 
-    def _task_remote_post(self, target, method: str, wire_args: list, ctx):
-        args = yield from self._args_from_wire(wire_args, ctx)
+    def _task_remote_post(self, target, method: str, args, missing, ctx):
+        yield from from_wire(self, missing, ctx.origin, ctx)
         try:
             yield from self.invoke(target, method, args, ctx)
         except EngineError as err:
             self.log_error(err.code, f"remote post {method}: {err.message}")
 
-    def _task_remote_create(self, key: ClassKey, pid: int, wire_args: list, ctx):
+    def _task_remote_create(self, key: ClassKey, pid: int, args, missing, ctx):
         rc = yield from self.ensure_class(key, ctx.origin, ctx)
         if not rc.has(ir.CQ_EXTERNAL):
             raise EngineError(E_ACCESS_VIOLATION, f"class {key} is not external")
-        args = yield from self._args_from_wire(wire_args, ctx)
+        yield from from_wire(self, missing, ctx.origin, ctx)
         if pid != 0:  # the shared partition is the only one
             raise EngineError(E_UNKNOWN_OBJECT, f"no partition {pid}")
         ref = yield from self.create_object(key, ("partition", 0), args, ctx)
@@ -1007,11 +1008,14 @@ class Engine:
         entry = self._take_pending(frame.corr)
         if entry is None:
             return
+        intake = Intake(self)
         try:
-            value = decode_value_prefix(Reader(frame.payload))
+            value = decode_value_prefix(Reader(frame.payload), intake)
         except (MalformedEncoding, ShortRead) as exc:
             entry.future.fail(EngineError("BadFrame", str(exc)))
             return
+        intake.commit()
+        entry.future.missing = intake.missing
         entry.future.resolve(value)
 
     def _on_error(self, frame: frames.Frame) -> None:
@@ -1033,7 +1037,7 @@ class Engine:
         existing = self._fetch_inflight.get(package)
         if existing is not None:
             return existing
-        fut = Future()
+        fut = _Reply()
         self._fetch_inflight[package] = fut
         fut.add_callback(lambda _f: self._fetch_inflight.pop(package, None))
         try:
@@ -1105,18 +1109,22 @@ class Engine:
         except EngineError as err:
             self._reply_error(meta, frame.corr, err)
             return
+        intake = Intake(self)
         try:
             if sub == EV_CREATE:
-                qref = decode_value_prefix(r)
-                target = decode_value_prefix(r)
+                qref = decode_value_prefix(r, intake)
+                target = decode_value_prefix(r, intake)
                 method, arity = EVENT_SIGNATURE.read(r)
-                eid = self._new_event(self.resolve_queue(qref), target,
-                                      method, arity, sender)
+                queue = self.resolve_queue(qref)
+                intake.commit()
+                eid = self._new_event(queue, target, method, arity, sender)
                 self._reply_value(meta, frame.corr, eid)
             else:
                 eid, slot = EVENT_SLOT.read(r)
-                value = decode_value_prefix(r)
-                status = self._fill_local(eid, slot, value, sender)
+                value = decode_value_prefix(r, intake)
+                ev = self._free_slot(eid, slot)
+                intake.commit()
+                status = self._fill_local(ev, slot, value, sender)
                 self._reply_value(meta, frame.corr, 1 if status == "fired" else 0)
         except EngineError as err:
             self._reply_error(meta, frame.corr, err)

@@ -24,11 +24,12 @@ flag):
   NonCopyableValue.
 
 A value leaving the host is written to its wire bytes in one walk
-(`to_wire`); a value arriving is decoded into a tree whose objects are
-`WireObject` nodes, which `from_wire` turns into heap objects. The decoder
-built every `char[]` of that tree fresh, so `from_wire` adopts it without a
-copy; a caller that hands `from_wire` values that are still local copies
-them first (`snapshot_arrays`).
+(`to_wire`). A value arriving is read in one walk too: the decoder builds
+each of its objects as a heap record through the frame's `Intake`, the
+records join the heap once the frame is accepted, and the value is final.
+Each received `char[]` owns the bytes the decoder copied out of the frame.
+All that is left for the receiving task is `from_wire`: to load the
+classes those objects name that this host lacks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from ..errors import E_NON_COPYABLE, EngineError
 from ..frontend.types import STD_PACKAGE
 from ..net.wirevalues import write_value
 from ..runpack import ir
-from ..values import Array, CharArray, ObjectRef, WireObject
+from ..values import Array, CharArray, ObjectRef
+from .objects import ObjectRecord
 
 _U16 = struct.Struct(">H")
 
@@ -155,35 +157,39 @@ def write_args(engine, params: list[ir.IrParam] | None, args: list,
         to_wire(engine, arg, copy, out)
 
 
-def from_wire(engine, v, fetch_from: str | None, ctx, memo: dict | None = None):
-    """Materialize a decoded wire value at this engine. WireObject graphs
-    become fresh heap objects (identity preserved); classes missing locally
-    are fetched on demand from `fetch_from`. A `char[]` is adopted as it
-    is: the decoder made it, and nothing else holds it. Generator: may wait
-    on a fetch."""
-    if memo is None:
-        memo = {}
-    if isinstance(v, Array):
-        out = Array(v.elem_tag, [])
-        for item in v.items:
-            value = yield from from_wire(engine, item, fetch_from, ctx, memo)
-            out.items.append(value)
-        return out
-    if isinstance(v, WireObject):
-        key = id(v)
-        if key in memo:
-            return memo[key]
-        yield from engine.ensure_class(v.cls, fetch_from, ctx)
-        ref = engine.alloc_object(v.cls, None, [None] * len(v.fields))
-        memo[key] = ref
-        record = engine.deref(ref)
-        fields = []
-        for f in v.fields:
-            value = yield from from_wire(engine, f, fetch_from, ctx, memo)
-            fields.append(value)
-        record.fields = fields
-        return ref
-    return v
+class Intake:
+    """The object constructor (`new_object`) of one arriving frame's values:
+    each object node becomes a heap record as it is decoded. The records
+    enter `engine.objects` at `commit`, once the frame is accepted, so a
+    malformed or refused frame adds none; its oids are never used again.
+    `missing` lists the classes they name that the engine has not loaded,
+    in first-seen order."""
+
+    __slots__ = ("engine", "records", "missing")
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.records: dict[int, ObjectRecord] = {}
+        self.missing: list = []
+
+    def __call__(self, cls, fields: list) -> ObjectRef:
+        engine = self.engine
+        if cls not in engine.classes and cls not in self.missing:
+            self.missing.append(cls)
+        oid = next(engine.oids)
+        self.records[oid] = ObjectRecord(cls, fields, None)
+        return ObjectRef(engine.host_name, None, oid, cls)
+
+    def commit(self) -> None:
+        self.engine.objects.update(self.records)
+
+
+def from_wire(engine, missing: list, fetch_from: str | None, ctx):
+    """Load the classes of received objects that this host lacks
+    (`Intake.missing`), from `fetch_from`, in order. Generator: may wait on
+    a fetch."""
+    for cls in missing:
+        yield from engine.ensure_class(cls, fetch_from, ctx)
 
 
 def marshal_args(engine, params: list[ir.IrParam] | None, args: list, *,
@@ -204,7 +210,3 @@ def marshal_args(engine, params: list[ir.IrParam] | None, args: list, *,
         else:
             out.append(arg)
     return out
-
-
-def marshal_result(engine, v, ret_copy: bool):
-    return local_copy(engine, v) if ret_copy else v

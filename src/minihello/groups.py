@@ -60,7 +60,8 @@ def iterate(engine, ctx, group_ref: ObjectRef, method: str, args: list):
     if group_ref.host == engine.host_name:
         result = yield from run_node(engine, ctx, group_ref, method, args, tid, [])
     else:
-        result = yield from engine.send_traverse(group_ref, method, args, tid, [], ctx)
+        fut = engine.start_traverse(group_ref, method, args, tid, [], ctx)
+        result = yield from engine.reply_value(fut, group_ref.host, ctx)
     failures = decode_failures(result)
     if failures:
         raise EngineError(E_PARTIAL_FAILURE,
@@ -147,8 +148,7 @@ def run_node(engine, ctx, node_ref: ObjectRef, method: str, args: list,
             failures.append((child.host, err.code))
     for child, fut in pending:
         try:
-            result = yield fut
-            sub = yield from engine.materialize(result, child.host, ctx)
+            sub = yield from engine.reply_value(fut, child.host, ctx)
             failures.extend(decode_failures(sub))
         except EngineError as err:
             code = err.remote_code if err.code == E_REMOTE and err.remote_code else err.code

@@ -8,11 +8,13 @@ round-trip exactly. char arrays are encoded as raw bytes for bulk transfer.
 
 `write_value` appends a value to a buffer in one walk. The marshaler
 (`engine/marshal.py`) gives it the rule by which local objects cross, so a
-copied object graph is written straight from its heap records. The decoder
-returns object nodes as `WireObject`s, which the marshaler turns into heap
-objects at the receiving host. It copies each char array out of the input
-into a fresh `bytearray`, which the marshaler adopts without another copy;
-only values that are still local are copied there.
+copied object graph is written straight from its heap records. The
+decoder builds each object node with the constructor it is given,
+`new_object(cls, fields)`, which returns what stands for the object (at a
+host, a ref to a new heap record: `engine/marshal.py`'s `Intake`); the node's
+field values are appended to `fields` after, so that back-references and
+cycles resolve to it. Each char array is copied out of the input into a
+fresh `bytearray` that the decoded `char[]` owns.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import struct
 from ..bio import Reader
 from ..values import (Array, Char, CharArray, ClassKey, ObjectRef, TAG_ARRAY,
                       TAG_BACK_REF, TAG_BOOL, TAG_CHAR, TAG_INT, TAG_NULL,
-                      TAG_OBJECT, TAG_REMOTE_REF, WireObject)
+                      TAG_OBJECT, TAG_REMOTE_REF)
 
 _ELEM_TAGS = frozenset((TAG_BOOL, TAG_INT, TAG_CHAR, TAG_ARRAY, TAG_OBJECT))
 _MAX_DEPTH = 200
@@ -78,7 +80,7 @@ def _ref_wire(ref: ObjectRef) -> bytes:
 
 def encode_value(v) -> bytes:
     """The encoding of a value whose object references all travel as
-    references; `WireObject` nodes are written as object nodes."""
+    references."""
     out = bytearray()
     _write(out, v, None, {}, 0)
     return bytes(out)
@@ -102,8 +104,6 @@ def _write(out: bytearray, v, local, seen: dict[int, int], depth: int) -> None:
         if node is None:
             out += _ref_wire(v)
             return
-    elif t is WireObject:
-        node = v
     elif t is int:
         out += _TAG_I64.pack(TAG_INT, v)
         return
@@ -147,19 +147,20 @@ def _write(out: bytearray, v, local, seen: dict[int, int], depth: int) -> None:
 
 # ------------------------------------------------------------------ decoding
 
-def decode_value(data: bytes):
+def decode_value(data: bytes, new_object):
+    """The one value `data` encodes; `new_object` builds its objects."""
     r = Reader(data)
-    v = decode_value_prefix(r)
+    v = decode_value_prefix(r, new_object)
     if not r.at_end():
         raise MalformedEncoding("trailing bytes after value")
     return v
 
 
-def decode_value_prefix(r: Reader):
-    """Decode one value from the reader's current position and move the
-    reader past it."""
+def decode_value_prefix(r: Reader, new_object):
+    """Decode one value from the reader's current position, its objects
+    built by `new_object(cls, fields)`, and move the reader past it."""
     try:
-        v, r.pos = _read(r.data, r.pos, [], 0)
+        v, r.pos = _read(r.data, r.pos, new_object, [], 0)
     except (struct.error, IndexError) as exc:  # fixed-size read past the end
         raise MalformedEncoding(f"truncated value: {exc}") from exc
     except (UnicodeDecodeError, RecursionError) as exc:
@@ -192,7 +193,7 @@ def _class_key(raw: bytes) -> ClassKey:
     return ClassKey(str(raw[2:mid], "utf-8"), str(raw[mid + 2:], "utf-8"))
 
 
-def _read(data, pos: int, nodes: list, depth: int):
+def _read(data, pos: int, new_object, nodes: list, depth: int):
     """The value at `pos` and the position after it."""
     if depth > _MAX_DEPTH:
         raise MalformedEncoding("value nesting too deep")
@@ -207,12 +208,12 @@ def _read(data, pos: int, nodes: list, depth: int):
         cls, pos = _read_class(data, pos)
         (n_fields,) = _U16.unpack_from(data, pos)
         pos += 2
-        node = WireObject(cls)
+        fields = []
+        node = new_object(cls, fields)
         nodes.append(node)  # registered before fields so cycles resolve
-        fields = node.fields
         depth += 1
         for _ in range(n_fields):
-            v, pos = _read(data, pos, nodes, depth)
+            v, pos = _read(data, pos, new_object, nodes, depth)
             fields.append(v)
         return node, pos
     if tag == TAG_INT:
@@ -230,7 +231,7 @@ def _read(data, pos: int, nodes: list, depth: int):
         items = []
         depth += 1
         for _ in range(count):
-            v, pos = _read(data, pos, nodes, depth)
+            v, pos = _read(data, pos, new_object, nodes, depth)
             items.append(v)
         return Array(elem, items), pos
     if tag == TAG_NULL:

@@ -29,6 +29,10 @@ class ScenarioDeadlock(Exception):
     pass
 
 
+def _no_object(_cls, _fields) -> None:  # the constructor of skipped values
+    return None
+
+
 def describe_frame(frame: frames.Frame) -> str:
     """Best-effort label for the frame log (op and method names)."""
     try:
@@ -36,11 +40,11 @@ def describe_frame(frame: frames.Frame) -> str:
             r = Reader(frame.payload)
             op = frames.REQUEST_HEAD.read(r).op
             if op == frames.OP_INVOKE:
-                decode_value_prefix(r)
+                decode_value_prefix(r, _no_object)
                 return f"INVOKE:{STR.read(r)}"
             if op == frames.OP_POST:
-                decode_value_prefix(r)
-                decode_value_prefix(r)
+                decode_value_prefix(r, _no_object)
+                decode_value_prefix(r, _no_object)
                 return f"POST:{STR.read(r)}"
             if op == frames.OP_CREATE:
                 return f"CREATE:{frames.CREATE_HEAD.read(r).cls}"

@@ -2,9 +2,9 @@
 
 A runtime value is one of: None (null), bool, int (64-bit two's-complement,
 wrapping), Char, CharArray (char[], the string representation), Array, or
-ObjectRef (a local or remote object reference). A decoded wire value may
-also hold WireObject nodes: objects that arrived by value and are not yet
-in a heap.
+ObjectRef (a local or remote object reference). An object is always a
+record in its host's heap, named by an ObjectRef; one that arrives by value
+is built as a record there while its frame is decoded.
 
 ClassKey and ObjectRef are named tuples, so that hashing, comparing and
 building them, which every class lookup and field access does, run in C.
@@ -148,23 +148,6 @@ class Array:
 
     def __repr__(self) -> str:
         return f"Array(tag={self.elem_tag}, n={len(self.items)})"
-
-
-class WireObject:
-    """Identity-bearing node of an object graph that arrived by value.
-
-    Produced by the wire decoder on the receiving side, where the marshaler
-    turns it into a heap object; never stored in a heap or partition.
-    """
-
-    __slots__ = ("cls", "fields")
-
-    def __init__(self, cls: ClassKey, fields: list | None = None):
-        self.cls = cls
-        self.fields = fields if fields is not None else []
-
-    def __repr__(self) -> str:
-        return f"WireObject({self.cls}, {len(self.fields)} fields)"
 
 
 def values_equal(a, b) -> bool:

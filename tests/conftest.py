@@ -11,10 +11,12 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from minihello.engine.engine import TaskCtx  # noqa: E402
+from minihello.engine.objects import ObjectRecord  # noqa: E402
 from minihello.frontend import SourceUnit, check, load_units, parse_package  # noqa: E402
 from minihello.bio import Reader, Writer  # noqa: E402
 from minihello.runpack import RunpackImage, compile_package, ir, serialize  # noqa: E402
 from minihello.simharness import Scenario  # noqa: E402
+from minihello.net.wirevalues import decode_value, write_value  # noqa: E402
 from minihello.values import Array, CharArray, ObjectRef  # noqa: E402
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -157,6 +159,41 @@ def run_task(scen: Scenario, host: str, gen_fn):
     fut = scen.submit_task(host, factory)
     scen.run()
     return fut.result()
+
+
+# --- a heap for the wire codec's tests ----------------------------------------
+
+class WireHeap:
+    """A heap outside any engine, for tests of the wire codec. It is an
+    object constructor of the decoder, as the engine's `Intake` is: each
+    decoded object becomes a record here, named by a ref to host `HOST`.
+    `record` is also the rule by which `write_value` writes those refs as
+    object nodes, so objects built here travel by value."""
+
+    HOST = "wire-heap"
+
+    def __init__(self):
+        self.records: dict[int, ObjectRecord] = {}
+
+    def __call__(self, cls, fields: list) -> ObjectRef:
+        oid = len(self.records)
+        self.records[oid] = ObjectRecord(cls, fields, None)
+        return ObjectRef(self.HOST, None, oid, cls)
+
+    def record(self, v) -> ObjectRecord | None:
+        """The record of one of this heap's objects; None for any other
+        value."""
+        if isinstance(v, ObjectRef) and v.host == self.HOST:
+            return self.records[v.oid]
+        return None
+
+    def encode(self, v) -> bytes:
+        out = bytearray()
+        write_value(out, v, self.record)
+        return bytes(out)
+
+    def decode(self, data: bytes):
+        return decode_value(data, self)
 
 
 # --- independent graph-isomorphism oracle -----------------------------------

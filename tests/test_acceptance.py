@@ -19,16 +19,15 @@ from minihello.cli import het
 from minihello.engine.engine import TaskCtx
 from minihello.engine.marshal import to_wire
 from minihello.errors import EngineError
-from minihello.net.wirevalues import decode_value
 from minihello.runpack import load_file
 from minihello.runtime import Future
 from minihello.security import ALL_PRIVS, ADMIN, CREATE, CredentialSet, EXEC, READ, WRITE, check_access
 from minihello.simharness import Scenario, parse_topology_text, run_scenario
 from minihello.stdlib import host_ref
-from minihello.values import Array, CharArray, ClassKey, ObjectRef, WireObject
+from minihello.values import Array, CharArray, ClassKey, ObjectRef
 
-from conftest import (SAMPLES, graphs_isomorphic, line_scenario, mesh_scenario,
-                      reachable_nodes, run_task)
+from conftest import (SAMPLES, WireHeap, graphs_isomorphic, line_scenario,
+                      mesh_scenario, reachable_nodes, run_task)
 from test_deepcopy import NODE, build_random_graph
 
 TEN_MIB_CODE = "import sys; sys.stdout.buffer.write(bytes(range(256))*40960)"
@@ -147,28 +146,29 @@ class TestCriterion03QueueBarrier:
             assert got == n, f"schedule {schedule}: {got} != {n}"
 
 
-def _wire_graph_matches(engine, src, wire, mapping=None) -> bool:
-    """Independent walk comparing a live object graph against a decoded
-    wire graph (the stated local encode/decode oracle)."""
+def _wire_graph_matches(engine, src, heap, wire, mapping=None) -> bool:
+    """Independent walk comparing a live object graph against a wire graph
+    decoded into a test heap (the stated local encode/decode oracle)."""
     if mapping is None:
         mapping = {}
     if isinstance(src, ObjectRef):
-        if not isinstance(wire, WireObject):
+        node = heap.record(wire)
+        if node is None:
             return False
         key = (src.partition, src.oid)
         if key in mapping:
-            return mapping[key] is wire
-        mapping[key] = wire
+            return mapping[key] is node
+        mapping[key] = node
         record = engine.deref(src)
-        if record.cls != wire.cls or len(record.fields) != len(wire.fields):
+        if record.cls != node.cls or len(record.fields) != len(node.fields):
             return False
-        return all(_wire_graph_matches(engine, f, w, mapping)
-                   for f, w in zip(record.fields, wire.fields))
+        return all(_wire_graph_matches(engine, f, heap, w, mapping)
+                   for f, w in zip(record.fields, node.fields))
     if isinstance(src, CharArray):
         return isinstance(wire, CharArray) and src.data == wire.data
     if isinstance(src, Array):
         return isinstance(wire, Array) and len(src.items) == len(wire.items) \
-            and all(_wire_graph_matches(engine, f, w, mapping)
+            and all(_wire_graph_matches(engine, f, heap, w, mapping)
                     for f, w in zip(src.items, wire.items))
     return src == wire
 
@@ -195,8 +195,9 @@ class TestCriterion04DeepCopy:
                 assert len(reachable_nodes(eb, copy_ref)) == \
                     len(reachable_nodes(ea, root))
                 # stated oracle: local encode/decode with identity map
-                decoded = decode_value(to_wire(ea, root, True))
-                assert _wire_graph_matches(ea, root, decoded)
+                heap = WireHeap()
+                decoded = heap.decode(to_wire(ea, root, True))
+                assert _wire_graph_matches(ea, root, heap, decoded)
                 done += 1
         assert done == 100
 

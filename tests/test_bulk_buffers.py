@@ -14,7 +14,7 @@ import pytest
 from conftest import compile_text, mesh_scenario, run_task
 from minihello.engine.engine import Engine, EngineConfig, TaskCtx
 from minihello.engine.machine import _write_index
-from minihello.engine.marshal import from_wire
+from minihello.engine.marshal import Intake, from_wire
 from minihello.net import frames
 from minihello.net.wirevalues import decode_value, encode_value
 from minihello.values import Char, CharArray, ClassKey, ObjectRef
@@ -59,9 +59,10 @@ class TestZeroCopyPins:
 
     def test_from_wire_adopts_a_decoded_char_array(self):
         engine = Engine(EngineConfig("a"), ManualScheduler(), CapturePort())
-        decoded = decode_value(encode_value(CharArray(bulk())))
-        value, rise = peak_rise(
-            lambda: run_generator(from_wire(engine, decoded, None, None)))
+        intake = Intake(engine)
+        value = decode_value(encode_value(CharArray(bulk())), intake)
+        _, rise = peak_rise(
+            lambda: run_generator(from_wire(engine, intake.missing, None, None)))
         assert value.data == bulk()
         assert rise < MIB
 

@@ -1,10 +1,13 @@
 """Compiled-body paths that no other test runs: `+=` and `-=` on an int
 local, unary minus on an expression, `create (this_host)`, the defaults of
-uninitialised bool and char locals and fields, ordering of chars, and `==`
-on bools. Each expected value is worked out by hand."""
+uninitialised bool and char locals and fields, ordering of chars, `==` on
+bools, and the faults of reading a null or an `int[]` out of range and of
+writing a null or a `char[]` out of range. Each expected value is worked
+out by hand."""
 
 import pytest
 
+from minihello.errors import E_INDEX, E_NULL_REF, EngineError
 from minihello.values import Char, ClassKey
 
 from conftest import compile_text, mesh_scenario, run_task
@@ -36,6 +39,10 @@ class M {
     static public bool ge(char a, char b) { return a >= b; }
     static public bool beq(bool a, bool b) { return a == b; }
     static public bool bne(bool a, bool b) { return a != b; }
+    static public int readnull() { int[] a = null; return a[0]; }
+    static public int readat(int i) { int[] a = create int[3]; return a[i]; }
+    static public void writenull() { char[] s = null; s[0] = 'x'; }
+    static public void writeat(int i) { char[] s = create char[2]; s[i] = 'x'; }
 }
 """)
 
@@ -99,3 +106,17 @@ def test_ordering_of_chars(scen, a, b, lt, ge):
 def test_equality_of_bools(scen, a, b):
     assert static(scen, "beq", a, b) is (a == b)
     assert static(scen, "bne", a, b) is (a != b)
+
+
+@pytest.mark.parametrize("method, args, code", [
+    ("readnull", (), E_NULL_REF),
+    ("readat", (3,), E_INDEX),
+    ("readat", (-1,), E_INDEX),
+    ("writenull", (), E_NULL_REF),
+    ("writeat", (2,), E_INDEX),
+    ("writeat", (-1,), E_INDEX),
+])
+def test_array_faults(scen, method, args, code):
+    with pytest.raises(EngineError) as exc:
+        static(scen, method, *args)
+    assert exc.value.code == code

@@ -9,11 +9,11 @@ from minihello.engine.engine import TaskCtx
 from minihello.engine.machine import _write_index
 from minihello.engine.marshal import local_copy, to_wire
 from minihello.errors import EngineError
-from minihello.net.wirevalues import decode_value
 from minihello.values import (Array, Char, CharArray, ClassKey, ObjectRef,
-                              TAG_ARRAY, TAG_OBJECT, WireObject)
+                              TAG_ARRAY, TAG_OBJECT)
 
-from conftest import graphs_isomorphic, mesh_scenario, reachable_nodes, run_task
+from conftest import (WireHeap, graphs_isomorphic, mesh_scenario,
+                      reachable_nodes, run_task)
 
 NODE = ClassKey("graphs", "Node")
 HIDDEN = ClassKey("graphs", "Hidden")
@@ -101,7 +101,7 @@ class TestCrossingRules:
         scen = graph_scenario(graph_image, hosts=("a",))
         engine = scen.hosts["a"].engine
         ref = make_node(engine)
-        out = decode_value(to_wire(engine, ref, copy=False))
+        out = WireHeap().decode(to_wire(engine, ref, copy=False))
         assert out == ref  # the reference itself, pointing back at the original
 
     def test_non_external_object_cannot_cross(self, graph_image):
@@ -133,8 +133,9 @@ class TestCrossingRules:
         elsewhere = ObjectRef("zz", 0, 5, NODE)
         node = make_node(engine)
         engine.deref(node).fields[0] = elsewhere
-        wire = decode_value(to_wire(engine, node, copy=True))
-        assert isinstance(wire, WireObject)
+        heap = WireHeap()
+        wire = heap.record(heap.decode(to_wire(engine, node, copy=True)))
+        assert wire is not None
         assert wire.fields[0] == elsewhere
 
     def test_builtin_instances_stay_references(self, graph_image):
@@ -142,8 +143,9 @@ class TestCrossingRules:
         engine = scen.hosts["a"].engine
         node = make_node(engine)
         engine.deref(node).fields[0] = engine.this_host_ref()
-        wire = decode_value(to_wire(engine, node, copy=True))
-        assert isinstance(wire, WireObject)
+        heap = WireHeap()
+        wire = heap.record(heap.decode(to_wire(engine, node, copy=True)))
+        assert wire is not None
         assert wire.fields[0] == engine.this_host_ref()
 
 

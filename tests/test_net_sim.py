@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from minihello.bio import Writer
+from minihello.bio import STR, Writer
 from minihello.engine.engine import TaskCtx
 from minihello.errors import EngineError
 from minihello.net import frames
-from minihello.stdlib import host_ref
-from minihello.values import ClassKey
+from minihello.net.wirevalues import encode_value
+from minihello.security import ANONYMOUS_SID
+from minihello.stdlib import host_ref, hosts_node_ref
+from minihello.values import Array, CharArray, ClassKey, TAG_ARRAY, TAG_OBJECT
 
 from conftest import compile_text, line_scenario, mesh_scenario, run_task
 from minihello.simharness import Scenario
@@ -632,3 +634,54 @@ class TestMalformedStrings:
         assert all(q.idle() for q in b.engine.queues.values())
         assert b.router.neighbor_names() == ["a"]
         assert b.router.path_table == {}
+
+
+def invoke_payload(target, method: str, args: list) -> bytes:
+    """The payload of an anonymous INVOKE from host a, well encoded whatever
+    the shapes of its target and arguments."""
+    w = Writer()
+    frames.REQUEST_HEAD.write(w, frames.RequestHead(
+        frames.OP_INVOKE, "a", [ANONYMOUS_SID]))
+    w.raw(encode_value(target))
+    STR.write(w, method)
+    w.u16(len(args))
+    for arg in args:
+        w.raw(encode_value(arg))
+    return w.getvalue()
+
+
+class TestMalformedSysCalls:
+    """A well-encoded INVOKE of a system method whose target or arguments
+    have the wrong shape is answered with one ERROR: nothing escapes the
+    simulator's run, and every queue of the callee goes idle."""
+
+    @pytest.mark.parametrize("method, target, args, code", [
+        ("$getf", None, [CharArray(b"n")], "NullReference"),
+        ("$setf", 5, [CharArray(b"n"), 1], "NullReference"),
+        ("$traverse", hosts_node_ref("b"),
+         [5, Array(TAG_OBJECT, []), CharArray(b"t"), Array(TAG_ARRAY, [])],
+         "UnknownMethod"),
+        ("$traverse", hosts_node_ref("b"),
+         [CharArray(b"m"), Array(TAG_OBJECT, []), CharArray(b"t"),
+          Array(TAG_ARRAY, [7])], "UnknownMethod"),
+        ("$echo", host_ref("b"), [], "UnknownMethod"),
+    ], ids=["getf-null-target", "setf-int-target", "traverse-int-method",
+            "traverse-int-visited", "echo-no-argument"])
+    def test_answered_with_one_error(self, method, target, args, code):
+        scen = mesh_scenario(["a", "b"], seed=3)
+        ea, eb = scen.hosts["a"].engine, scen.hosts["b"].engine
+        holder = {}
+
+        def send():
+            holder["fut"] = ea.send_request(
+                "b", frames.INVOKE, invoke_payload(target, method, args))
+
+        scen.core.schedule(0, send, "a")
+        scen.run()
+        with pytest.raises(EngineError) as exc:
+            holder["fut"].result()
+        assert (exc.value.code, exc.value.remote_code) == ("RemoteException", code)
+        assert frames_from(scen, "b", "ERROR") == 1
+        assert eb.error_log == []
+        assert all(q.idle() for q in eb.queues.values())
+        assert ea.pending == {}

@@ -8,14 +8,14 @@ import pytest
 
 from minihello.bio import Writer
 from minihello.engine.engine import Engine, EngineConfig, FrameMeta
-from minihello.errors import (E_HOST_UNREACHABLE, E_TIMEOUT, E_UNKNOWN_CLASS,
-                              EngineError)
+from minihello.errors import (E_HASH_MISMATCH, E_HOST_UNREACHABLE, E_TIMEOUT,
+                              E_UNKNOWN_CLASS, EngineError)
 from minihello.net import frames
 from minihello.net.wirevalues import encode_value
 from minihello.runpack import serialize
 from minihello.values import ClassKey
 
-from conftest import compile_text, image_with_body
+from conftest import WireHeap, compile_text, image_with_body
 
 
 class ManualScheduler:
@@ -99,11 +99,20 @@ def test_reply_delivered_during_send_resolves_the_call():
     assert scheduler.live_timers() == []  # no timeout armed for a closed call
 
 
-@pytest.mark.parametrize("payload", [b"", b"\xee"],
-                         ids=["cut-short", "unknown-tag"])
+def cut_graph() -> bytes:
+    """A two-node object graph, cut short in its last field: the decoder
+    has met both nodes when it finds the end."""
+    heap = WireHeap()
+    leaf = heap(ClassKey("fetched", "C"), [7])
+    return heap.encode(heap(ClassKey("fetched", "C"), [leaf, 1]))[:-5]
+
+
+@pytest.mark.parametrize("payload", [b"", b"\xee", cut_graph()],
+                         ids=["cut-short", "unknown-tag", "cut-graph"])
 def test_malformed_reply_fails_its_call_and_leaves_nothing_pending(payload):
     engine, scheduler = make_engine(
         lambda frame: [frames.Frame(frames.REPLY, frame.corr, payload)])
+    records = len(engine.objects)
     fut = engine.send_request("b", frames.INVOKE, b"")
     assert fut.done()
     with pytest.raises(EngineError) as exc:
@@ -112,6 +121,7 @@ def test_malformed_reply_fails_its_call_and_leaves_nothing_pending(payload):
     assert engine.pending == {}
     assert engine.orphaned_replies == 0
     assert scheduler.live_timers() == []
+    assert len(engine.objects) == records
 
 
 def test_pack_delivered_during_send_installs_it():
@@ -122,6 +132,24 @@ def test_pack_delivered_during_send_installs_it():
     assert engine.runtime_class(ClassKey("fetched", "C")) is not None
     assert engine.pending == {}
     assert engine.orphaned_replies == 0
+    assert scheduler.live_timers() == []
+
+
+def test_pack_of_another_package_fails_the_fetch_and_installs_nothing():
+    other = compile_text("package other; class C { public int x; }")
+    engine, scheduler = make_engine(
+        lambda frame: pack_data(frame, serialize(other)))
+    fut = engine.fetch_pack("b", "fetched")
+    assert fut.done()
+    with pytest.raises(EngineError) as exc:
+        fut.result()
+    assert exc.value.code == E_HASH_MISMATCH
+    assert "fetched other, wanted fetched" in str(exc.value)
+    for package in ("other", "fetched"):
+        assert engine.packstore.resolve(package) is None
+        assert engine.runtime_class(ClassKey(package, "C")) is None
+    assert engine.pending == {}
+    assert engine._fetch_inflight == {}
     assert scheduler.live_timers() == []
 
 

@@ -11,35 +11,40 @@ from minihello.bio import Reader
 from minihello.engine.engine import Engine, EngineConfig, FrameMeta
 from minihello.engine.marshal import to_wire
 from minihello.net import frames
-from minihello.net.wirevalues import (MalformedEncoding, decode_value,
-                                      decode_value_prefix, encode_value)
+from minihello.net.wirevalues import (MalformedEncoding, decode_value_prefix,
+                                      encode_value)
 from minihello.security import SID_LEN
 from minihello.stdlib import host_ref, hosts_node_ref
 from minihello.values import (Array, Char, CharArray, ClassKey, INT_MAX,
                               INT_MIN, ObjectRef, TAG_ARRAY, TAG_BACK_REF,
                               TAG_BOOL, TAG_CHAR, TAG_INT, TAG_NULL, TAG_OBJECT,
-                              TAG_REMOTE_REF, WireObject)
+                              TAG_REMOTE_REF)
 
-from conftest import compile_text
+from conftest import WireHeap, compile_text
 from test_pending_calls import ManualScheduler
 
 KEY = ClassKey("pkg", "Node")
 
 
-def wire_equal(a, b, seen=None):
+def wire_equal(ha, a, hb, b, seen=None):
+    """Whether value `a`, whose objects are in heap `ha`, and value `b`,
+    whose objects are in heap `hb`, are the same graph."""
     if seen is None:
         seen = {}
-    if isinstance(a, WireObject) and isinstance(b, WireObject):
-        if id(a) in seen:
-            return seen[id(a)] == id(b)
-        seen[id(a)] = id(b)
-        return a.cls == b.cls and len(a.fields) == len(b.fields) and all(
-            wire_equal(x, y, seen) for x, y in zip(a.fields, b.fields))
+    ra, rb = ha.record(a), hb.record(b)
+    if ra is not None or rb is not None:
+        if ra is None or rb is None:
+            return False
+        if a.oid in seen:
+            return seen[a.oid] == b.oid
+        seen[a.oid] = b.oid
+        return ra.cls == rb.cls and len(ra.fields) == len(rb.fields) and all(
+            wire_equal(ha, x, hb, y, seen) for x, y in zip(ra.fields, rb.fields))
     if isinstance(a, CharArray) and isinstance(b, CharArray):
         return a.data == b.data
     if isinstance(a, Array) and isinstance(b, Array):
         return a.elem_tag == b.elem_tag and len(a.items) == len(b.items) and all(
-            wire_equal(x, y, seen) for x, y in zip(a.items, b.items))
+            wire_equal(ha, x, hb, y, seen) for x, y in zip(a.items, b.items))
     if isinstance(a, Char) and isinstance(b, Char):
         return a.code == b.code
     if isinstance(a, bool) or isinstance(b, bool):
@@ -64,14 +69,16 @@ class TestTagTable:
         assert data == bytes([TAG_ARRAY, TAG_CHAR]) + (5).to_bytes(4, "big") + b"hello"
 
     def test_cyclic_two_node_graph_has_one_back_ref(self):
-        a = WireObject(KEY, [])
-        b = WireObject(KEY, [a])
-        a.fields = [b]
-        data = encode_value(a)
+        heap = WireHeap()
+        a = heap(KEY, [])
+        b = heap(KEY, [a])
+        heap.record(a).fields = [b]
+        data = heap.encode(a)
         assert data.count(bytes([TAG_BACK_REF])) >= 1
         # structurally: exactly one back-ref tag appears (count via decode walk)
-        decoded = decode_value(data)
-        assert decoded.fields[0].fields[0] is decoded
+        out = WireHeap()
+        decoded = out.decode(data)
+        assert out.record(out.record(decoded).fields[0]).fields[0] == decoded
         # the encoding contains exactly one TAG_BACK_REF marker byte at a tag
         # position: two object nodes, one revisit
         tags = [data[0]]
@@ -79,19 +86,22 @@ class TestTagTable:
         assert sum(1 for i in range(len(data)) if data[i] == TAG_BACK_REF) == 1
 
     def test_shared_node_aliases_preserved(self):
-        shared = WireObject(KEY, [7])
-        root = WireObject(KEY, [shared, shared])
-        out = decode_value(encode_value(root))
-        assert out.fields[0] is out.fields[1]
+        heap = WireHeap()
+        shared = heap(KEY, [7])
+        root = heap(KEY, [shared, shared])
+        out = WireHeap()
+        fields = out.record(out.decode(heap.encode(root))).fields
+        assert out.record(fields[0]) is out.record(fields[1])
 
     def test_remote_ref_round_trip(self):
         ref = ObjectRef("alpha", 3, 99, KEY)
-        assert decode_value(encode_value(ref)) == ref
+        assert WireHeap().decode(encode_value(ref)) == ref
         heap_ref = ObjectRef("alpha", None, 5, KEY)
-        assert decode_value(encode_value(heap_ref)) == heap_ref
+        assert WireHeap().decode(encode_value(heap_ref)) == heap_ref
 
 
-def random_value(rng: random.Random, depth: int = 0, nodes=None):
+def random_value(rng: random.Random, heap: WireHeap, depth: int = 0,
+                 nodes=None):
     if nodes is None:
         nodes = []
     choices = ["null", "bool", "int", "char", "chars", "ref"]
@@ -114,14 +124,14 @@ def random_value(rng: random.Random, depth: int = 0, nodes=None):
         return ObjectRef(f"h{rng.randrange(3)}", rng.choice([None, 0, 2]),
                          rng.randrange(1000), KEY)
     if kind == "array":
-        return Array(TAG_OBJECT, [random_value(rng, depth + 1, nodes)
+        return Array(TAG_OBJECT, [random_value(rng, heap, depth + 1, nodes)
                                   for _ in range(rng.randrange(4))])
     if kind == "back":
         return rng.choice(nodes)
-    node = WireObject(KEY, [])
+    node = heap(KEY, [])
     nodes.append(node)
-    node.fields = [random_value(rng, depth + 1, nodes)
-                   for _ in range(rng.randrange(3))]
+    heap.record(node).fields = [random_value(rng, heap, depth + 1, nodes)
+                                for _ in range(rng.randrange(3))]
     return node
 
 
@@ -129,12 +139,13 @@ class TestRoundTrip:
     def test_thousand_random_values(self):
         rng = random.Random(20_240_817)
         for _ in range(1000):
-            v = random_value(rng)
-            assert wire_equal(decode_value(encode_value(v)), v)
+            heap, out = WireHeap(), WireHeap()
+            v = random_value(rng, heap)
+            assert wire_equal(out, out.decode(heap.encode(v)), heap, v)
 
     def test_int_extremes(self):
         for v in (0, 1, -1, 2**63 - 1, -(2**63)):
-            assert decode_value(encode_value(v)) == v
+            assert WireHeap().decode(encode_value(v)) == v
 
 
 class TestTotality:
@@ -142,35 +153,36 @@ class TestTotality:
     @settings(max_examples=400, deadline=None)
     def test_fuzz_never_crashes(self, data):
         try:
-            decode_value(data)
+            WireHeap().decode(data)
         except MalformedEncoding:
             pass
 
     def test_unknown_tag(self):
         with pytest.raises(MalformedEncoding):
-            decode_value(b"\x63")
+            WireHeap().decode(b"\x63")
 
     def test_truncated(self):
         with pytest.raises(MalformedEncoding):
-            decode_value(b"\x02\x00")
+            WireHeap().decode(b"\x02\x00")
 
     def test_trailing_garbage(self):
         with pytest.raises(MalformedEncoding):
-            decode_value(b"\x00\x00")
+            WireHeap().decode(b"\x00\x00")
 
     def test_back_ref_out_of_range(self):
         with pytest.raises(MalformedEncoding):
-            decode_value(bytes([TAG_BACK_REF]) + (0).to_bytes(4, "big"))
+            WireHeap().decode(bytes([TAG_BACK_REF]) + (0).to_bytes(4, "big"))
 
     def test_mutation_fuzz_on_valid_encodings(self):
         rng = random.Random(7)
-        base = encode_value(random_value(random.Random(3)))
+        heap = WireHeap()
+        base = heap.encode(random_value(random.Random(3), heap))
         for _ in range(300):
             data = bytearray(base)
             for _ in range(rng.randrange(1, 4)):
                 data[rng.randrange(len(data))] = rng.randrange(256)
             try:
-                decode_value(bytes(data))
+                WireHeap().decode(bytes(data))
             except MalformedEncoding:
                 pass
 
@@ -205,6 +217,9 @@ class CapturePort:
         self.frames.append(frame)
         return dst
 
+    def send_via(self, path, dst, frame):
+        self.frames.append(frame)
+
     def knows(self, name):
         return False
 
@@ -232,12 +247,13 @@ def invoke_args(payload: bytes) -> list[bytes]:
     r.wstr()
     for _ in range(r.u16()):
         r.raw(SID_LEN)
-    decode_value_prefix(r)
+    heap = WireHeap()
+    decode_value_prefix(r, heap)
     r.wstr()
     out = []
     for _ in range(r.u16()):
         start = r.pos
-        decode_value_prefix(r)
+        decode_value_prefix(r, heap)
         out.append(bytes(payload[start:r.pos]))
     assert r.at_end()
     return out
@@ -316,10 +332,11 @@ def cyclic_invoke_payload(engine: Engine) -> bytes:
                         [nodes[0]])
 
 
-def used_tags(v, seen=None) -> set[int]:
-    """The wire tags a decoded value's encoding uses."""
+def used_tags(heap: WireHeap, v, seen=None) -> set[int]:
+    """The wire tags the encoding of a value decoded into `heap` uses."""
     if seen is None:
         seen = set()
+    record = heap.record(v)
     if v is None:
         return {TAG_NULL}
     if isinstance(v, bool):
@@ -328,16 +345,16 @@ def used_tags(v, seen=None) -> set[int]:
         return {TAG_INT}
     if isinstance(v, Char):
         return {TAG_CHAR}
-    if isinstance(v, ObjectRef):
+    if isinstance(v, ObjectRef) and record is None:
         return {TAG_REMOTE_REF}
     if isinstance(v, CharArray):
         return {TAG_ARRAY}
     if isinstance(v, Array):
-        return {TAG_ARRAY}.union(*(used_tags(x, seen) for x in v.items))
-    if id(v) in seen:
+        return {TAG_ARRAY}.union(*(used_tags(heap, x, seen) for x in v.items))
+    if v.oid in seen:
         return {TAG_BACK_REF}
-    seen.add(id(v))
-    return {TAG_OBJECT}.union(*(used_tags(f, seen) for f in v.fields))
+    seen.add(v.oid)
+    return {TAG_OBJECT}.union(*(used_tags(heap, f, seen) for f in record.fields))
 
 
 GOLDEN_SHA256 = {
@@ -394,17 +411,20 @@ class TestGoldenBytes:
 
     def test_corpus_uses_every_tag(self):
         corpus = golden_corpus(golden_engine())
-        tags = set().union(*(used_tags(decode_value(d)) for d in corpus.values()))
+        heap = WireHeap()
+        tags = set().union(*(used_tags(heap, heap.decode(d))
+                             for d in corpus.values()))
         assert tags == set(range(8))
-        refs = decode_value(corpus["refs"]).items
+        refs = heap.decode(corpus["refs"]).items
         assert [r.partition for r in refs[:5]] == [0, 0, 0, 3, None]
-        assert decode_value(corpus["heap_ref"]) == ObjectRef(
+        assert heap.decode(corpus["heap_ref"]) == ObjectRef(
             "a", None, 10, GOLDEN_NODE)
-        assert decode_value(corpus["partition_ref"]).partition == 0
+        assert heap.decode(corpus["partition_ref"]).partition == 0
 
     def test_decoded_corpus_encodes_to_the_same_bytes(self):
         for name, data in golden_corpus(golden_engine()).items():
-            assert encode_value(decode_value(data)) == data, name
+            heap = WireHeap()
+            assert heap.encode(heap.decode(data)) == data, name
 
 
 class TestTruncation:
@@ -412,20 +432,36 @@ class TestTruncation:
         for name, data in golden_corpus(golden_engine()).items():
             for end in range(len(data)):
                 with pytest.raises(MalformedEncoding):
-                    decode_value(data[:end])
+                    WireHeap().decode(data[:end])
 
     def test_truncated_invoke_frame_logs_one_bad_frame(self):
         payload = cyclic_invoke_payload(golden_engine())
         receiver = Engine(EngineConfig("b"), ManualScheduler(), CapturePort())
         receiver.install_image(compile_text(GOLDEN_SRC, "Golden.hlo"))
+        records = len(receiver.objects)
         for end in range(len(payload)):
             before = len(receiver.error_log)
             receiver.handle_wire_frame(
                 frames.Frame(frames.INVOKE, 9, payload[:end]), FrameMeta("a"))
             assert [code for code, _ in receiver.error_log[before:]] == ["BadFrame"]
             assert receiver.pending == {}
+            assert len(receiver.objects) == records
         assert receiver.port.frames == []
         assert all(q.idle() for q in receiver.queues.values())
+
+    def test_refused_cyclic_invoke_adds_no_record(self):
+        payload = cyclic_invoke_payload(golden_engine())
+        receiver = Engine(EngineConfig("b", lockdown=True), ManualScheduler(),
+                          CapturePort())
+        receiver.install_image(compile_text(GOLDEN_SRC, "Golden.hlo"))
+        records = len(receiver.objects)
+        receiver.handle_wire_frame(frames.Frame(frames.INVOKE, 9, payload),
+                                   FrameMeta("a"))
+        [answer] = receiver.port.frames
+        assert answer.kind == frames.ERROR and answer.corr == 9
+        assert frames.ERROR_PAYLOAD.unpack(answer.payload).code == "AccessDenied"
+        assert len(receiver.objects) == records
+        assert receiver.error_log == []
 
 
 class TestCharArrayCopies:
@@ -441,7 +477,7 @@ class TestCharArrayCopies:
 
     def test_decoding_copies_the_bytes_once(self):
         data = encode_value(CharArray(bytes(range(256)) * (self.SIZE // 256)))
-        value, peak = self.peak_bytes(lambda: decode_value(data))
+        value, peak = self.peak_bytes(lambda: WireHeap().decode(data))
         assert bytes(value.data) == data[6:]
         assert peak < 1.25 * self.SIZE
 
