@@ -14,7 +14,8 @@ from minihello.security import ANONYMOUS_SID
 from minihello.stdlib import host_ref, hosts_node_ref
 from minihello.values import Array, CharArray, ClassKey, TAG_ARRAY, TAG_OBJECT
 
-from conftest import compile_text, line_scenario, mesh_scenario, run_task
+from conftest import (compile_text, graphs_isomorphic, line_scenario,
+                      mesh_scenario, run_task)
 from minihello.simharness import Scenario
 
 
@@ -283,6 +284,7 @@ class TestFaults:
 
 QUEUE = ClassKey("standard", "queue")
 COUNTER = ClassKey("qtest", "Counter")
+NODE = ClassKey("graphs", "Node")
 
 
 def remote_queue(engine):
@@ -499,6 +501,41 @@ class TestPackFetch:
         t = scen.transcript()
         pack_frames = [f for f in t.frames if f[3] == "PACK_DATA"]
         assert len(pack_frames) >= 2
+
+    def test_a_copied_argument_of_a_class_the_callee_lacks(self, graph_image):
+        # only a has the package: b loads it from a before `$echo` runs
+        scen = mesh_scenario(["a", "b"], seed=0)
+        ea, eb = scen.hosts["a"].engine, scen.hosts["b"].engine
+        ea.install_image(graph_image)
+        one = ea.alloc_object(NODE, None, [None, None, 1, CharArray(b"one")])
+        two = ea.alloc_object(NODE, None, [one, one, 2, CharArray(b"two")])
+        ea.deref(one).fields[0] = two
+        copy_ref = run_task(scen, "a",
+                            lambda e, ctx: e.deep_copy(one, "b", ctx))
+        assert copy_ref.host == "b"
+        assert eb.fetch_frames_sent == 1
+        assert eb.packstore.resolve("graphs") is not None
+        assert graphs_isomorphic(ea, one, eb, copy_ref)
+
+    def test_a_copied_reply_of_a_class_the_caller_lacks(self):
+        # only b has the package: a loads it from b before the call returns
+        image = compile_text("""
+package held;
+external class Box {
+    external public Box() {}
+    public int n;
+    public external copy Box fresh() { Box b = new Box(); b.n = n + 1; return b; }
+}""")
+        scen = mesh_scenario(["a", "b"], seed=0)
+        ea, eb = scen.hosts["a"].engine, scen.hosts["b"].engine
+        eb.install_image(image)
+        box = ClassKey("held", "Box")
+        target = eb.alloc_object(box, 0, [41])
+        ref = run_task(scen, "a", lambda e, ctx: e.invoke(target, "fresh", [], ctx))
+        assert ref.host == "a" and ref.cls == box
+        assert ea.deref(ref).fields == [42]
+        assert ea.fetch_frames_sent == 1
+        assert ea.runtime_class(box) is not None
 
 
 class TestRoutingEdges:

@@ -7,13 +7,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minihello.bio import Reader
+from minihello.bio import STR, Reader, Writer
 from minihello.engine.engine import Engine, EngineConfig, FrameMeta
 from minihello.engine.marshal import to_wire
 from minihello.net import frames
 from minihello.net.wirevalues import (MalformedEncoding, decode_value_prefix,
                                       encode_value)
 from minihello.security import SID_LEN
+from minihello.simharness.scenario import describe_frame
 from minihello.stdlib import host_ref, hosts_node_ref
 from minihello.values import (Array, Char, CharArray, ClassKey, INT_MAX,
                               INT_MIN, ObjectRef, TAG_ARRAY, TAG_BACK_REF,
@@ -168,6 +169,10 @@ class TestTotality:
     def test_trailing_garbage(self):
         with pytest.raises(MalformedEncoding):
             WireHeap().decode(b"\x00\x00")
+
+    def test_bad_array_element_tag(self):
+        with pytest.raises(MalformedEncoding):
+            WireHeap().decode(bytes([TAG_ARRAY, TAG_NULL, 0, 0, 0, 0]))
 
     def test_back_ref_out_of_range(self):
         with pytest.raises(MalformedEncoding):
@@ -448,6 +453,17 @@ class TestTruncation:
             assert len(receiver.objects) == records
         assert receiver.port.frames == []
         assert all(q.idle() for q in receiver.queues.values())
+
+    def test_frame_label_skips_a_target_sent_by_value(self):
+        heap = WireHeap()
+        w = Writer()
+        frames.REQUEST_HEAD.write(w, frames.RequestHead(
+            frames.OP_INVOKE, "a", [bytes(SID_LEN)]))
+        w.raw(heap.encode(heap(GOLDEN_NODE, [None, None, 1, CharArray(b"")])))
+        STR.write(w, "poke")
+        w.u16(0)
+        frame = frames.Frame(frames.INVOKE, 9, w.getvalue())
+        assert describe_frame(frame) == "INVOKE:poke"
 
     def test_refused_cyclic_invoke_adds_no_record(self):
         payload = cyclic_invoke_payload(golden_engine())
