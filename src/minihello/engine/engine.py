@@ -85,6 +85,19 @@ SYS_METHODS = {
 }
 
 
+def _check_args(mc: ir.MethodCode, args: list) -> None:
+    """Refuse an argument list that came from another host, or fills an
+    event, unless each parameter of the method it calls gets an argument
+    of its type: a compiled body's typed sites trust the types of its
+    parameters (`machine.fits`). Arguments beyond the parameters are
+    dropped, since the body takes them in `*_`: an event may have more
+    slots than its method has parameters."""
+    if len(args) < len(mc.params) or not all(
+            map(machine.fits, [p.ty for p in mc.params], args)):
+        raise wrap_remote(EngineError(
+            E_UNKNOWN_METHOD, f"'{mc.name}' takes no such arguments"))
+
+
 def _leaving(write, *args):
     """Call `write` (to_wire or write_args) on values that leave this host.
     A value nested deeper than the wire encoding allows is then a fault of
@@ -205,9 +218,12 @@ class Engine:
         self.classes: dict[ClassKey, RuntimeClass] = _builtin_runtime_classes()
         # What the compiled bodies look up by class, filled on first use and
         # cleared whenever `classes` changes: (class, field name) -> slot,
-        # and (class, method) -> (rc, mc, plain) of a static method.
+        # and (class, method) -> (rc, mc, plain) of a static method. The
+        # layout token is replaced then too: it guards the slots that the
+        # field access sites of compiled bodies, which engines share, cache.
         self.field_slots: dict[tuple[ClassKey, str], int] = {}
         self._statics: dict[tuple[ClassKey, str], tuple] = {}
+        self.layout = object()
 
         # every object of this host, keyed by oid; oids are never reused
         self.objects: dict[int, ObjectRecord] = {}
@@ -313,6 +329,7 @@ class Engine:
                                              content_hash=image.content_hash)
             self.field_slots.clear()
             self._statics.clear()
+            self.layout = object()
 
     def ensure_class(self, key: ClassKey, fetch_from: str | None, ctx):
         rc = self.classes.get(key)
@@ -328,17 +345,15 @@ class Engine:
             raise EngineError(E_UNKNOWN_CLASS, f"{key} missing after fetch")
         return rc
 
-    def field_index(self, cls: ClassKey, name: str, hint: int) -> int:
+    def field_index(self, cls: ClassKey, name: str) -> int | None:
         """The slot of field `name` in objects of `cls`, which it enters in
-        `field_slots`; `hint` when the class is not loaded or has no such
+        `field_slots`; None when the class is not loaded or has no such
         field."""
         rc = self.classes.get(cls)
-        if rc is not None:
-            idx = rc.field_index(name)
-            if idx is not None:
-                self.field_slots[cls, name] = idx
-                return idx
-        return hint
+        idx = rc.field_index(name) if rc is not None else None
+        if idx is not None:
+            self.field_slots[cls, name] = idx
+        return idx
 
     def param_sigs(self, cls: ClassKey, method: str):
         if method in SYS_METHODS:
@@ -382,23 +397,28 @@ class Engine:
 
     # ------------------------------------------------------------- invocation
 
-    def invoke(self, ref, method: str, args: list, ctx):
-        """Call a method through a reference, local or remote. Generator."""
+    def invoke(self, ref, method: str, args: list, ctx, *,
+               received: bool = False):
+        """Call a method through a reference, local or remote. An argument
+        list that was `received` is checked at the callee. Generator."""
         if ref is None:
             raise wrap_remote(EngineError(E_NULL_REF, f"call of '{method}' on null"))
         if not isinstance(ref, ObjectRef):
             raise wrap_remote(EngineError(E_NULL_REF, f"'{method}' target is not an object"))
         if ref.host == self.host_name:
-            return (yield from self.invoke_local(ref, method, args, ctx))
+            return (yield from self.invoke_local(ref, method, args, ctx,
+                                                 received=received))
         fut = self.send_request(ref.host, frames.INVOKE,
                                 self._call_payload(ref, method, args, ctx))
         return (yield from self.reply_value(fut, ref.host, ctx))
 
     def invoke_local(self, ref: ObjectRef, method: str, args: list, ctx, *,
-                     from_remote: bool = False):
+                     from_remote: bool = False, received: bool = False):
         """Call a method of an object on this host. A call `from_remote`
         comes with its arguments received already, and returns its result
-        for the reply to marshal. Generator."""
+        for the reply to marshal. The argument list of such a call, or of
+        one whose arguments were `received` (a served post, a fired event),
+        must fit the method's parameters. Generator."""
         record = self.deref(ref)
         rc = self.classes.get(record.cls)
         if rc is None:
@@ -411,6 +431,8 @@ class Engine:
         if from_remote and mc is not None and not mc.has(ir.MQ_EXTERNAL):
             raise EngineError(E_ACCESS_VIOLATION,
                               f"method '{method}' is not external")
+        if (from_remote or received) and mc is not None:
+            _check_args(mc, args)
         if not from_remote:  # a received argument list is the call's own
             self.check_local_object(record, EXEC, ctx)
             args = marshal_args(self, list(mc.params) if mc else None, args,
@@ -644,7 +666,8 @@ class Engine:
         self.events.pop(ev.eid, None)
         try:
             yield from self.invoke(ev.target, ev.method,
-                                   [value for _filled, value in ev.slots], ctx)
+                                   [value for _filled, value in ev.slots], ctx,
+                                   received=True)
         except EngineError as err:
             self.log_error(err.code, f"event {ev.method}: {err.message}")
 
@@ -979,18 +1002,22 @@ class Engine:
         # $getf and $setf
         record = self.deref(target)
         name = args[0].to_str()
-        idx = self.field_index(record.cls, name, -1)
-        if idx < 0 or idx >= len(record.fields):
+        idx = self.field_index(record.cls, name)
+        if idx is None or idx >= len(record.fields):
             raise wrap_remote(EngineError(E_UNKNOWN_METHOD, f"no field {name}"))
         if method == "$getf":
             return _leaving(to_wire, self, record.fields[idx], False)
+        if not machine.fits(self.classes[record.cls].code.fields[idx][1],
+                            args[1]):
+            raise wrap_remote(EngineError(
+                E_UNKNOWN_METHOD, f"field {name} takes no such value"))
         record.fields[idx] = args[1]
         return encode_value(None)
 
     def _task_remote_post(self, target, method: str, args, missing, ctx):
         yield from from_wire(self, missing, ctx.origin, ctx)
         try:
-            yield from self.invoke(target, method, args, ctx)
+            yield from self.invoke(target, method, args, ctx, received=True)
         except EngineError as err:
             self.log_error(err.code, f"remote post {method}: {err.message}")
 
@@ -1001,6 +1028,9 @@ class Engine:
         yield from from_wire(self, missing, ctx.origin, ctx)
         if pid != 0:  # the shared partition is the only one
             raise EngineError(E_UNKNOWN_OBJECT, f"no partition {pid}")
+        ctor = rc.method(key.name)
+        if ctor is not None and ctor.has(ir.MQ_CTOR):
+            _check_args(ctor, args)
         ref = yield from self.create_object(key, ("partition", 0), args, ctx)
         return encode_value(ref)
 

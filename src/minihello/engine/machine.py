@@ -23,26 +23,56 @@ lane. Every other body is a plain function. An expression or statement
 nested deeper than Python lets one function nest (about 200 parentheses, 20
 loops and 100 indents) goes on in a nested function of the same kind.
 
-A field access on an object of this host takes an inline path that makes no
-generator call (`_get_field`, `_set_field`). The generated code has tested
-the ref's host, so the helper looks the record up in the engine's `objects`
-itself and calls `Engine.deref` only when the oid is missing or names
-another partition, to raise its fault. It finds the field's slot with one
-lookup in the engine's `field_slots`, keyed by the object's class and the
-field name; on a miss, `Engine.field_index` looks the name up in the loaded
-class and fills the entry, or falls back to the slot the IR was lowered
-with. An object with an ACL is checked on every access.
-
 Each operator is one template in `_BINOPS`, calling one helper where it
 needs one (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
 `_write_index`, `_append`): integers wrap at 64 bits (`_wrap` runs only when
 a result leaves the range), `/` and `%` truncate, and division by zero and
-out-of-range indexing raise engine faults. When both operands are ints by
-their IR type, the comparisons are plain Python operators (`_INT_BINOPS`).
-A `/` or `%` whose divisor is an int literal or a negated one, other than 0
-and -1, is Python's `//` or `%` inline on the magnitudes (`div_by`): it
-cannot divide by zero or overflow. Every other divisor calls `_div` or
-`_mod`, so `/ 0` faults only when it runs and `INT_MIN / -1` wraps.
+out-of-range indexing raise engine faults.
+
+A type pass, `_Source.ty`, types each expression from what the body fixes:
+literals, the declared types of slots (a slot counts only if it is declared
+with one type wherever it is declared), the element types of typed arrays,
+and the result types of operators and builtins. Field reads and calls stay
+untyped. The pass trusts a slot to hold a value of its declared type, so
+the engine checks a value that arrives from another host against the
+parameter or field it fills (`fits`) before a body sees it. An expression
+it cannot type compiles to the generic template. The typed and the other
+specialised sites keep every check of the helper they stand in for, and
+call that helper on their slow path, which raises the same fault:
+- A field get or set of an object on this host (the code has tested the
+  ref's host) finds the record in the engine's `objects`, tests its
+  partition and that it has no ACL, and reads its slot from the site's
+  inline cache, one (layout token, class, slot) entry (Deutsch and
+  Schiffman, POPL 1984). The class is tested with `==`, since each IR node
+  read from a `.rpk` has a class key of its own, and the token with `is`:
+  bodies are shared between engines, and an engine replaces its `layout`
+  token whenever `install_image` changes a class. On a miss,
+  `_get_field`/`_set_field` call `Engine.deref` for a missing record or one
+  of another partition, which raises its fault, check an ACL, find the slot
+  in the engine's `field_slots` (filled by `Engine.field_index`, or the slot
+  the IR was lowered with when the class is not loaded) and refill the
+  cache.
+- An element read or write of a typed array tests the null and the bounds
+  inline. The test does not short-circuit before the index is evaluated,
+  so the array, then the index, are evaluated once on either path. A
+  `char[]` write also tests that the array shares no bytes (`CharArray.
+  shared`), and that the value is a char when the pass does not know it.
+  Slow path: `_read_index`, `_write_index`.
+- The comparisons on two ints, on two chars (by code) and `==`/`!=` on two
+  bools are Python's operators (`_INT_BINOPS`). Slow path: none; other
+  operands take `_eq` and `_compare`.
+- A `/` or `%` whose divisor is an int literal or a negated one, other than
+  0 and -1, is Python's `//` or `%` inline on the magnitudes (`div_by`): it
+  cannot divide by zero or overflow. Any other int-typed divisor takes
+  Python's operator when the dividend is >= 0 and the divisor > 0
+  (`div_positive`). Slow path: `_div`, `_mod`, so `/ 0` faults only when it
+  runs and `INT_MIN / -1` wraps.
+- `sizear(a, 1)` on a typed array is its length after a null test. Slow
+  path: the intrinsic. Every builtin but `exec_read` calls its intrinsic,
+  bound as a constant of the body; `exec_read` waits in
+  `Engine.exec_read`, which looks its intrinsic up when it runs.
+- `+=` of a string literal appends the constant's bytes to an array that
+  is not null and shares no bytes. Slow path: `_append`.
 Expressions evaluate left to right, as Python evaluates them; a store
 evaluates its value first and then its target.
 Compound assignment and `++` on an element or field evaluate the target's
@@ -63,8 +93,9 @@ import threading
 from ..errors import (E_ARITHMETIC, E_INDEX, E_NULL_REF, EngineError)
 from ..runpack import ir
 from ..security import READ, WRITE
-from ..values import (Array, Char, CharArray, TAG_ARRAY, TAG_BOOL, TAG_INT,
-                      TAG_OBJECT, values_equal)
+from ..stdlib import INTRINSICS
+from ..values import (Array, Char, CharArray, ObjectRef, TAG_ARRAY, TAG_BOOL,
+                      TAG_INT, TAG_OBJECT, values_equal)
 
 
 def default_value(ty: ir.TypeDesc):
@@ -77,6 +108,27 @@ def default_value(ty: ir.TypeDesc):
     if ty.base == "char":
         return Char(0)
     return None
+
+
+_KINDS = {"int": int, "bool": bool, "char": Char}
+
+
+def fits(ty: ir.TypeDesc, v) -> bool:
+    """Whether `v` is a value of type `ty`, with the elements of an array
+    and of its nested arrays. A value from another host is checked before
+    a compiled body gets it, since the body's typed sites trust the types
+    of their operands."""
+    if ty.depth == 0:
+        if ty.base == "class":
+            return v is None or type(v) is ObjectRef
+        return type(v) is _KINDS.get(ty.base)
+    if v is None:
+        return True
+    elem = ir.TypeDesc(ty.base, ty.depth - 1, ty.cls)
+    if elem == ir.TD_CHAR:
+        return type(v) is CharArray
+    return (type(v) is Array and v.elem_tag == _array_elem_tag(elem)
+            and all(fits(elem, item) for item in v.items))
 
 
 def _as_int(v) -> int:
@@ -197,31 +249,40 @@ def _append(old, value) -> None:
     old.append(value)  # += appends in place
 
 
-def _get_field(e, o, name, hint, ctx):
-    """A field of an object on this host: the caller has tested `o.host`.
-    A missing record, or one of another partition, goes to `Engine.deref`,
-    which raises the engine's fault."""
+def _get_field(e, o, name, hint, ctx, site):
+    """A field of an object on this host, where the access site's inline
+    path missed: the caller has tested `o.host`. A missing record, or one
+    of another partition, goes to `Engine.deref`, which raises the engine's
+    fault."""
     record = e.objects.get(o.oid)
     if record is None or record.partition != o.partition:
         record = e.deref(o)
     if record.acl is not None:
         e.check_local_object(record, READ, ctx)
-    try:
-        return record.fields[e.field_slots[record.cls, name]]
-    except KeyError:
-        return record.fields[e.field_index(record.cls, name, hint)]
+    return record.fields[_slot(e, record.cls, name, hint, site)]
 
 
-def _set_field(e, o, name, hint, value, ctx) -> None:
+def _set_field(e, o, name, hint, value, ctx, site) -> None:
     record = e.objects.get(o.oid)
     if record is None or record.partition != o.partition:
         record = e.deref(o)
     if record.acl is not None:
         e.check_local_object(record, WRITE, ctx)
-    try:
-        record.fields[e.field_slots[record.cls, name]] = value
-    except KeyError:
-        record.fields[e.field_index(record.cls, name, hint)] = value
+    record.fields[_slot(e, record.cls, name, hint, site)] = value
+
+
+def _slot(e, cls, name, hint, site) -> int:
+    """The slot of field `name` in objects of `cls`: from the engine's
+    `field_slots`, which `Engine.field_index` fills from the loaded class,
+    or `hint` when the class is not loaded or has no such field. A slot
+    the engine knows refills `site[0]`, the access site's cache."""
+    slot = e.field_slots.get((cls, name))
+    if slot is None:
+        slot = e.field_index(cls, name)
+        if slot is None:
+            return hint
+    site[0] = (e.layout, cls, slot)
+    return slot
 
 
 def _field_of(o, name):
@@ -249,7 +310,8 @@ _HELPERS = {
     "_read_index": _read_index, "_write_index": _write_index,
     "_append": _append, "_get_field": _get_field, "_set_field": _set_field,
     "_field_of": _field_of, "_placement": _placement, "new_array": new_array,
-    "CharArray": CharArray, "_HEAP": ("heap",), "_PARTITION": _PARTITION,
+    "CharArray": CharArray, "Char": Char, "_CHARS": _CHARS,
+    "_HEAP": ("heap",), "_PARTITION": _PARTITION,
     "_NEXT": object(),  # what a nested statement returns when it falls through
 }
 
@@ -269,11 +331,23 @@ _BINOPS = {
     "ne": "(not _eq({}, {}))",
     "concat": "_concat({}, {})",
 }
-# The comparisons when both operands are ints.
+# The comparisons when both operands are ints, bools, or chars by code.
 _INT_BINOPS = {"lt": "({} < {})", "le": "({} <= {})", "gt": "({} > {})",
                "ge": "({} >= {})", "eq": "({} == {})", "ne": "({} != {})"}
 _WRAPPED = frozenset(("add", "sub", "mul"))
-_INT_RESULTS = _WRAPPED | {"div", "mod"}
+
+# --- the type pass: what `_Source.ty` knows of each kind of node ----------------
+
+_STRING = ir.TypeDesc("char", 1)
+_BIN_TYPES = {op: ir.TD_INT for op in ("add", "sub", "mul", "div", "mod")}
+_BIN_TYPES.update({op: ir.TD_BOOL for op in _INT_BINOPS}, concat=_STRING)
+_LEAF_TYPES = {ir.IrInt: ir.TD_INT, ir.IrPostIncr: ir.TD_INT,
+               ir.IrBool: ir.TD_BOOL, ir.IrLogic: ir.TD_BOOL,
+               ir.IrChar: ir.TD_CHAR, ir.IrStr: _STRING}
+_BUILTIN_TYPES = {"sizear": ir.TD_INT, "parse_int": ir.TD_INT,
+                  "exec_open": ir.TD_INT, "write_stdout": ir.TD_INT,
+                  "exec_read": ir.TypeDesc("int", 1)}
+_COMPARED = (ir.TD_INT, ir.TD_BOOL, ir.TD_CHAR)
 # Deeper expressions and statements go to a nested function.
 _MAX_DEPTH = 16
 
@@ -328,15 +402,23 @@ def _suspends(node) -> bool:
         for n in _walk(node))
 
 
-def _int_slots(mc: ir.MethodCode) -> set[int]:
-    """The slots that are declared int wherever they are declared."""
+def _slot_types(mc: ir.MethodCode) -> dict[int, ir.TypeDesc]:
+    """The type of each slot that is declared with one type wherever it is
+    declared."""
     types: dict[int, set] = {}
     for slot, param in enumerate(mc.params):
         types.setdefault(slot, set()).add(param.ty)
     for node in _walk(mc.body):
         if isinstance(node, ir.IrVarDecl):
             types.setdefault(node.slot, set()).add(node.ty)
-    return {slot for slot, tys in types.items() if tys == {ir.TD_INT}}
+    return {slot: tys.pop() for slot, tys in types.items() if len(tys) == 1}
+
+
+def _writes_locals(node) -> bool:
+    """Whether evaluating `node` may assign a local: `++` does, and so does
+    a `<=>` body, through its closure cells."""
+    return any(isinstance(n, (ir.IrPostIncr, ir.IrQueuedEval))
+               for n in _walk(node))
 
 
 def _int_literal(node) -> int | None:
@@ -368,7 +450,7 @@ class _Source:
         self.consts = consts
         self.env = dict(_HELPERS)  # the function's globals
         self.ids = itertools.count()
-        self.ints = _int_slots(mc)
+        self.types = _slot_types(mc)
         self.scope = _Scope("    ")
         self.depth = 0  # of the expression being written, in this function
         # Nested functions, all defined at the top of the body's function,
@@ -429,33 +511,159 @@ class _Source:
     def args(self, nodes) -> str:
         return "[" + ", ".join(self.expr(n) for n in nodes) + "]"
 
+    def once(self, node, *later) -> tuple[str, str]:
+        """The source that evaluates `node`, and a name that reads its value
+        again after it and `later`, the nodes evaluated next. A literal,
+        `this`, or a local that `later` cannot assign is its own name; any
+        other value is held in a temporary."""
+        value = self.expr(node)
+        if isinstance(node, (ir.IrInt, ir.IrThis)) or isinstance(
+                node, ir.IrLocal) and not any(map(_writes_locals, later)):
+            return value, value
+        t = self.temp()
+        return f"({t} := {value})", t
+
+    # --- the type pass ---------------------------------------------------------
+
+    def ty(self, node) -> ir.TypeDesc | None:
+        """The type of the value of expression `node`, from literals, the
+        slots' declared types, the element types of typed arrays, operators
+        and builtins; None where the pass does not know it. A field's value
+        is not typed: an object received by value is built with the fields
+        its sender wrote."""
+        kind = type(node)
+        if kind is ir.IrLocal:
+            return self.types.get(node.slot)
+        if kind is ir.IrBin:
+            return _BIN_TYPES[node.op]
+        if kind is ir.IrIndex:
+            arr = self.ty(node.arr)
+            return arr and ir.TypeDesc(arr.base, arr.depth - 1, arr.cls)
+        if kind is ir.IrUn:
+            return ir.TD_INT if node.op == "neg" else ir.TD_BOOL
+        if kind is ir.IrCallBuiltin:
+            return _BUILTIN_TYPES.get(node.hook)
+        if kind is ir.IrNewArray:
+            elem = node.elem
+            return ir.TypeDesc(elem.base, elem.depth + len(node.dims), elem.cls)
+        if kind is ir.IrTernary:
+            then = self.ty(node.then)
+            return then if then == self.ty(node.other) else None
+        return _LEAF_TYPES.get(kind)
+
     def is_int(self, node) -> bool:
-        if isinstance(node, (ir.IrInt, ir.IrPostIncr)):
-            return True
-        if isinstance(node, ir.IrLocal):
-            return node.slot in self.ints
-        if isinstance(node, ir.IrBin):
-            return node.op in _INT_RESULTS
-        return isinstance(node, ir.IrUn) and node.op == "neg"
+        return self.ty(node) == ir.TD_INT
+
+    # --- specialised sites -----------------------------------------------------
+
+    def field_site(self, o: str) -> tuple[str, str, str]:
+        """The inline path of a field access of the object ref `o` of this
+        host: its guard, the slot it reads, and the site's cache, a list
+        holding one (layout token, class, slot) entry. The guard finds the
+        record and tests its partition, that it has no ACL, and that the
+        entry is of the record's class, by `==`, and of the engine's layout;
+        the entry is read once, as one tuple, since engines on other threads
+        refill it."""
+        r, c = self.temp(), self.temp()
+        site = self.const([(None, None, 0)])
+        guard = (f"({r} := e.objects.get({o}.oid)) is not None"
+                 f" and {r}.partition == {o}.partition and {r}.acl is None"
+                 f" and ({c} := {site}[0])[1] == {r}.cls"
+                 f" and {c}[0] is e.layout")
+        return guard, f"{r}.fields[{c}[2]]", site
 
     def field_get(self, node):
-        o, name = self.temp(), repr(node.name)
-        return (f"(_get_field(e, {o}, {name}, {node.index}, ctx)"
-                f" if ({o} := {self.expr(node.obj)}) is not None"
-                f" and {o}.host == e.host_name"
+        o1, o = self.once(node.obj)
+        name = repr(node.name)
+        guard, slot, site = self.field_site(o)
+        return (f"(({slot} if {guard} else _get_field("
+                f"e, {o}, {name}, {node.index}, ctx, {site}))"
+                f" if {o1} is not None and {o}.host == e.host_name"
                 f" else (yield from e.remote_get_field("
                 f"_field_of({o}, {name}), {name}, ctx)))")
 
+    def index_site(self, node, kind) -> tuple[str, str, str, str]:
+        """The inline path of an element access `node` of an array of type
+        `kind`: its guard, the element, the array and the index. The guard
+        tests the null and the bounds, and does not short-circuit before the
+        index is evaluated, so the array, then the index, are evaluated
+        once whichever path runs."""
+        a1, a = self.once(node.arr, node.idx)
+        i1, i = self.once(node.idx)
+        data = "data" if kind == _STRING else "items"
+        guard = (f"(({a1} is not None) & (0 <= {i1}))"
+                 f" and {i} < len({a}.{data})")
+        return guard, f"{a}.{data}[{i}]", a, i
+
+    def index(self, node, code: bool = False):
+        """An element read; with `code`, the code of an element of a typed
+        `char[]`."""
+        kind = self.ty(node.arr)
+        if kind is None:
+            return f"_read_index({self.expr(node.arr)}, {self.expr(node.idx)})"
+        guard, elem, a, i = self.index_site(node, kind)
+        if kind == _STRING:
+            return (f"({elem} if {guard} else _read_index({a}, {i}).code)"
+                    if code else
+                    f"(_CHARS[{elem}] if {guard} else _read_index({a}, {i}))")
+        return f"({elem} if {guard} else _read_index({a}, {i}))"
+
+    def code(self, node) -> str:
+        """The code of a char-typed expression."""
+        if isinstance(node, ir.IrChar):
+            return repr(node.code)
+        if isinstance(node, ir.IrIndex):
+            return self.index(node, code=True)
+        return f"{self.expr(node)}.code"
+
+    def builtin(self, node):
+        """A builtin: `exec_read` waits, through the engine, which looks its
+        intrinsic up when it runs; the others call theirs, bound when the
+        body compiles. `sizear(a, 1)` on a typed array is its length."""
+        hook, args = node.hook, node.args
+        if hook == _SUSPENDING_HOOK:
+            return f"(yield from e.exec_read({self.args(args)}, ctx))"
+        if hook not in INTRINSICS:
+            return f"e.call_intrinsic({hook!r}, {self.args(args)}, ctx)"
+        fn = self.const(INTRINSICS[hook])
+        kind = self.ty(args[0]) if args else None
+        if hook == "sizear" and kind and kind.depth and _int_literal(
+                args[1]) == 1:
+            a1, a = self.once(args[0])
+            data = "data" if kind == _STRING else "items"
+            return (f"(len({a}.{data}) if {a1} is not None"
+                    f" else {fn}(e, ctx, [{a}, 1]))")
+        return f"{fn}(e, ctx, {self.args(args)})"
+
     def bin(self, node):
-        if node.op in ("div", "mod"):
-            divisor = _int_literal(node.right)
+        op, left, right = node.op, node.left, node.right
+        if op in ("div", "mod"):
+            divisor = _int_literal(right)
             if divisor not in (None, 0, -1):
-                return self.div_by(node.op, self.expr(node.left), divisor)
-        both_int = self.is_int(node.left) and self.is_int(node.right)
-        template = (_INT_BINOPS.get(node.op) if both_int else None) \
-            or _BINOPS[node.op]
-        value = template.format(self.expr(node.left), self.expr(node.right))
-        return self.wrap(value) if node.op in _WRAPPED else value
+                return self.div_by(op, self.expr(left), divisor)
+            if divisor is None and self.is_int(right):
+                return self.div_positive(op, left, right)
+        if op in _INT_BINOPS:
+            kind = self.ty(left)
+            if kind in _COMPARED and kind == self.ty(right):
+                if kind == ir.TD_CHAR:
+                    return _INT_BINOPS[op].format(self.code(left),
+                                                  self.code(right))
+                return _INT_BINOPS[op].format(self.expr(left), self.expr(right))
+        value = _BINOPS[op].format(self.expr(left), self.expr(right))
+        return self.wrap(value) if op in _WRAPPED else value
+
+    def div_positive(self, op: str, left, right) -> str:
+        """`left / right` or `left % right` by an int that is not a literal:
+        Python's operator when the dividend is >= 0 and the divisor > 0,
+        where it truncates as the language does and needs no wrap, and
+        `_div`/`_mod` otherwise. The test does not short-circuit, so both
+        operands are evaluated once, the dividend first."""
+        a1, a = self.once(left, right)
+        b1, b = self.once(right)
+        py, helper = ("//", "_div") if op == "div" else ("%", "_mod")
+        return (f"({a} {py} {b} if (({a1} >= 0) & ({b1} > 0))"
+                f" else {helper}({a}, {b}))")
 
     def div_by(self, op: str, left: str, divisor: int) -> str:
         """`left / divisor` or `left % divisor`, truncating, with Python's
@@ -531,19 +739,54 @@ class _Source:
     # --- stores ----------------------------------------------------------------
 
     def store(self, target, value: str) -> str:
-        """An expression that stores the source `value` into `target`. It
-        evaluates the target's subexpressions, then `value`."""
+        """An expression that stores the source `value` into `target`,
+        through the helpers. It evaluates the target's subexpressions, then
+        `value`."""
         if isinstance(target, ir.IrIndex):
             return (f"_write_index({self.expr(target.arr)}, "
                     f"{self.expr(target.idx)}, {value})")
+        o1, o = self.once(target.obj)
+        name = repr(target.name)
+        site = self.const([(None, None, 0)])
+        return (f"(_set_field(e, {o}, {name}, {target.index}, {value}, ctx, "
+                f"{site}) if {o1} is not None and {o}.host == e.host_name"
+                f" else (yield from e.remote_set_field("
+                f"_field_of({o}, {name}), {name}, {value}, ctx)))")
+
+    def store_stmt(self, target, value: str, ind: str, is_char: bool) -> None:
+        """Statements that store `value` into `target`, as `store` does,
+        with the inline path of a field or of a typed array's element
+        first. `is_char` says that `value` is a char by its type."""
+        inner = ind + "    "
         if isinstance(target, ir.IrFieldGet):
-            o, name = self.temp(), repr(target.name)
-            return (f"(_set_field(e, {o}, {name}, {target.index}, {value}, ctx)"
-                    f" if ({o} := {self.expr(target.obj)}) is not None"
-                    f" and {o}.host == e.host_name"
-                    f" else (yield from e.remote_set_field("
-                    f"_field_of({o}, {name}), {name}, {value}, ctx)))")
-        raise AssertionError(f"bad assignment target {target!r}")
+            o1, o = self.once(target.obj)
+            name = repr(target.name)
+            guard, slot, site = self.field_site(o)
+            self.emit(ind, f"if {o1} is not None and {o}.host == e.host_name:")
+            self.emit(inner, f"if {guard}:")
+            self.emit(inner + "    ", f"{slot} = {value}")
+            self.emit(inner, "else:")
+            self.emit(inner + "    ", f"_set_field(e, {o}, {name}, "
+                                       f"{target.index}, {value}, ctx, {site})")
+            self.emit(ind, "else:")
+            self.emit(inner, f"yield from e.remote_set_field("
+                             f"_field_of({o}, {name}), {name}, {value}, ctx)")
+            return
+        kind = self.ty(target.arr)
+        if kind is None:
+            self.emit(ind, self.store(target, value))
+            return
+        guard, elem, a, i = self.index_site(target, kind)
+        put = f"{elem} = {value}"
+        if kind == _STRING:  # a shared array gets its own bytes first
+            guard += f" and not {a}.shared"
+            if not is_char:
+                guard += f" and {value}.__class__ is Char"
+            put += ".code"
+        self.emit(ind, f"if {guard}:")
+        self.emit(inner, put)
+        self.emit(ind, "else:")
+        self.emit(inner, f"_write_index({a}, {i}, {value})")
 
     # --- statements ------------------------------------------------------------
 
@@ -586,6 +829,16 @@ class _Source:
         if op == "set" and local:
             self.emit(ind, f"{self.assigned(target.slot)} = {self.expr(value)}")
             return
+        if op == "concat" and isinstance(value, ir.IrStr):
+            # appends the constant's bytes, unless the target is null or
+            # shares its bytes, where `_append` faults or copies
+            t1, t = self.once(target)
+            k = self.const(self.consts[value.pool])
+            self.emit(ind, f"if {t1} is not None and not {t}.shared:")
+            self.emit(ind + "    ", f"{t}.data += {k}")
+            self.emit(ind, "else:")
+            self.emit(ind + "    ", f"_append({t}, CharArray({k}))")
+            return
         v = self.temp()  # the value first
         self.emit(ind, f"{v} = {self.expr(value)}")
         if op in ("addi", "subi"):  # the temporaries hold ints
@@ -596,10 +849,11 @@ class _Source:
             else:
                 old = self.temp()
                 self.emit(ind, f"{old} = {self.expr(target)}")
-                self.emit(ind, self.store(target, self.wrap(f"{old} {sign} {v}")))
+                self.store_stmt(target, self.wrap(f"{old} {sign} {v}"), ind,
+                                False)
             return
         if op == "set":
-            self.emit(ind, self.store(target, v))
+            self.store_stmt(target, v, ind, self.ty(value) == ir.TD_CHAR)
         else:
             self.emit(ind, f"_append({self.expr(target)}, {v})")
         self.emit(ind, f"{v} = None")
@@ -654,7 +908,7 @@ _EXPRS = {
     ir.IrThisHost: lambda s, n: "e.this_host_ref()",
     ir.IrHostsRoot: lambda s, n: "e.hosts_root_ref()",
     ir.IrFieldGet: _Source.field_get,
-    ir.IrIndex: lambda s, n: f"_read_index({s.expr(n.arr)}, {s.expr(n.idx)})",
+    ir.IrIndex: _Source.index,
     ir.IrBin: _Source.bin,
     ir.IrLogic: _Source.logic,
     ir.IrUn: _Source.un,
@@ -667,10 +921,7 @@ _EXPRS = {
     ir.IrCallStatic: lambda s, n: (
         f"(yield from e.invoke_static({s.const(n.cls)}, {n.method!r}, "
         f"{s.args(n.args)}, ctx))"),
-    ir.IrCallBuiltin: lambda s, n: (
-        f"(yield from e.exec_read({s.args(n.args)}, ctx))"
-        if n.hook == _SUSPENDING_HOOK else
-        f"e.call_intrinsic({n.hook!r}, {s.args(n.args)}, ctx)"),
+    ir.IrCallBuiltin: _Source.builtin,
     ir.IrNew: lambda s, n: (
         f"(yield from e.create_object({s.const(n.cls)}, _HEAP, "
         f"{s.args(n.args)}, ctx))"),

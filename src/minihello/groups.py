@@ -44,12 +44,16 @@ def _encode_failures(failures: list[tuple[str, str]]) -> Array:
 
 
 def decode_failures(value) -> list[tuple[str, str]]:
-    out = []
-    if isinstance(value, Array):
-        for pair in value.items:
-            if isinstance(pair, Array) and len(pair.items) == 2:
-                out.append((pair.items[0].to_str(), pair.items[1].to_str()))
-    return out
+    """The (host, error code) pairs of a traversal's result, which comes
+    from another host: one of any other shape than `_encode_failures`
+    writes is a BadFrame fault."""
+    if type(value) is not Array or not all(
+            type(pair) is Array and len(pair.items) == 2
+            and all(type(s) is CharArray for s in pair.items)
+            for pair in value.items):
+        raise EngineError("BadFrame", "malformed $traverse reply")
+    return [(host.to_str(), code.to_str()) for host, code in
+            (pair.items for pair in value.items)]
 
 
 def iterate(engine, ctx, group_ref: ObjectRef, method: str, args: list):

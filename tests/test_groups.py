@@ -7,8 +7,10 @@ import pytest
 
 from minihello.engine.engine import TaskCtx
 from minihello.errors import EngineError
+from minihello.groups import decode_failures
+from minihello.net.wirevalues import encode_value
 from minihello.stdlib import hosts_node_ref
-from minihello.values import CharArray
+from minihello.values import Array, CharArray, TAG_ARRAY, TAG_INT
 
 from conftest import line_scenario, mesh_scenario, run_task
 from minihello.simharness import Scenario
@@ -104,6 +106,37 @@ class TestIterate:
         for name in ("a", "b", "c"):
             got = bytes(scen.hosts[name].engine.stdout_bytes)
             assert sorted(got) == sorted(b"AB"), (name, got)
+
+
+# A `$traverse` result whose failure pair holds ints, not char[]s.
+MALFORMED = Array(TAG_ARRAY, [Array(TAG_INT, [1, 2])])
+
+
+class TestMalformedTraverseReplies:
+    """A traversal's result comes from another host, so one of the wrong
+    shape is a BadFrame fault, which the traversal reports as the failure
+    of the host that sent it."""
+
+    def test_decoding_a_pair_of_ints_faults(self):
+        with pytest.raises(EngineError) as exc:
+            decode_failures(MALFORMED)
+        assert exc.value.code == "BadFrame"
+        assert decode_failures(Array(TAG_ARRAY, [Array(TAG_ARRAY, [
+            CharArray(b"h"), CharArray(b"E")])])) == [("h", "E")]
+
+    def test_a_reply_of_a_pair_of_ints_is_a_partial_failure(self):
+        scen = mesh_scenario(["a", "b"], seed=4)
+
+        def malformed(target, method, args, ctx):
+            return encode_value(MALFORMED)
+            yield  # a generator function, as the system methods are
+
+        scen.hosts["b"].engine._run_sys_method = malformed
+        with pytest.raises(EngineError) as exc:
+            iterate_hosts(scen, "a", b"hi").result()
+        assert exc.value.code == "PartialFailure"
+        assert exc.value.failures == [("b", "BadFrame")]
+        assert bytes(scen.hosts["a"].engine.stdout_bytes) == b"hi"
 
 
 class TestHostsGroupMaintenance:

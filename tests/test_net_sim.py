@@ -12,7 +12,8 @@ from minihello.net import frames
 from minihello.net.wirevalues import encode_value
 from minihello.security import ANONYMOUS_SID
 from minihello.stdlib import host_ref, hosts_node_ref
-from minihello.values import Array, CharArray, ClassKey, TAG_ARRAY, TAG_OBJECT
+from minihello.values import (Array, Char, CharArray, ClassKey, TAG_ARRAY,
+                             TAG_INT, TAG_OBJECT)
 
 from conftest import (compile_text, graphs_isomorphic, line_scenario,
                       mesh_scenario, run_task)
@@ -722,3 +723,119 @@ class TestMalformedSysCalls:
         assert eb.error_log == []
         assert all(q.idle() for q in eb.queues.values())
         assert ea.pending == {}
+
+
+PROBE = ClassKey("probe", "Box")
+PROBE_SRC = """
+package probe;
+external class Box {
+    public int n;
+    public char c;
+    external public Box(int start) { n = start; }
+    public external int get(int x) { return x + n; }
+    public external bool isx(char c) { return c == 'x'; }
+    public external message void add(int x) { n = n + x; }
+    public external int total(int[] xs) {
+        if (xs == null)
+            return -1;
+        return sizear(xs, 1);
+    }
+}
+"""
+
+
+class TestMalformedUserCalls:
+    """A well-encoded request whose arguments do not fit the parameters of
+    the user method it calls, or a `$setf` of a value that does not fit the
+    field, is refused before any compiled body sees it: an INVOKE, CREATE
+    or `$setf` is answered with one ERROR, a POST or a fired event is
+    logged, and the object is unchanged."""
+
+    @pytest.fixture()
+    def scen(self):
+        scen = mesh_scenario(["a", "b"], seed=3)
+        image = compile_text(PROBE_SRC)
+        for name in ("a", "b"):
+            scen.hosts[name].engine.install_image(image)
+        return scen
+
+    @pytest.mark.parametrize("method, args", [
+        ("get", []),                     # no argument for `int x`
+        ("get", [CharArray(b"7")]),      # a char[] for `int x`
+        ("isx", [120]),                  # an int for `char c`
+        ("total", [Array(TAG_INT, [CharArray(b"7")])]),  # a char[] in an int[]
+        ("$setf", [CharArray(b"n"), CharArray(b"7")]),  # a char[] for `int n`
+        ("$setf", [CharArray(b"c"), 120]),              # an int for `char c`
+    ], ids=["no-argument", "chars-for-int", "int-for-char", "chars-in-ints",
+            "setf-chars",
+            "setf-int-for-char"])
+    def test_an_invoke_is_answered_with_one_error(self, scen, method, args):
+        eb = scen.hosts["b"].engine
+        target = eb.alloc_object(PROBE, 0, [5, Char(0)])
+
+        def task(engine, ctx):
+            return (yield from engine.invoke(target, method, args, ctx))
+
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", task)
+        assert (exc.value.code, exc.value.remote_code) == (
+            "RemoteException", "UnknownMethod")
+        assert frames_from(scen, "b", "ERROR") == 1
+        assert eb.error_log == []
+        assert eb.deref(target).fields == [5, Char(0)]
+        assert all(q.idle() for q in eb.queues.values())
+
+    def test_arguments_that_fit_are_served(self, scen):
+        eb = scen.hosts["b"].engine
+        target = eb.alloc_object(PROBE, 0, [5, Char(0)])
+
+        def task(engine, ctx):
+            got = yield from engine.invoke(target, "get", [2], ctx)
+            hit = yield from engine.invoke(target, "isx", [Char(120)], ctx)
+            yield from engine.invoke(target, "$setf",
+                                     [CharArray(b"c"), Char(7)], ctx)
+            sizes = []
+            for xs in (None, Array(TAG_INT, [1, 2])):
+                sizes.append((yield from engine.invoke(target, "total", [xs],
+                                                       ctx)))
+            return got, hit, sizes
+
+        assert run_task(scen, "a", task) == (7, True, [-1, 2])
+        assert eb.deref(target).fields == [5, Char(7)]
+
+    def test_a_create_is_answered_with_one_error(self, scen):
+        eb = scen.hosts["b"].engine
+        before = len(eb.objects)
+
+        def task(engine, ctx):
+            return (yield from engine.create_object(
+                PROBE, ("remote", "b", None), [CharArray(b"5")], ctx))
+
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", task)
+        assert (exc.value.code, exc.value.remote_code) == (
+            "RemoteException", "UnknownMethod")
+        assert frames_from(scen, "b", "ERROR") == 1
+        assert len(eb.objects) == before
+
+    @pytest.mark.parametrize("via", ["post", "event"])
+    def test_a_post_or_an_event_is_logged(self, scen, via):
+        eb = scen.hosts["b"].engine
+        target = eb.alloc_object(PROBE, 0, [5, Char(0)])
+        qref = remote_queue(eb)
+
+        def task(engine, ctx):
+            if via == "post":
+                engine.post_message(qref, target, "add", [CharArray(b"1")],
+                                    ctx)
+            else:
+                eid = yield from engine.create_event(qref, target, "add", 1,
+                                                     ctx)
+                yield from engine.fill_event(eid, 0, CharArray(b"1"), ctx)
+            yield from engine.queued_eval(qref, lambda: 1, ctx)
+            return "sent"
+
+        assert run_task(scen, "a", task) == "sent"
+        assert [code for code, _ in eb.error_log] == ["RemoteException"]
+        assert "'add' takes no such arguments" in eb.error_log[0][1]
+        assert eb.deref(target).fields == [5, Char(0)]

@@ -4,7 +4,9 @@
 
 Generates the package that the benchmark's interp workload runs
 (`bench/interp.py`, `Recipe(SEED).source()`), translates it as `het` does,
-installs the image on the engine of one simulated host, and calls one
+writes the image to its `.rpk` bytes and reads them back, as `hee` and the
+benchmark load an image, installs it on the engine of one simulated host,
+and calls one
 kernel of each kind (arith, recur, index, field, chars) REPEATS times
 (default 20): the first kernel of that kind that `main` calls, with the
 size `main` passes and k = 0, 1, ... in turn. Each call runs
@@ -15,6 +17,14 @@ kind. One more call of each kernel, outside the timing, runs under
 `sys.setprofile` and counts the Python functions it enters by code name
 (a compiled body is named `package.Class.method`); it prints those counts
 per kind, then all of it as one JSON object.
+
+The image goes through its bytes because a decoded image is what hosts
+run: each IR node read from a `.rpk` has a `ClassKey` object of its own,
+where an image compiled in memory shares one per class. A field access
+site's cache guards its class by `==`, which holds for both; a guard by
+`is` would miss on every access of a decoded image and hit on every access
+of an image compiled in memory, so only the decoded one shows the counts
+the benchmark sees.
 """
 
 from __future__ import annotations
@@ -32,7 +42,8 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import interp  # noqa: E402  (bench/interp.py)
 from minihello.engine.engine import TaskCtx  # noqa: E402
 from minihello.frontend import SourceUnit, check, parse_package  # noqa: E402
-from minihello.runpack import compile_package  # noqa: E402
+from minihello.runpack import (compile_package, deserialize,  # noqa: E402
+                               serialize)
 from minihello.simharness import Scenario  # noqa: E402
 from minihello.values import ClassKey  # noqa: E402
 
@@ -79,7 +90,7 @@ def main(argv: list[str]) -> int:
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))  # as het does
     recipe = interp.Recipe(seed)
     unit = SourceUnit(f"interp-{seed}.hlo", recipe.source())
-    image = compile_package(check(parse_package([unit])))
+    image = deserialize(serialize(compile_package(check(parse_package([unit])))))
     scen = Scenario(seed=seed)
     scen.add_host("solo", primary=True)
     scen.start()
