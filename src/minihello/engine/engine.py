@@ -135,17 +135,21 @@ class TaskCtx:
 
 
 class RuntimeClass:
-    """A loaded class: IR code plus any native method bindings."""
+    """A loaded class: IR code plus any native method bindings. It keeps
+    its image's class table (`image_classes`), where the compiler finds the
+    static methods that a body calls directly."""
 
-    __slots__ = ("key", "code", "consts", "content_hash", "natives",
-                 "_field_slots", "_bodies")
+    __slots__ = ("key", "code", "consts", "content_hash", "image_classes",
+                 "natives", "_field_slots", "_bodies")
 
     def __init__(self, key: ClassKey, code: ir.ClassCode, consts: list[bytes],
-                 natives: dict | None = None, content_hash: bytes = b""):
+                 natives: dict | None = None, content_hash: bytes = b"",
+                 image_classes: list[ir.ClassCode] = ()):
         self.key = key
         self.code = code
         self.consts = consts
         self.content_hash = content_hash  # of the image, b"" for builtins
+        self.image_classes = image_classes
         self.natives = natives or {}
         self._field_slots = {}
         for i, (fname, _) in enumerate(code.fields):
@@ -170,7 +174,8 @@ class RuntimeClass:
         body = self._bodies.get(mc.name)
         if body is None:
             body = self._bodies[mc.name] = machine.compile_method(
-                mc, self.key, self.consts, self.content_hash)
+                mc, self.key, self.consts, self.content_hash,
+                self.image_classes)
         return body
 
 
@@ -190,8 +195,8 @@ def _builtin_runtime_classes() -> dict[ClassKey, RuntimeClass]:
 
 class _Reply(Future):
     """The future of an open call: it resolves with the reply's value, and
-    `missing` is the `Intake.missing` of the reply's frame."""
-    missing = ()
+    `intake` is the `Intake` of the reply's frame."""
+    intake = None
 
 
 @dataclass(slots=True)
@@ -325,8 +330,9 @@ class Engine:
             rc = self.classes.get(key)
             if rc is not None and rc.code is code and rc.consts is image.constants:
                 continue  # the same image again: keep its compiled methods
-            self.classes[key] = RuntimeClass(key, code, image.constants,
-                                             content_hash=image.content_hash)
+            self.classes[key] = RuntimeClass(
+                key, code, image.constants, content_hash=image.content_hash,
+                image_classes=image.classes)
             self.field_slots.clear()
             self._statics.clear()
             self.layout = object()
@@ -400,7 +406,8 @@ class Engine:
     def invoke(self, ref, method: str, args: list, ctx, *,
                received: bool = False):
         """Call a method through a reference, local or remote. An argument
-        list that was `received` is checked at the callee. Generator."""
+        list that was `received` is checked at the callee, and a reply must
+        be a value of the return type the method has here. Generator."""
         if ref is None:
             raise wrap_remote(EngineError(E_NULL_REF, f"call of '{method}' on null"))
         if not isinstance(ref, ObjectRef):
@@ -410,7 +417,14 @@ class Engine:
                                                  received=received))
         fut = self.send_request(ref.host, frames.INVOKE,
                                 self._call_payload(ref, method, args, ctx))
-        return (yield from self.reply_value(fut, ref.host, ctx))
+        value = yield from self.reply_value(fut, ref.host, ctx)
+        rc = self.classes.get(ref.cls)
+        mc = rc.method(method) if rc is not None else None
+        if mc is not None and mc.ret != ir.TD_VOID and not machine.fits(
+                mc.ret, value):
+            raise EngineError(E_UNKNOWN_METHOD,
+                              f"'{method}' replied with no value of its type")
+        return value
 
     def invoke_local(self, ref: ObjectRef, method: str, args: list, ctx, *,
                      from_remote: bool = False, received: bool = False):
@@ -452,10 +466,12 @@ class Engine:
         return local_copy(self, result) if ret_copy else result
 
     def invoke_static(self, cls: ClassKey, method: str, args: list, ctx):
-        """Call a static method. The method is looked up once per class
-        image and kept in `_statics`; a call to a method with no copy
-        parameter and no copy return passes its values as they are.
-        Generator."""
+        """Call a static method: the generic path, which main, a call from
+        another image and a callee with a copy parameter or return take; a
+        compiled body calls the other statics of its own image directly
+        (`machine.py`). The method is looked up once per class image and
+        kept in `_statics`; a call to a method with no copy parameter and no
+        copy return passes its values as they are. Generator."""
         try:
             rc, mc, plain = self._statics[cls, method]
         except KeyError:
@@ -701,7 +717,7 @@ class Engine:
     def reply_value(self, fut: _Reply, fetch_from: str | None, ctx):
         """A call's reply value, once `from_wire` has run. Generator."""
         value = yield fut
-        yield from from_wire(self, fut.missing, fetch_from, ctx)
+        yield from from_wire(self, fut.intake, fetch_from, ctx)
         return value
 
     # --------------------------------------------------------------- deep copy
@@ -928,7 +944,7 @@ class Engine:
             ctx = TaskCtx(queue, origin=sender)
             done = self._serve(meta, corr, queue, lambda:
                                self._task_remote_invoke(target, method, args,
-                                                        intake.missing, ctx))
+                                                        intake, ctx))
             if traverse:
                 done.add_callback(lambda _f: self._release_queue(queue))
         elif op == OP_POST:
@@ -942,7 +958,7 @@ class Engine:
                 intake.commit()
                 ctx = TaskCtx(queue, origin=sender)
                 self.scheduler.submit(queue, Request(lambda: self._task_remote_post(
-                    target, method, args, intake.missing, ctx)))
+                    target, method, args, intake, ctx)))
             except EngineError as err:
                 self.log_error(err.code, f"remote post {method} dropped")
         elif op == OP_CREATE:
@@ -958,7 +974,7 @@ class Engine:
             placement_pid = pid if has_pid else 0
             self._serve(meta, corr, self.service_queue, lambda:
                         self._task_remote_create(key, placement_pid, args,
-                                                 intake.missing, ctx))
+                                                 intake, ctx))
         elif op == OP_BARRIER:
             qref = decode_value_prefix(r, intake)
             try:
@@ -970,8 +986,8 @@ class Engine:
         else:
             self.log_error("BadFrame", f"unknown INVOKE op {op}")
 
-    def _task_remote_invoke(self, target, method: str, args, missing, ctx):
-        yield from from_wire(self, missing, ctx.origin, ctx)
+    def _task_remote_invoke(self, target, method: str, args, intake, ctx):
+        yield from from_wire(self, intake, ctx.origin, ctx)
         if not isinstance(target, ObjectRef):
             raise wrap_remote(EngineError(E_NULL_REF, "invoke on null target"))
         if method in SYS_METHODS:
@@ -1014,18 +1030,18 @@ class Engine:
         record.fields[idx] = args[1]
         return encode_value(None)
 
-    def _task_remote_post(self, target, method: str, args, missing, ctx):
-        yield from from_wire(self, missing, ctx.origin, ctx)
+    def _task_remote_post(self, target, method: str, args, intake, ctx):
+        yield from from_wire(self, intake, ctx.origin, ctx)
         try:
             yield from self.invoke(target, method, args, ctx, received=True)
         except EngineError as err:
             self.log_error(err.code, f"remote post {method}: {err.message}")
 
-    def _task_remote_create(self, key: ClassKey, pid: int, args, missing, ctx):
+    def _task_remote_create(self, key: ClassKey, pid: int, args, intake, ctx):
         rc = yield from self.ensure_class(key, ctx.origin, ctx)
         if not rc.has(ir.CQ_EXTERNAL):
             raise EngineError(E_ACCESS_VIOLATION, f"class {key} is not external")
-        yield from from_wire(self, missing, ctx.origin, ctx)
+        yield from from_wire(self, intake, ctx.origin, ctx)
         if pid != 0:  # the shared partition is the only one
             raise EngineError(E_UNKNOWN_OBJECT, f"no partition {pid}")
         ctor = rc.method(key.name)
@@ -1045,7 +1061,7 @@ class Engine:
             entry.future.fail(EngineError("BadFrame", str(exc)))
             return
         intake.commit()
-        entry.future.missing = intake.missing
+        entry.future.intake = intake
         entry.future.resolve(value)
 
     def _on_error(self, frame: frames.Frame) -> None:

@@ -13,15 +13,41 @@ Every IR local slot is a Python local `l<slot>`, parameters first, and the
 function returns the method's result. Its code object is named after the
 package, class and method.
 
+A static call of a method of the caller's own image that has no copy
+parameter and no copy return is a direct site: a Python call of the
+callee's compiled function, `d<n>(e, None, ctx, args...)`, with the
+arguments evaluated left to right, as `Engine.invoke_static` gets them, and
+faults passing through bare, as they pass through it. The global `d<n>`
+starts as a `_Bind`, which at the site's first run compiles the callee
+through `compile_method`, with the caller's image (its constants, content
+hash and class table), and puts the function in its own place. Every other
+static call goes through `Engine.invoke_static`, which stays the one generic
+path: main, a call from outside the image, and a callee with a `copy`
+parameter or return, which it marshals. Only bodies of an image with a
+content hash have direct sites.
+A site is bound within its own image and needs no guard: bodies are shared
+between engines by (content hash, class, method), and one image's class
+table never changes. So a body that waits while its own package is
+installed again keeps calling its own image's statics when it resumes,
+where `Engine.invoke_static` would reach the new image's.
+
 A body with a node that may wait on a future is a generator function, and
 `yield from` appears only at those nodes: field access (the object may live
-on another host), method and static calls, `new` and `create`, `<=>`, `.+`,
-and the `exec_read` builtin, which waits for a command's output. A `<=>`
-expression becomes a nested generator function that reads and writes the
-caller's locals through closure cells; the engine runs it on the queue's
-lane. Every other body is a plain function. An expression or statement
-nested deeper than Python lets one function nest (about 200 parentheses, 20
-loops and 100 indents) goes on in a nested function of the same kind.
+on another host), method calls, static calls through the engine, direct
+calls of a body that may wait, `new` and `create`, `<=>`, `.+`, and the
+`exec_read` builtin, which waits for a command's output. Whether a method
+may wait is a whole-image analysis (`_Image.waiting`), a least fixpoint
+over direct calls: a method waits only if its body has a node that may
+wait other than a direct call, or calls directly a method that waits. So a
+body that only calls itself, as a recursive function does, is a plain
+function. A `<=>` expression becomes a nested generator function that
+reads and writes the caller's locals through closure cells; the engine
+runs it on the queue's lane. Every other body is a plain function. An
+expression or statement nested deeper than Python lets one function nest
+(about 200 parentheses, 20 loops and 100 indents) goes on in a nested
+function of the same kind. A chain of direct calls deeper than Python's
+recursion limit raises RecursionError, which the task driver
+(`runtime.HostView`) turns into a StackOverflow fault of the task.
 
 Each operator is one template in `_BINOPS`, calling one helper where it
 needs one (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
@@ -366,14 +392,18 @@ _SHARED_LOCK = threading.Lock()  # every Node's loop thread compiles
 
 
 def compile_method(mc: ir.MethodCode, cls, consts: list[bytes],
-                   content_hash: bytes = b""):
+                   content_hash: bytes = b"", classes=()):
     """Compile a method body of class `cls` (a ClassKey), whose image has
-    constant pool `consts`. Returns (fn, suspends); when `suspends`, fn is a
-    generator function. Bodies of an image with a content hash are shared."""
+    constant pool `consts` and class table `classes`. Returns (fn,
+    suspends); when `suspends`, fn is a generator function. Bodies of an
+    image with a content hash are shared, and only they call the static
+    methods of their own image directly."""
     key = (content_hash, cls, mc.name) if content_hash else None
     compiled = _SHARED.get(key) if key else None
     if compiled is None:
-        compiled = _Source(mc, consts).function(
+        image = _Image(cls.package, consts, content_hash,
+                       classes if content_hash else ())
+        compiled = _Source(mc, cls, image).function(
             f"{cls.package}.{cls.name}.{mc.name}")
         if key:
             with _SHARED_LOCK:
@@ -396,10 +426,89 @@ def _walk(node):
                 stack += [item for item in child if isinstance(item, ir.IrNode)]
 
 
-def _suspends(node) -> bool:
-    return any(isinstance(n, _SUSPENDING) or (
-        isinstance(n, ir.IrCallBuiltin) and n.hook == _SUSPENDING_HOOK)
-        for n in _walk(node))
+def _waits_at(node) -> bool:
+    """Whether `node` may wait on a future, a static call counted as one
+    that goes through `Engine.invoke_static`."""
+    return isinstance(node, _SUSPENDING) or (
+        isinstance(node, ir.IrCallBuiltin) and node.hook == _SUSPENDING_HOOK)
+
+
+class _Image:
+    """What the direct sites of a body see of the image it comes from: its
+    package, constant pool, content hash and class table, by name."""
+
+    def __init__(self, package: str, consts: list[bytes], content_hash: bytes,
+                 classes):
+        self.package = package
+        self.consts = consts
+        self.content_hash = content_hash
+        self.table = classes
+        self.classes = {code.name: code for code in classes}
+
+    def callee(self, node) -> tuple[str, str] | None:
+        """The (class, method) names of the method that the static call
+        `node` calls directly: a static method of this image with no copy
+        parameter and no copy return. None for a call that goes through
+        `Engine.invoke_static`."""
+        cls = node.cls
+        code = (self.classes.get(cls.name) if cls.package == self.package
+                else None)
+        mc = code.method(node.method) if code is not None else None
+        if mc is None or not mc.has(ir.MQ_STATIC) or mc.ret_copy or any(
+                p.copy for p in mc.params):
+            return None
+        return cls.name, node.method
+
+    def waiting(self, cls: str, mc: ir.MethodCode) -> set:
+        """The methods, among `mc` of class `cls` and those it reaches by
+        direct calls, that may wait on a future. It is the least fixpoint
+        in which a method waits if its body has a node that may wait other
+        than a direct call (`_waits_at`), or calls directly a method that
+        waits; so a body that only calls itself, or other bodies that do
+        not wait, is a plain function."""
+        start = (cls, mc.name)
+        calls: dict[tuple, set] = {}  # method -> the methods it calls directly
+        waits = set()
+        todo = [start]
+        while todo:
+            key = todo.pop()
+            if key in calls:
+                continue
+            calls[key] = callees = set()
+            body = mc.body if key == start else (
+                self.classes[key[0]].method(key[1]).body)
+            for node in _walk(body):
+                callee = (self.callee(node) if type(node) is ir.IrCallStatic
+                          else None)
+                if callee is not None:
+                    callees.add(callee)
+                    todo.append(callee)
+                elif _waits_at(node):
+                    waits.add(key)
+        grew = True
+        while grew:
+            grew = False
+            for key, callees in calls.items():
+                if key not in waits and not callees.isdisjoint(waits):
+                    waits.add(key)
+                    grew = True
+        return waits
+
+
+class _Bind:
+    """The callee of a direct site until the site first runs: compiles the
+    callee with the caller's image, puts its function in its own place
+    among the caller's globals, and calls it."""
+
+    __slots__ = ("env", "name", "callee")
+
+    def __init__(self, env: dict, name: str, callee: tuple):
+        self.env, self.name, self.callee = env, name, callee
+
+    def __call__(self, *args):
+        fn = compile_method(*self.callee)[0]
+        self.env[self.name] = fn
+        return fn(*args)
 
 
 def _slot_types(mc: ir.MethodCode) -> dict[int, ir.TypeDesc]:
@@ -445,12 +554,15 @@ class _Scope:
 class _Source:
     """Writes one method body as the source of a Python function."""
 
-    def __init__(self, mc: ir.MethodCode, consts: list[bytes]):
+    def __init__(self, mc: ir.MethodCode, cls, image: _Image):
         self.mc = mc
-        self.consts = consts
+        self.image = image
+        self.consts = image.consts
         self.env = dict(_HELPERS)  # the function's globals
         self.ids = itertools.count()
         self.types = _slot_types(mc)
+        self.waiting = image.waiting(cls.name, mc)
+        self.callees: dict[tuple, str] = {}  # (class, method) -> global
         self.scope = _Scope("    ")
         self.depth = 0  # of the expression being written, in this function
         # Nested functions, all defined at the top of the body's function,
@@ -459,7 +571,7 @@ class _Source:
 
     def function(self, name: str):
         mc = self.mc
-        suspends = _suspends(mc.body)
+        suspends = self.suspends(mc.body)
         n_params = len(mc.params)
         params = "".join(f", l{i}=None" for i in range(n_params))
         self.block(mc.body, self.scope.indent)
@@ -482,6 +594,19 @@ class _Source:
 
     def temp(self) -> str:
         return f"t{next(self.ids)}"
+
+    def suspends(self, node) -> bool:
+        """Whether evaluating `node` may wait on a future: at a node that
+        waits (`_waits_at`) other than a direct call, or at a direct call of
+        a method that waits."""
+        for n in _walk(node):
+            if type(n) is ir.IrCallStatic:
+                callee = self.image.callee(n)
+                if callee is None or callee in self.waiting:
+                    return True
+            elif _waits_at(n):
+                return True
+        return False
 
     def wrap(self, value: str) -> str:
         """`_wrap(value)`, with no call when the value is in range."""
@@ -687,6 +812,26 @@ class _Source:
             return f"({_int_literal(node)})"
         return self.wrap(f"-{self.expr(node.operand)}")
 
+    def call_static(self, node):
+        """A static call: of a method of this image with no copy parameter
+        and no copy return, a direct call of its compiled function, bound
+        when the site first runs (`_Bind`); of any other, through
+        `Engine.invoke_static`."""
+        callee = self.image.callee(node)
+        if callee is None:
+            return (f"(yield from e.invoke_static({self.const(node.cls)}, "
+                    f"{node.method!r}, {self.args(node.args)}, ctx))")
+        fn = self.callees.get(callee)
+        if fn is None:
+            fn = self.callees[callee] = f"d{next(self.ids)}"
+            image = self.image
+            self.env[fn] = _Bind(self.env, fn, (
+                image.classes[callee[0]].method(callee[1]), node.cls,
+                image.consts, image.content_hash, image.table))
+        args = "".join(f", {self.expr(a)}" for a in node.args)
+        call = f"{fn}(e, None, ctx{args})"
+        return f"(yield from {call})" if callee in self.waiting else call
+
     def post_incr(self, node):
         old = self.temp()
         target, delta = node.target, node.delta
@@ -728,13 +873,13 @@ class _Source:
             self.defs.append("        nonlocal " + ", ".join(
                 f"l{slot}" for slot in sorted(inner.writes)))
         self.defs += inner.lines
-        if generator and not _suspends(node):
+        if generator and not self.suspends(node):
             self.defs.append("        yield  # a generator function")
         return fn
 
     def call_nested(self, write, node) -> str:
         fn = self.nested(write, node, False)
-        return f"(yield from {fn}())" if _suspends(node) else f"{fn}()"
+        return f"(yield from {fn}())" if self.suspends(node) else f"{fn}()"
 
     # --- stores ----------------------------------------------------------------
 
@@ -918,9 +1063,7 @@ _EXPRS = {
     ir.IrCallMethod: lambda s, n: (
         f"(yield from e.invoke({s.expr(n.obj)}, {n.method!r}, "
         f"{s.args(n.args)}, ctx))"),
-    ir.IrCallStatic: lambda s, n: (
-        f"(yield from e.invoke_static({s.const(n.cls)}, {n.method!r}, "
-        f"{s.args(n.args)}, ctx))"),
+    ir.IrCallStatic: _Source.call_static,
     ir.IrCallBuiltin: _Source.builtin,
     ir.IrNew: lambda s, n: (
         f"(yield from e.create_object({s.const(n.cls)}, _HEAP, "

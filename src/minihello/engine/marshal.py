@@ -29,18 +29,20 @@ each of its objects as a heap record through the frame's `Intake`, the
 records join the heap once the frame is accepted, and the value is final.
 Each received `char[]` owns the bytes the decoder copied out of the frame.
 All that is left for the receiving task is `from_wire`: to load the
-classes those objects name that this host lacks.
+classes those objects name that this host lacks, then to check that each
+object has the fields of its class.
 """
 
 from __future__ import annotations
 
 import struct
 
-from ..errors import E_NON_COPYABLE, EngineError
+from ..errors import E_NON_COPYABLE, E_UNKNOWN_CLASS, EngineError
 from ..frontend.types import STD_PACKAGE
 from ..net.wirevalues import write_value
 from ..runpack import ir
 from ..values import Array, CharArray, ObjectRef
+from .machine import fits
 from .objects import ObjectRecord
 
 _U16 = struct.Struct(">H")
@@ -184,12 +186,29 @@ class Intake:
         self.engine.objects.update(self.records)
 
 
-def from_wire(engine, missing: list, fetch_from: str | None, ctx):
-    """Load the classes of received objects that this host lacks
-    (`Intake.missing`), from `fetch_from`, in order. Generator: may wait on
-    a fetch."""
-    for cls in missing:
+def from_wire(engine, intake: Intake, fetch_from: str | None, ctx):
+    """Load the classes of the objects of `intake` that this host lacks
+    (`Intake.missing`), from `fetch_from`, in order. Then refuse, with
+    UnknownClass, an object that has not the field count of its class, or
+    a field that is not a value of its declared type (`machine.fits`):
+    the records keep the fields their sender wrote, and a compiled body's
+    typed sites trust them. Generator: may wait on a fetch."""
+    for cls in intake.missing:
         yield from engine.ensure_class(cls, fetch_from, ctx)
+    # Without an array among them, the types of an object's fields decide
+    # whether it fits, so each such shape is checked once per frame.
+    fitting = set()  # (class, the type of each field)
+    for record in intake.records.values():
+        shape = (record.cls, *map(type, record.fields))
+        if shape in fitting:
+            continue
+        want = [ty for _, ty in engine.classes[record.cls].code.fields]
+        if len(record.fields) != len(want) or not all(
+                map(fits, want, record.fields)):
+            raise EngineError(E_UNKNOWN_CLASS, f"a received {record.cls} "
+                              "does not have the fields of its class here")
+        if Array not in shape:
+            fitting.add(shape)
 
 
 def marshal_args(engine, params: list[ir.IrParam] | None, args: list, *,

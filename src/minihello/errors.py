@@ -27,6 +27,7 @@ E_ACCESS_VIOLATION = "AccessViolation"
 E_UNKNOWN_OBJECT = "UnknownObject"
 E_UNKNOWN_METHOD = "UnknownMethod"
 E_NON_COPYABLE = "NonCopyableValue"
+E_STACK_OVERFLOW = "StackOverflow"
 
 # Queues and events
 E_UNKNOWN_EVENT = "UnknownEvent"

@@ -8,6 +8,11 @@ Future resolves. A HostView's core keeps time: the simulator's
 `Node`'s `LoopCore` runs the node's asyncio event loop. Queue requests
 execute strictly one at a time, in enqueue order. All of a host's state is
 touched from one thread only, so nothing here takes a lock.
+
+A task whose calls nest deeper than Python's recursion limit fails with a
+StackOverflow fault, as any other fault of the task, and its queue goes on
+to the next request: a compiled body calls the static methods of its own
+image as Python functions, so a Hello call is a Python call.
 """
 
 from __future__ import annotations
@@ -16,8 +21,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import EngineError
+from .errors import E_STACK_OVERFLOW, EngineError
 from .security import CredentialSet
+
+
+def _fault(exc: Exception) -> EngineError:
+    """The fault of a task that raised `exc`, an EngineError or a
+    RecursionError."""
+    if isinstance(exc, RecursionError):
+        return EngineError(E_STACK_OVERFLOW,
+                           "calls nest deeper than the stack")
+    return exc
 
 
 class Future:
@@ -157,8 +171,8 @@ class HostView:
         queue.busy = True
         try:
             gen = request.factory()
-        except EngineError as err:
-            request.finish(error=err)
+        except (EngineError, RecursionError) as exc:
+            request.finish(error=_fault(exc))
             self._finish(queue)
             return
         if hasattr(gen, "send"):
@@ -176,8 +190,8 @@ class HostView:
             except StopIteration as stop:
                 value, error = stop.value, None
                 break
-            except EngineError as err:
-                value, error = None, err
+            except (EngineError, RecursionError) as exc:
+                value, error = None, _fault(exc)
                 break
             if not isinstance(fut, Future):
                 raise AssertionError(f"task yielded a non-future: {fut!r}")

@@ -109,6 +109,7 @@ external class Node {
     public Node b;
     public int tag;
     public char[] label;
+    public Node[] all;
 }
 class Hidden {
     public int x;

@@ -62,7 +62,7 @@ class TestZeroCopyPins:
         intake = Intake(engine)
         value = decode_value(encode_value(CharArray(bulk())), intake)
         _, rise = peak_rise(
-            lambda: run_generator(from_wire(engine, intake.missing, None, None)))
+            lambda: run_generator(from_wire(engine, intake, None, None)))
         assert value.data == bulk()
         assert rise < MIB
 

@@ -27,7 +27,8 @@ def graph_scenario(graph_image, hosts=("a", "b"), seed=0):
 
 
 def make_node(engine, tag=0, label=b""):
-    return engine.alloc_object(NODE, None, [None, None, tag, CharArray(label)])
+    return engine.alloc_object(NODE, None,
+                               [None, None, tag, CharArray(label), None])
 
 
 def build_random_graph(engine, rng: random.Random, n_nodes: int):
@@ -46,8 +47,7 @@ def build_random_graph(engine, rng: random.Random, n_nodes: int):
     record = engine.deref(root)
     record.fields[1] = refs[rng.randrange(n_nodes)] if refs else None
     # hang the full node list off the root so reachability is total
-    spine = Array(TAG_OBJECT, list(refs))
-    record.fields = record.fields[:3] + [spine]
+    record.fields[4] = Array(TAG_OBJECT, list(refs))
     return root
 
 

@@ -69,6 +69,24 @@ class TestHandshake:
         # one connection remains, and it is the one a dialed
         assert a.neighbors["b"].peer is b.neighbors["a"]
 
+    def test_a_hello_from_a_connected_neighbor_is_refused(self):
+        scen = line_scenario(["a", "b"])
+        a, b = scen.hosts["a"].router, scen.hosts["b"].router
+        kept = a.neighbors["b"]
+        fut = None
+
+        def dial():
+            nonlocal fut
+            fut = b.connect("a")
+
+        scen.core.schedule(0, dial, "b")
+        scen.core.run_until_quiet()
+        with pytest.raises(EngineError) as exc:
+            fut.result()
+        assert exc.value.code == "ConnectRefused"
+        assert a.neighbors["b"] is kept
+        assert b.neighbor_names() == ["a"]
+
     def test_dial_without_link_refused(self):
         scen = Scenario(seed=0)
         scen.add_host("a")
@@ -508,8 +526,10 @@ class TestPackFetch:
         scen = mesh_scenario(["a", "b"], seed=0)
         ea, eb = scen.hosts["a"].engine, scen.hosts["b"].engine
         ea.install_image(graph_image)
-        one = ea.alloc_object(NODE, None, [None, None, 1, CharArray(b"one")])
-        two = ea.alloc_object(NODE, None, [one, one, 2, CharArray(b"two")])
+        one = ea.alloc_object(NODE, None,
+                              [None, None, 1, CharArray(b"one"), None])
+        two = ea.alloc_object(NODE, None,
+                              [one, one, 2, CharArray(b"two"), None])
         ea.deref(one).fields[0] = two
         copy_ref = run_task(scen, "a",
                             lambda e, ctx: e.deep_copy(one, "b", ctx))
@@ -839,3 +859,102 @@ class TestMalformedUserCalls:
         assert [code for code, _ in eb.error_log] == ["RemoteException"]
         assert "'add' takes no such arguments" in eb.error_log[0][1]
         assert eb.deref(target).fields == [5, Char(0)]
+
+
+HELD = ClassKey("held", "Box")
+HELD_SRC = """
+package held;
+external class Box {
+    public int n;
+    public int[] xs;
+    public Box next;
+    external public Box() {}
+    public external int twice(copy Box x) { return x.n * 2; }
+    public external copy Box itself() { return this; }
+}
+"""
+
+
+class TestReceivedObjects:
+    """An object received by value keeps the fields its sender wrote. One
+    that has not the field count of its class, or a field that is not a
+    value of the field's type, is refused once its class is loaded: an
+    INVOKE that carries one is answered with one ERROR, and a reply that
+    carries one fails the call. So does a reply that is not a value of the
+    method's return type. No compiled body sees either."""
+
+    @pytest.fixture()
+    def scen(self):
+        scen = mesh_scenario(["a", "b"], seed=3)
+        image = compile_text(HELD_SRC)
+        for name in ("a", "b"):
+            scen.hosts[name].engine.install_image(image)
+        return scen
+
+    @pytest.mark.parametrize("fields", [
+        [CharArray(b"7"), None, None],
+        [1, None, None, 2],
+        [],
+        # a second object with the field types of the first, which fits
+        [1, Array(TAG_INT, [1]), [Array(TAG_INT, [CharArray(b"7")])]],
+    ], ids=["chars-for-int", "extra-field", "no-field", "chars-in-ints-next"])
+    def test_an_invoke_carrying_one_is_answered_with_one_error(self, scen,
+                                                               fields):
+        ea, eb = scen.hosts["a"].engine, scen.hosts["b"].engine
+        target = eb.alloc_object(HELD, 0, [1, None, None])
+        bad = ea.alloc_object(HELD, None, fields)
+        if len(fields) == 3 and isinstance(fields[2], list):
+            fields[2] = ea.alloc_object(HELD, None, [2, *fields[2], bad])
+        good = ea.alloc_object(HELD, None, [7, Array(TAG_INT, [1]), None])
+
+        def call(arg):
+            return lambda engine, ctx: engine.invoke(target, "twice", [arg],
+                                                     ctx)
+
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", call(bad))
+        assert exc.value.code == "UnknownClass"
+        assert frames_from(scen, "b", "ERROR") == 1
+        assert eb.error_log == []
+        assert all(q.idle() for q in eb.queues.values())
+        assert run_task(scen, "a", call(good)) == 14
+
+    def test_a_reply_carrying_one_fails_the_call(self, scen):
+        ea, eb = scen.hosts["a"].engine, scen.hosts["b"].engine
+        bad = eb.alloc_object(HELD, 0, [CharArray(b"7"), None, None])
+        good = eb.alloc_object(HELD, 0, [7, None, None])
+
+        def call(target):
+            return lambda engine, ctx: engine.invoke(target, "itself", [], ctx)
+
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", call(bad))
+        assert exc.value.code == "UnknownClass"
+        assert all(q.idle() for q in ea.queues.values())
+        copy = run_task(scen, "a", call(good))
+        assert copy.host == "a" and ea.deref(copy).fields == [7, None, None]
+
+    def test_a_reply_of_another_type_fails_the_call(self):
+        """Host b runs another version of the package, whose `get` returns
+        a `char[]` where a's returns an `int`."""
+        source = """
+package ver;
+external class Box {
+    public int n;
+    external public Box() {}
+    public external %s
+}
+%s"""
+        scen = mesh_scenario(["a", "b"], seed=3)
+        scen.hosts["a"].engine.install_image(compile_text(source % (
+            "int get() { return n; }",
+            "class M { static public int use(Box b) { return b.get() + 1; } }")))
+        scen.hosts["b"].engine.install_image(compile_text(source % (
+            'char[] get() { return "x"; }', "")))
+        box = scen.hosts["b"].engine.alloc_object(ClassKey("ver", "Box"), 0,
+                                                  [1])
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", lambda e, ctx: e.invoke_static(
+                ClassKey("ver", "M"), "use", [box], ctx))
+        assert exc.value.code == "UnknownMethod"
+        assert all(q.idle() for q in scen.hosts["a"].engine.queues.values())

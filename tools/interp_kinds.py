@@ -18,6 +18,13 @@ kind. One more call of each kernel, outside the timing, runs under
 (a compiled body is named `package.Class.method`); it prints those counts
 per kind, then all of it as one JSON object.
 
+It also prints, per kind, the compiled bodies that call entered (the calls
+of a function compiled from a Hello method, `<hello package.Class.method>`)
+next to its calls of `Engine._run_body`. That is the body count now: a
+compiled body calls the static methods of its own image directly, so the
+traced `machine.bodies`, which `bench/tracing.py` counts at `_run_body`,
+counts only the bodies entered through the engine.
+
 The image goes through its bytes because a decoded image is what hosts
 run: each IR node read from a `.rpk` has a `ClassKey` object of its own,
 where an image compiled in memory shares one per class. A field access
@@ -64,21 +71,26 @@ def call(engine, cls: ClassKey, method: str, args: list, ctx):
 
 
 def profiled_call(engine, cls: ClassKey, method: str, args: list, ctx):
-    """`call` under a profile function: the result, and how many times the
-    call entered each Python function, by code name."""
+    """`call` under a profile function: the result, how many times the call
+    entered each Python function, by code name, and how many times it
+    entered a compiled body."""
     counts: dict[str, int] = {}
+    bodies = 0
 
     def profile(frame, event, arg):
+        nonlocal bodies
         if event == "call" and frame.f_code is not call.__code__:
-            name = frame.f_code.co_name
-            counts[name] = counts.get(name, 0) + 1
+            code = frame.f_code
+            counts[code.co_name] = counts.get(code.co_name, 0) + 1
+            if code.co_filename == f"<hello {code.co_name}>":
+                bodies += 1
 
     sys.setprofile(profile)
     try:
         got = call(engine, cls, method, args, ctx)
     finally:
         sys.setprofile(None)
-    return got, counts
+    return got, counts, bodies
 
 
 def main(argv: list[str]) -> int:
@@ -118,10 +130,10 @@ def main(argv: list[str]) -> int:
             if rep:
                 times[kind].append(elapsed)
 
-    calls = {}
+    calls, bodies = {}, {}
     for kind in interp.KINDS:
         idx, size = first[kind], interp.SIZES[kind]
-        got, calls[kind] = profiled_call(
+        got, calls[kind], bodies[kind] = profiled_call(
             engine, ClassKey(interp.PACKAGE, f"K{kind}"), f"{kind}{idx}",
             [size, 0], ctx)
         if got != MODELS[kind](recipe.kernels[kind][idx], size, 0):
@@ -137,8 +149,13 @@ def main(argv: list[str]) -> int:
         counts = dict(sorted(calls[kind].items(), key=lambda kv: (-kv[1], kv[0])))
         summary[kind] = {"kernel": f"{kind}{first[kind]}",
                          "median_us": round(med, 1), "min_us": round(low, 1),
-                         "calls": counts}
+                         "bodies": bodies[kind], "calls": counts}
         print(f"{kind:<8} {kind + str(first[kind]):<10} {med:>10.1f} {low:>9.1f}")
+    print("Compiled bodies entered by one kernel call, and its calls of"
+          " Engine._run_body:")
+    for kind in interp.KINDS:
+        print(f"{kind:<8} bodies {bodies[kind]}, _run_body "
+              f"{calls[kind].get('_run_body', 0)}")
     print("Python function calls of one kernel call, by code name:")
     for kind in interp.KINDS:
         print(f"{kind:<8} " + ", ".join(
