@@ -407,7 +407,10 @@ class Engine:
                received: bool = False):
         """Call a method through a reference, local or remote. An argument
         list that was `received` is checked at the callee, and a reply must
-        be a value of the return type the method has here. Generator."""
+        be a value of the return type the method has here: the target's
+        class is loaded for it, from the target's host when this host has
+        not its package, and a class here that has not the method refuses
+        the reply. Generator."""
         if ref is None:
             raise wrap_remote(EngineError(E_NULL_REF, f"call of '{method}' on null"))
         if not isinstance(ref, ObjectRef):
@@ -418,10 +421,17 @@ class Engine:
         fut = self.send_request(ref.host, frames.INVOKE,
                                 self._call_payload(ref, method, args, ctx))
         value = yield from self.reply_value(fut, ref.host, ctx)
+        if method in SYS_METHODS:
+            return value
         rc = self.classes.get(ref.cls)
-        mc = rc.method(method) if rc is not None else None
-        if mc is not None and mc.ret != ir.TD_VOID and not machine.fits(
-                mc.ret, value):
+        if rc is None:
+            rc = yield from self.ensure_class(ref.cls, ref.host, ctx)
+        mc = rc.method(method)
+        if mc is None:
+            if rc.native(method) is None:
+                raise EngineError(E_UNKNOWN_METHOD,
+                                  f"{ref.cls} has no method '{method}' here")
+        elif mc.ret != ir.TD_VOID and not machine.fits(mc.ret, value):
             raise EngineError(E_UNKNOWN_METHOD,
                               f"'{method}' replied with no value of its type")
         return value

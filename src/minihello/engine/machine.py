@@ -24,7 +24,8 @@ hash and class table), and puts the function in its own place. Every other
 static call goes through `Engine.invoke_static`, which stays the one generic
 path: main, a call from outside the image, and a callee with a `copy`
 parameter or return, which it marshals. Only bodies of an image with a
-content hash have direct sites.
+content hash, compiled with its class table, have direct sites, and only
+they are shared.
 A site is bound within its own image and needs no guard: bodies are shared
 between engines by (content hash, class, method), and one image's class
 table never changes. So a body that waits while its own package is
@@ -396,13 +397,14 @@ def compile_method(mc: ir.MethodCode, cls, consts: list[bytes],
     """Compile a method body of class `cls` (a ClassKey), whose image has
     constant pool `consts` and class table `classes`. Returns (fn,
     suspends); when `suspends`, fn is a generator function. Bodies of an
-    image with a content hash are shared, and only they call the static
-    methods of their own image directly."""
-    key = (content_hash, cls, mc.name) if content_hash else None
+    image with a content hash, compiled with its class table, are shared,
+    and only they call the static methods of their own image directly: a
+    shared body always has its direct sites."""
+    key = (content_hash, cls, mc.name) if content_hash and classes else None
     compiled = _SHARED.get(key) if key else None
     if compiled is None:
         image = _Image(cls.package, consts, content_hash,
-                       classes if content_hash else ())
+                       classes if key else ())
         compiled = _Source(mc, cls, image).function(
             f"{cls.package}.{cls.name}.{mc.name}")
         if key:

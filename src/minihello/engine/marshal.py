@@ -195,20 +195,12 @@ def from_wire(engine, intake: Intake, fetch_from: str | None, ctx):
     typed sites trust them. Generator: may wait on a fetch."""
     for cls in intake.missing:
         yield from engine.ensure_class(cls, fetch_from, ctx)
-    # Without an array among them, the types of an object's fields decide
-    # whether it fits, so each such shape is checked once per frame.
-    fitting = set()  # (class, the type of each field)
     for record in intake.records.values():
-        shape = (record.cls, *map(type, record.fields))
-        if shape in fitting:
-            continue
         want = [ty for _, ty in engine.classes[record.cls].code.fields]
         if len(record.fields) != len(want) or not all(
                 map(fits, want, record.fields)):
             raise EngineError(E_UNKNOWN_CLASS, f"a received {record.cls} "
                               "does not have the fields of its class here")
-        if Array not in shape:
-            fitting.add(shape)
 
 
 def marshal_args(engine, params: list[ir.IrParam] | None, args: list, *,

@@ -16,8 +16,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minihello.engine import machine
 from minihello.engine.engine import TaskCtx
 from minihello.errors import E_ARITHMETIC, E_STACK_OVERFLOW, EngineError
+from minihello.runpack.image import compute_hash
 from minihello.values import ClassKey
 
 from conftest import compile_text, mesh_scenario, run_task
@@ -239,6 +241,20 @@ def test_two_engines_share_one_body_and_its_bound_sites():
     # the site in fib's globals is bound to fib itself, for both engines
     assert fib[0] in fib[0].__globals__.values()
     assert static(scen, "b", "fib", [13]) == 233
+
+
+def test_a_body_compiled_without_its_class_table_is_not_shared():
+    """A body compiled with its image's content hash but not its class
+    table has no direct site, so it is not shared: a compile with the table
+    still gets the body whose recursive site is direct."""
+    fib = next(m for c in IMAGE.classes if c.name == "A" for m in c.methods
+               if m.name == "fib")
+    digest = compute_hash(IMAGE)
+    alone = machine.compile_method(fib, A, IMAGE.constants, digest)
+    assert alone[1] is True  # its call of itself goes through invoke_static
+    shared = machine.compile_method(fib, A, IMAGE.constants, digest,
+                                    IMAGE.classes)
+    assert shared[1] is False and shared[0] is not alone[0]
 
 
 PARKED_SRC = """

@@ -895,7 +895,7 @@ class TestReceivedObjects:
         [CharArray(b"7"), None, None],
         [1, None, None, 2],
         [],
-        # a second object with the field types of the first, which fits
+        # an object that fits, whose next has a char[] in its int[]
         [1, Array(TAG_INT, [1]), [Array(TAG_INT, [CharArray(b"7")])]],
     ], ids=["chars-for-int", "extra-field", "no-field", "chars-in-ints-next"])
     def test_an_invoke_carrying_one_is_answered_with_one_error(self, scen,
@@ -958,3 +958,62 @@ external class Box {
                 ClassKey("ver", "M"), "use", [box], ctx))
         assert exc.value.code == "UnknownMethod"
         assert all(q.idle() for q in scen.hosts["a"].engine.queues.values())
+
+    @pytest.mark.parametrize("other", ["", """
+external class Other {
+    external public Other() {}
+}"""], ids=["no-class", "no-method"])
+    def test_a_reply_of_a_class_that_differs_here_fails_the_call(self, other):
+        """Host b's `Box.other` returns an `Other`, whose `get` returns a
+        `char[]`. Host a's version of the package has no `Other`, or one
+        with no `get`, so it cannot check `get`'s reply: the call fails."""
+        scen = mesh_scenario(["a", "b"], seed=3)
+        scen.hosts["a"].engine.install_image(compile_text("""
+package ver;
+external class Box {
+    external public Box() {}
+    public external Box other() { return this; }
+    public external int get() { return 1; }
+}
+class M {
+    static public int use(Box b) { Box o = b.other(); return o.get() + 1; }
+}""" + other))
+        scen.hosts["b"].engine.install_image(compile_text("""
+package ver;
+external class Other {
+    external public Other() {}
+    public external char[] get() { return "x"; }
+}
+external class Box {
+    external public Box() {}
+    public external Other other() { return new Other(); }
+}"""))
+        box = scen.hosts["b"].engine.alloc_object(ClassKey("ver", "Box"), 0,
+                                                  [])
+        with pytest.raises(EngineError) as exc:
+            run_task(scen, "a", lambda e, ctx: e.invoke_static(
+                ClassKey("ver", "M"), "use", [box], ctx))
+        assert exc.value.code == ("UnknownMethod" if other else "UnknownClass")
+        assert all(q.idle() for q in scen.hosts["a"].engine.queues.values())
+
+    def test_a_reply_of_a_package_not_loaded_here_is_checked(self, scen):
+        """Host a has never loaded package `far`: it fetches it from the
+        target's host once, to check the reply against `get`'s type."""
+        scen.hosts["b"].engine.install_image(compile_text("""
+package far;
+external class Box {
+    public int n;
+    external public Box() {}
+    public external int get() { return n; }
+}"""))
+        ea = scen.hosts["a"].engine
+        box = scen.hosts["b"].engine.alloc_object(ClassKey("far", "Box"), 0,
+                                                  [4])
+
+        def task(engine, ctx):
+            first = yield from engine.invoke(box, "get", [], ctx)
+            return first + (yield from engine.invoke(box, "get", [], ctx))
+
+        assert run_task(scen, "a", task) == 8
+        assert ClassKey("far", "Box") in ea.classes
+        assert frames_from(scen, "b", "PACK_DATA") == 1
