@@ -22,7 +22,8 @@ The RPC core does each job at one site:
   and reads only the wire values around them;
 - a frame's values are decoded into the heap through one `Intake`, whose
   records join `objects` once the frame is accepted; the task that serves
-  it, or waits for it (`reply_value`), runs `from_wire` first.
+  it, waits for it (`reply_value`) or fires the event whose slot it fills,
+  runs `from_wire` first.
 It stays in this module and class because `bench/tracing.py` wraps
 `Engine.handle_wire_frame` and `Engine._run_body` in the class's own
 namespace, and the codec and marshaling functions in this module's.
@@ -135,25 +136,20 @@ class TaskCtx:
 
 
 class RuntimeClass:
-    """A loaded class: IR code plus any native method bindings. It keeps
-    its image's class table (`image_classes`), where the compiler finds the
-    static methods that a body calls directly."""
+    """A loaded class: IR code, the `machine.Image` it was installed from,
+    and any native method bindings."""
 
-    __slots__ = ("key", "code", "consts", "content_hash", "image_classes",
-                 "natives", "_field_slots", "_bodies")
+    __slots__ = ("key", "code", "image", "natives", "_slots", "_bodies")
 
-    def __init__(self, key: ClassKey, code: ir.ClassCode, consts: list[bytes],
-                 natives: dict | None = None, content_hash: bytes = b"",
-                 image_classes: list[ir.ClassCode] = ()):
+    def __init__(self, key: ClassKey, code: ir.ClassCode, image: machine.Image,
+                 natives: dict | None = None):
         self.key = key
         self.code = code
-        self.consts = consts
-        self.content_hash = content_hash  # of the image, b"" for builtins
-        self.image_classes = image_classes
+        self.image = image
         self.natives = natives or {}
-        self._field_slots = {}
+        self._slots = {}  # field name -> slot
         for i, (fname, _) in enumerate(code.fields):
-            self._field_slots.setdefault(fname, i)  # the first one wins
+            self._slots.setdefault(fname, i)  # the first one wins
         self._bodies = {}  # method name -> machine.compile_method(...)
 
     def has(self, bit: int) -> bool:
@@ -166,7 +162,7 @@ class RuntimeClass:
         return self.natives.get(name)
 
     def field_index(self, name: str) -> int | None:
-        return self._field_slots.get(name)
+        return self._slots.get(name)
 
     def compiled(self, mc: ir.MethodCode):
         """The (body, suspends) pair of one of this class's methods,
@@ -174,12 +170,11 @@ class RuntimeClass:
         body = self._bodies.get(mc.name)
         if body is None:
             body = self._bodies[mc.name] = machine.compile_method(
-                mc, self.key, self.consts, self.content_hash,
-                self.image_classes)
+                mc, self.key, self.image)
         return body
 
 
-def _builtin_runtime_classes() -> dict[ClassKey, RuntimeClass]:
+def _builtin_classes() -> dict[ClassKey, RuntimeClass]:
     """The builtin classes as the checker sees them (`BUILTIN_CLASSES`),
     lowered as the checker lowers a declared class, with their native
     methods."""
@@ -189,7 +184,7 @@ def _builtin_runtime_classes() -> dict[ClassKey, RuntimeClass]:
                                 for m in sig.methods.values()])
         natives = {name: fn for (ckey, name), fn in NATIVE_METHODS.items()
                    if ckey == sig.key}
-        out[sig.key] = RuntimeClass(sig.key, code, [], natives)
+        out[sig.key] = RuntimeClass(sig.key, code, machine.Image("", []), natives)
     return out
 
 
@@ -220,14 +215,9 @@ class Engine:
         self.incarnation = incarnation
 
         self.packstore = PackStore()
-        self.classes: dict[ClassKey, RuntimeClass] = _builtin_runtime_classes()
-        # What the compiled bodies look up by class, filled on first use and
-        # cleared whenever `classes` changes: (class, field name) -> slot,
-        # and (class, method) -> (rc, mc, plain) of a static method. The
-        # layout token is replaced then too: it guards the slots that the
-        # field access sites of compiled bodies, which engines share, cache.
-        self.field_slots: dict[tuple[ClassKey, str], int] = {}
-        self._statics: dict[tuple[ClassKey, str], tuple] = {}
+        self.classes: dict[ClassKey, RuntimeClass] = _builtin_classes()
+        # Replaced whenever `classes` changes: it guards the slots that the
+        # field access sites of compiled bodies cache (`machine.py`).
         self.layout = object()
 
         # every object of this host, keyed by oid; oids are never reused
@@ -320,21 +310,18 @@ class Engine:
 
     # ----------------------------------------------------------------- classes
 
-    def runtime_class(self, key: ClassKey) -> RuntimeClass | None:
-        return self.classes.get(key)
-
     def install_image(self, image: RunpackImage, origin: str = "local-disk") -> None:
         self.packstore.install(image, origin)
+        loaded = None  # the machine.Image its classes share, built once
         for code in image.classes:
             key = ClassKey(image.package, code.name)
             rc = self.classes.get(key)
-            if rc is not None and rc.code is code and rc.consts is image.constants:
+            if rc is not None and rc.code is code \
+                    and rc.image.consts is image.constants:
                 continue  # the same image again: keep its compiled methods
-            self.classes[key] = RuntimeClass(
-                key, code, image.constants, content_hash=image.content_hash,
-                image_classes=image.classes)
-            self.field_slots.clear()
-            self._statics.clear()
+            loaded = loaded or machine.Image(image.package, image.constants,
+                                             image.content_hash, image.classes)
+            self.classes[key] = RuntimeClass(key, code, loaded)
             self.layout = object()
 
     def ensure_class(self, key: ClassKey, fetch_from: str | None, ctx):
@@ -350,16 +337,6 @@ class Engine:
         if rc is None:
             raise EngineError(E_UNKNOWN_CLASS, f"{key} missing after fetch")
         return rc
-
-    def field_index(self, cls: ClassKey, name: str) -> int | None:
-        """The slot of field `name` in objects of `cls`, which it enters in
-        `field_slots`; None when the class is not loaded or has no such
-        field."""
-        rc = self.classes.get(cls)
-        idx = rc.field_index(name) if rc is not None else None
-        if idx is not None:
-            self.field_slots[cls, name] = idx
-        return idx
 
     def param_sigs(self, cls: ClassKey, method: str):
         if method in SYS_METHODS:
@@ -423,9 +400,7 @@ class Engine:
         value = yield from self.reply_value(fut, ref.host, ctx)
         if method in SYS_METHODS:
             return value
-        rc = self.classes.get(ref.cls)
-        if rc is None:
-            rc = yield from self.ensure_class(ref.cls, ref.host, ctx)
+        rc = yield from self.ensure_class(ref.cls, ref.host, ctx)
         mc = rc.method(method)
         if mc is None:
             if rc.native(method) is None:
@@ -479,25 +454,15 @@ class Engine:
         """Call a static method: the generic path, which main, a call from
         another image and a callee with a copy parameter or return take; a
         compiled body calls the other statics of its own image directly
-        (`machine.py`). The method is looked up once per class image and
-        kept in `_statics`; a call to a method with no copy parameter and no
-        copy return passes its values as they are. Generator."""
-        try:
-            rc, mc, plain = self._statics[cls, method]
-        except KeyError:
-            rc = self.classes.get(cls)
-            if rc is None:
-                raise EngineError(E_UNKNOWN_CLASS, f"unknown class {cls}") from None
-            mc = rc.method(method)
-            if mc is None or not mc.has(ir.MQ_STATIC):
-                raise EngineError(E_UNKNOWN_METHOD,
-                                  f"{cls} has no static '{method}'") from None
-            plain = not mc.ret_copy and not any(p.copy for p in mc.params)
-            self._statics[cls, method] = rc, mc, plain
+        (`machine.py`). Generator."""
+        rc = self.classes.get(cls)
+        if rc is None:
+            raise EngineError(E_UNKNOWN_CLASS, f"unknown class {cls}")
+        mc = rc.method(method)
+        if mc is None or not mc.has(ir.MQ_STATIC):
+            raise EngineError(E_UNKNOWN_METHOD, f"{cls} has no static '{method}'")
         # faults in a static body propagate bare: there is no caller-callee
         # hop to wrap them for
-        if plain:
-            return (yield from self._run_body(rc, mc, None, args, ctx))
         call_args = marshal_args(self, list(mc.params), args, post=False)
         result = yield from self._run_body(rc, mc, None, call_args, ctx)
         return local_copy(self, result) if mc.ret_copy else result
@@ -691,6 +656,8 @@ class Engine:
     def _task_event_fire(self, ev: EventRecord, ctx):
         self.events.pop(ev.eid, None)
         try:
+            for intake, sender in ev.received:
+                yield from from_wire(self, intake, sender, ctx)
             yield from self.invoke(ev.target, ev.method,
                                    [value for _filled, value in ev.slots], ctx,
                                    received=True)
@@ -1028,13 +995,13 @@ class Engine:
         # $getf and $setf
         record = self.deref(target)
         name = args[0].to_str()
-        idx = self.field_index(record.cls, name)
+        rc = self.classes.get(record.cls)
+        idx = rc.field_index(name) if rc is not None else None
         if idx is None or idx >= len(record.fields):
             raise wrap_remote(EngineError(E_UNKNOWN_METHOD, f"no field {name}"))
         if method == "$getf":
             return _leaving(to_wire, self, record.fields[idx], False)
-        if not machine.fits(self.classes[record.cls].code.fields[idx][1],
-                            args[1]):
+        if not machine.fits(rc.code.fields[idx][1], args[1]):
             raise wrap_remote(EngineError(
                 E_UNKNOWN_METHOD, f"field {name} takes no such value"))
         record.fields[idx] = args[1]
@@ -1180,6 +1147,7 @@ class Engine:
                 value = decode_value_prefix(r, intake)
                 ev = self._free_slot(eid, slot)
                 intake.commit()
+                ev.received.append((intake, sender))
                 status = self._fill_local(ev, slot, value, sender)
                 self._reply_value(meta, frame.corr, 1 if status == "fired" else 0)
         except EngineError as err:
@@ -1278,7 +1246,17 @@ class Engine:
         return all(q.idle() for q in self.queues.values()) and not self.pending
 
     def remote_get_field(self, ref: ObjectRef, name: str, ctx):
-        return (yield from self.invoke(ref, "$getf", [CharArray.from_str(name)], ctx))
+        """A field of an object on another host. The reply must be a value
+        of the field's type here: the ref's class is loaded for it, as for
+        a method's reply. Generator."""
+        value = yield from self.invoke(ref, "$getf", [CharArray.from_str(name)],
+                                       ctx)
+        rc = yield from self.ensure_class(ref.cls, ref.host, ctx)
+        idx = rc.field_index(name)
+        if idx is None or not machine.fits(rc.code.fields[idx][1], value):
+            raise EngineError(E_UNKNOWN_CLASS, f"field {name} of {ref.cls} "
+                              "replied with no value of its type here")
+        return value
 
     def remote_set_field(self, ref: ObjectRef, name: str, value, ctx):
         return (yield from self.invoke(ref, "$setf",

@@ -1,11 +1,12 @@
 """Compiles runpack IR method bodies to Python functions.
 
 The first time a method runs, `compile_method` writes its body as the source
-of one Python function and compiles it with `compile()`. The engine caches
-the function on the method's RuntimeClass, and a cache here shares it
-between engines: it is keyed by the image's content hash, the class and the
-method, so a host that loads or fetches a package it has seen before does
-not compile it again.
+of one Python function and compiles it with `compile()`, with its image's
+`Image`, which the engine builds once per installed image. The engine
+caches the function on the method's RuntimeClass, and a cache here shares
+it between engines: it is keyed by the image's content hash, the class and
+the method, so a host that loads or fetches a package it has seen before
+does not compile it again.
 
 The function is `f(e, this, ctx, l0=None, l1=None, ..., *_)`: the engine,
 the receiver (None in a static method), the task context and the arguments.
@@ -19,13 +20,12 @@ callee's compiled function, `d<n>(e, None, ctx, args...)`, with the
 arguments evaluated left to right, as `Engine.invoke_static` gets them, and
 faults passing through bare, as they pass through it. The global `d<n>`
 starts as a `_Bind`, which at the site's first run compiles the callee
-through `compile_method`, with the caller's image (its constants, content
-hash and class table), and puts the function in its own place. Every other
-static call goes through `Engine.invoke_static`, which stays the one generic
-path: main, a call from outside the image, and a callee with a `copy`
-parameter or return, which it marshals. Only bodies of an image with a
-content hash, compiled with its class table, have direct sites, and only
-they are shared.
+through `compile_method` with the caller's `Image` and puts the function in
+its own place. Every other static call goes through `Engine.invoke_static`,
+which stays the one generic path: main, a call from outside the image, and
+a callee with a `copy` parameter or return; it looks the method up and
+marshals the arguments on every call. Only bodies of an image with a
+content hash have direct sites, and only they are shared.
 A site is bound within its own image and needs no guard: bodies are shared
 between engines by (content hash, class, method), and one image's class
 table never changes. So a body that waits while its own package is
@@ -37,7 +37,7 @@ A body with a node that may wait on a future is a generator function, and
 on another host), method calls, static calls through the engine, direct
 calls of a body that may wait, `new` and `create`, `<=>`, `.+`, and the
 `exec_read` builtin, which waits for a command's output. Whether a method
-may wait is a whole-image analysis (`_Image.waiting`), a least fixpoint
+may wait is an analysis over the image (`Image.waiting`), a least fixpoint
 over direct calls: a method waits only if its body has a node that may
 wait other than a direct call, or calls directly a method that waits. So a
 body that only calls itself, as a recursive function does, is a plain
@@ -54,7 +54,8 @@ Each operator is one template in `_BINOPS`, calling one helper where it
 needs one (`_wrap`, `_div`, `_mod`, `_eq`, `_compare`, `_read_index`,
 `_write_index`, `_append`): integers wrap at 64 bits (`_wrap` runs only when
 a result leaves the range), `/` and `%` truncate, and division by zero and
-out-of-range indexing raise engine faults.
+out-of-range indexing raise engine faults (`values.wrap_i64`, `div_i64`
+and `mod_i64` compute, and the checker folds constants with them).
 
 A type pass, `_Source.ty`, types each expression from what the body fixes:
 literals, the declared types of slots (a slot counts only if it is declared
@@ -75,10 +76,9 @@ call that helper on their slow path, which raises the same fault:
   bodies are shared between engines, and an engine replaces its `layout`
   token whenever `install_image` changes a class. On a miss,
   `_get_field`/`_set_field` call `Engine.deref` for a missing record or one
-  of another partition, which raises its fault, check an ACL, find the slot
-  in the engine's `field_slots` (filled by `Engine.field_index`, or the slot
-  the IR was lowered with when the class is not loaded) and refill the
-  cache.
+  of another partition, which raises its fault, check an ACL, take the slot
+  from the loaded class (`RuntimeClass.field_index`, or the slot the IR was
+  lowered with when the class is not loaded) and refill the cache.
 - An element read or write of a typed array tests the null and the bounds
   inline. The test does not short-circuit before the index is evaluated,
   so the array, then the index, are evaluated once on either path. A
@@ -122,7 +122,8 @@ from ..runpack import ir
 from ..security import READ, WRITE
 from ..stdlib import INTRINSICS
 from ..values import (Array, Char, CharArray, ObjectRef, TAG_ARRAY, TAG_BOOL,
-                      TAG_INT, TAG_OBJECT, values_equal)
+                      TAG_INT, TAG_OBJECT, INT_MAX, INT_MIN, div_i64, mod_i64,
+                      values_equal, wrap_i64)
 
 
 def default_value(ty: ir.TypeDesc):
@@ -189,30 +190,16 @@ def new_array(elem: ir.TypeDesc, dims: list[int]):
 
 # --- what the generated code calls ---------------------------------------------
 
-_BIAS = 1 << 63
-_MASK = (1 << 64) - 1
-
-
-def _wrap(n: int) -> int:
-    """wrap_i64 in one expression: adding 2**63 maps the 64-bit range onto
-    [0, 2**64), where the mask wraps it."""
-    return ((n + _BIAS) & _MASK) - _BIAS
-
-
 def _div(a, b):
     if b == 0:
         raise EngineError(E_ARITHMETIC, "division by zero")
-    q = abs(a) // abs(b)
-    return _wrap(-q if (a < 0) != (b < 0) else q)  # truncates toward zero
+    return div_i64(a, b)
 
 
 def _mod(a, b):
     if b == 0:
         raise EngineError(E_ARITHMETIC, "division by zero")
-    r = a % b  # takes the sign of b; the truncated remainder takes a's
-    if r and (r < 0) != (a < 0):
-        r -= b
-    return r
+    return mod_i64(a, b)
 
 
 def _concat(a, b):
@@ -299,15 +286,13 @@ def _set_field(e, o, name, hint, value, ctx, site) -> None:
 
 
 def _slot(e, cls, name, hint, site) -> int:
-    """The slot of field `name` in objects of `cls`: from the engine's
-    `field_slots`, which `Engine.field_index` fills from the loaded class,
-    or `hint` when the class is not loaded or has no such field. A slot
-    the engine knows refills `site[0]`, the access site's cache."""
-    slot = e.field_slots.get((cls, name))
+    """The slot of field `name` in objects of `cls`: from the loaded class,
+    or `hint` when the class is not loaded or has no such field. A slot of
+    the loaded class refills `site[0]`, the access site's cache."""
+    rc = e.classes.get(cls)
+    slot = rc.field_index(name) if rc is not None else None
     if slot is None:
-        slot = e.field_index(cls, name)
-        if slot is None:
-            return hint
+        return hint
     site[0] = (e.layout, cls, slot)
     return slot
 
@@ -331,7 +316,7 @@ def _placement(e, href):
 
 
 _HELPERS = {
-    "_wrap": _wrap, "_div": _div, "_mod": _mod, "_concat": _concat,
+    "_wrap": wrap_i64, "_div": _div, "_mod": _mod, "_concat": _concat,
     "_eq": _eq, "_lt": _compare(operator.lt), "_le": _compare(operator.le),
     "_gt": _compare(operator.gt), "_ge": _compare(operator.ge),
     "_read_index": _read_index, "_write_index": _write_index,
@@ -392,19 +377,15 @@ _SHARED_LIMIT = 4096
 _SHARED_LOCK = threading.Lock()  # every Node's loop thread compiles
 
 
-def compile_method(mc: ir.MethodCode, cls, consts: list[bytes],
-                   content_hash: bytes = b"", classes=()):
-    """Compile a method body of class `cls` (a ClassKey), whose image has
-    constant pool `consts` and class table `classes`. Returns (fn,
-    suspends); when `suspends`, fn is a generator function. Bodies of an
-    image with a content hash, compiled with its class table, are shared,
-    and only they call the static methods of their own image directly: a
-    shared body always has its direct sites."""
-    key = (content_hash, cls, mc.name) if content_hash and classes else None
+def compile_method(mc: ir.MethodCode, cls, image: Image):
+    """Compile a method body of class `cls` (a ClassKey) of `image`.
+    Returns (fn, suspends); when `suspends`, fn is a generator function.
+    Only the bodies of an image with a class table here (`Image.classes`)
+    are shared, and only they call the static methods of their own image
+    directly: a shared body always has its direct sites."""
+    key = (image.content_hash, cls, mc.name) if image.classes else None
     compiled = _SHARED.get(key) if key else None
     if compiled is None:
-        image = _Image(cls.package, consts, content_hash,
-                       classes if key else ())
         compiled = _Source(mc, cls, image).function(
             f"{cls.package}.{cls.name}.{mc.name}")
         if key:
@@ -435,17 +416,20 @@ def _waits_at(node) -> bool:
         isinstance(node, ir.IrCallBuiltin) and node.hook == _SUSPENDING_HOOK)
 
 
-class _Image:
-    """What the direct sites of a body see of the image it comes from: its
-    package, constant pool, content hash and class table, by name."""
+class Image:
+    """One installed image as its compiled bodies see it: its package,
+    constant pool, content hash and class table, by name. The engine builds
+    one per installed image. An image without a content hash (the builtin
+    classes', or one a test builds) has no class table here, so its bodies
+    have no direct sites and are not shared."""
 
-    def __init__(self, package: str, consts: list[bytes], content_hash: bytes,
-                 classes):
+    def __init__(self, package: str, consts: list[bytes],
+                 content_hash: bytes = b"", classes=()):
         self.package = package
         self.consts = consts
         self.content_hash = content_hash
-        self.table = classes
-        self.classes = {code.name: code for code in classes}
+        self.classes = ({code.name: code for code in classes}
+                        if content_hash else {})
 
     def callee(self, node) -> tuple[str, str] | None:
         """The (class, method) names of the method that the static call
@@ -539,7 +523,7 @@ def _int_literal(node) -> int | None:
         return node.value
     if (isinstance(node, ir.IrUn) and node.op == "neg"
             and isinstance(node.operand, ir.IrInt)):
-        return _wrap(-node.operand.value)
+        return wrap_i64(-node.operand.value)
     return None
 
 
@@ -556,10 +540,9 @@ class _Scope:
 class _Source:
     """Writes one method body as the source of a Python function."""
 
-    def __init__(self, mc: ir.MethodCode, cls, image: _Image):
+    def __init__(self, mc: ir.MethodCode, cls, image: Image):
         self.mc = mc
         self.image = image
-        self.consts = image.consts
         self.env = dict(_HELPERS)  # the function's globals
         self.ids = itertools.count()
         self.types = _slot_types(mc)
@@ -613,7 +596,7 @@ class _Source:
     def wrap(self, value: str) -> str:
         """`_wrap(value)`, with no call when the value is in range."""
         t = self.temp()
-        return (f"({t} if {-_BIAS} <= ({t} := {value}) <= {_BIAS - 1}"
+        return (f"({t} if {INT_MIN} <= ({t} := {value}) <= {INT_MAX}"
                 f" else _wrap({t}))")
 
     def assigned(self, slot: int) -> str:
@@ -828,8 +811,7 @@ class _Source:
             fn = self.callees[callee] = f"d{next(self.ids)}"
             image = self.image
             self.env[fn] = _Bind(self.env, fn, (
-                image.classes[callee[0]].method(callee[1]), node.cls,
-                image.consts, image.content_hash, image.table))
+                image.classes[callee[0]].method(callee[1]), node.cls, image))
         args = "".join(f", {self.expr(a)}" for a in node.args)
         call = f"{fn}(e, None, ctx{args})"
         return f"(yield from {call})" if callee in self.waiting else call
@@ -980,7 +962,7 @@ class _Source:
             # appends the constant's bytes, unless the target is null or
             # shares its bytes, where `_append` faults or copies
             t1, t = self.once(target)
-            k = self.const(self.consts[value.pool])
+            k = self.const(self.image.consts[value.pool])
             self.emit(ind, f"if {t1} is not None and not {t}.shared:")
             self.emit(ind + "    ", f"{t}.data += {k}")
             self.emit(ind, "else:")
@@ -1048,7 +1030,7 @@ _EXPRS = {
     ir.IrInt: lambda s, n: repr(n.value) if n.value >= 0 else f"({n.value})",
     ir.IrBool: lambda s, n: repr(n.value),
     ir.IrChar: lambda s, n: s.const(Char(n.code)),
-    ir.IrStr: lambda s, n: f"CharArray({s.const(s.consts[n.pool])})",
+    ir.IrStr: lambda s, n: f"CharArray({s.const(s.image.consts[n.pool])})",
     ir.IrNull: lambda s, n: "None",
     ir.IrLocal: lambda s, n: f"l{n.slot}",
     ir.IrThis: lambda s, n: "this",

@@ -132,7 +132,7 @@ def _crosses_by_value(engine, cls, copy: bool) -> bool:
     reference); raises NonCopyableValue if it may not leave at all."""
     if _is_builtin(cls):
         return False
-    rc = engine.runtime_class(cls)
+    rc = engine.classes.get(cls)
     if rc is not None and rc.has(ir.CQ_EXTERNAL):
         return copy
     if copy:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..runtime import Queue
 from ..security import CredentialSet
@@ -35,6 +35,8 @@ class EventRecord:
     target: object  # ObjectRef
     method: str
     slots: list  # of [filled: bool, value]
+    # (Intake, sender) of each slot filled from another host
+    received: list = field(default_factory=list)
 
     @property
     def arity(self) -> int:

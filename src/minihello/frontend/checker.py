@@ -23,7 +23,7 @@ from .types import (
 )
 from .. import stdlib  # a module: stdlib imports this package too
 from ..runpack import ir
-from ..values import ClassKey, wrap_i64
+from ..values import ClassKey, div_i64, mod_i64, wrap_i64
 
 
 @dataclass
@@ -241,10 +241,7 @@ class Checker:
             if expr.op in ("/", "%"):
                 if right == 0:
                     raise _err(expr.loc, "TypeError", "division by zero in constant")
-                quot = abs(left) // abs(right)
-                if (left < 0) != (right < 0):
-                    quot = -quot
-                return wrap_i64(quot) if expr.op == "/" else left - quot * right
+                return (div_i64 if expr.op == "/" else mod_i64)(left, right)
         if isinstance(expr, A.NameRef) and expr.name in sig.enums:
             return sig.enums[expr.name]
         raise _err(expr.loc, "TypeError", "enum value must be a constant integer expression")

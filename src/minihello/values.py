@@ -30,16 +30,29 @@ TAG_OBJECT = 5
 TAG_REMOTE_REF = 6
 TAG_BACK_REF = 7
 
-_U64 = (1 << 64) - 1
-_I64_SIGN = 1 << 63
+# 64-bit ints, as compiled code and the checker's constant folding compute
+# them: results wrap, and `/` and `%` truncate toward zero.
 INT_MIN = -(1 << 63)
 INT_MAX = (1 << 63) - 1
+_MASK = (1 << 64) - 1
 
 
 def wrap_i64(n: int) -> int:
-    """Reduce an arbitrary Python int to 64-bit two's-complement."""
-    n &= _U64
-    return n - (1 << 64) if n & _I64_SIGN else n
+    """`n` in 64-bit two's complement: adding 2**63 maps the 64-bit range
+    onto [0, 2**64), where the mask wraps it."""
+    return ((n - INT_MIN) & _MASK) + INT_MIN
+
+
+def div_i64(a: int, b: int) -> int:
+    """`a / b`, truncated toward zero and wrapped; `b` is not 0."""
+    q = abs(a) // abs(b)
+    return wrap_i64(-q if (a < 0) != (b < 0) else q)
+
+
+def mod_i64(a: int, b: int) -> int:
+    """`a % b`, which takes the sign of `a`; `b` is not 0."""
+    r = a % b  # takes the sign of b
+    return r - b if r and (r < 0) != (a < 0) else r
 
 
 class ClassKey(NamedTuple):

@@ -86,7 +86,7 @@ def generic(engine) -> None:
     static through `Engine.invoke_static`."""
     for key, rc in engine.classes.items():
         if key.package == "direct":
-            rc.content_hash = b""
+            rc.image = machine.Image(key.package, rc.image.consts)
 
 
 @pytest.fixture(scope="module")
@@ -250,10 +250,11 @@ def test_a_body_compiled_without_its_class_table_is_not_shared():
     fib = next(m for c in IMAGE.classes if c.name == "A" for m in c.methods
                if m.name == "fib")
     digest = compute_hash(IMAGE)
-    alone = machine.compile_method(fib, A, IMAGE.constants, digest)
+    alone = machine.compile_method(
+        fib, A, machine.Image("direct", IMAGE.constants, digest))
     assert alone[1] is True  # its call of itself goes through invoke_static
-    shared = machine.compile_method(fib, A, IMAGE.constants, digest,
-                                    IMAGE.classes)
+    shared = machine.compile_method(fib, A, machine.Image(
+        "direct", IMAGE.constants, digest, IMAGE.classes))
     assert shared[1] is False and shared[0] is not alone[0]
 
 

@@ -34,7 +34,7 @@ def compiled(op: str, divisor):
     params = [ir.IrParam("a", ir.TD_INT, False), ir.IrParam("d", ir.TD_INT, False)]
     body = ir.IrBlock([ir.IrReturn(ir.IrBin(op, ir.IrLocal(0), divisor))])
     mc = ir.MethodCode(op, 0, params, ir.TD_INT, False, 2, body)
-    fn, suspends = machine.compile_method(mc, CLS, [])
+    fn, suspends = machine.compile_method(mc, CLS, machine.Image(CLS.package, []))
     assert not suspends
     return lambda a, d: fn(None, None, None, a, d)
 
@@ -112,10 +112,11 @@ class M {
 }
 """)
     code = {mc.name: mc for mc in image.classes[0].methods}
-    f, _ = machine.compile_method(code["f"], CLS, image.constants)
+    hashless = machine.Image(CLS.package, image.constants)
+    f, _ = machine.compile_method(code["f"], CLS, hashless)
     assert f(None, None, None, 100) == 14 + 1 - 50 + 0 + 2
     assert not {"_div", "_mod"} & set(f.__code__.co_names)
-    g, _ = machine.compile_method(code["g"], CLS, image.constants)
+    g, _ = machine.compile_method(code["g"], CLS, hashless)
     assert "_div" in g.__code__.co_names and "_mod" not in g.__code__.co_names
 
 

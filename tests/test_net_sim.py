@@ -9,6 +9,7 @@ from minihello.bio import STR, Writer
 from minihello.engine.engine import TaskCtx
 from minihello.errors import EngineError
 from minihello.net import frames
+from minihello.engine.marshal import to_wire
 from minihello.net.wirevalues import encode_value
 from minihello.security import ANONYMOUS_SID
 from minihello.stdlib import host_ref, hosts_node_ref
@@ -556,7 +557,7 @@ external class Box {
         assert ref.host == "a" and ref.cls == box
         assert ea.deref(ref).fields == [42]
         assert ea.fetch_frames_sent == 1
-        assert ea.runtime_class(box) is not None
+        assert box in ea.classes
 
 
 class TestRoutingEdges:
@@ -1017,3 +1018,83 @@ external class Box {
         assert run_task(scen, "a", task) == 8
         assert ClassKey("far", "Box") in ea.classes
         assert frames_from(scen, "b", "PACK_DATA") == 1
+
+
+
+EV_SRC = """
+package slots;
+external class Box {
+    public int n;
+    public Box next;
+    external public Box() {}
+    public message void take(copy Box b) { n = b.n + 1; }
+}
+"""
+EV_BOX = ClassKey("slots", "Box")
+
+
+def fill_by_value(engine, event_id, value, ctx):
+    """Fill slot 0 of `event_id` as `Engine.fill_event` does, but with the
+    object sent by value, as a host that does not keep the protocol may:
+    a fill sends an object by reference. Generator."""
+    host, eid = event_id
+    w = engine._request_head(frames.EV_FILL, ctx)
+    frames.EVENT_SLOT.write(w, (eid, 0))
+    to_wire(engine, value, True, w.buf)
+    return (yield engine.send_request(host, frames.EVENT_POST, w.buf))
+
+
+class TestReceivedEventSlots:
+    """What a fired event's method gets from another host is checked as
+    an argument is. A value filled into a slot has the classes it names
+    loaded from the host that filled it, and an object that has not the
+    fields of its class here is refused, before the method runs; so is a
+    field read from an object of the filler's whose value is not of the
+    field's type here. A refusal is logged, as any fault of a fired event
+    is."""
+
+    def fire(self, value_of, fill):
+        """Host a fills a one-slot event of `Box.take` on b with
+        `value_of(a's engine)`, through `fill`; returns b's engine and the
+        target's record, once the event has run."""
+        scen = mesh_scenario(["a", "b"], seed=3)
+        ea, eb = scen.hosts["a"].engine, scen.hosts["b"].engine
+        for engine in (ea, eb):
+            engine.install_image(compile_text(EV_SRC))
+        target = eb.alloc_object(EV_BOX, 0, [1, None])
+        qref = remote_queue(eb)
+
+        def task(engine, ctx):
+            eid = yield from engine.create_event(qref, target, "take", 1, ctx)
+            return (yield from fill(engine, eid, value_of(ea), ctx))
+
+        assert run_task(scen, "a", task) in ("fired", 1)
+        scen.run()
+        return eb, eb.deref(target)
+
+    @pytest.mark.parametrize("fill, code", [
+        (lambda e, eid, v, ctx: e.fill_event(eid, 0, v, ctx),
+         "RemoteException"),  # the fault of take's read of b.n
+        (fill_by_value, "UnknownClass")], ids=["by-reference", "by-value"])
+    def test_a_box_whose_int_is_chars_is_refused(self, fill, code):
+        eb, target = self.fire(lambda ea: ea.alloc_object(
+            EV_BOX, 0, [CharArray(b"7"), None]), fill)
+        assert target.fields[0] == 1  # take did not write n
+        assert [c for c, _ in eb.error_log] == [code]
+
+    def test_a_class_not_loaded_here_is_loaded_from_the_filler(self):
+        far = compile_text("""
+package far;
+external class Thing { public int k; external public Thing() {} }
+""")
+
+        def value_of(ea):
+            ea.install_image(far)
+            thing = ea.alloc_object(ClassKey("far", "Thing"), None, [3])
+            return ea.alloc_object(EV_BOX, None, [7, thing])
+
+        eb, target = self.fire(value_of, fill_by_value)
+        assert ClassKey("far", "Thing") in eb.classes
+        assert eb.fetch_frames_sent == 1
+        assert target.fields[0] == 8
+        assert eb.error_log == []

@@ -129,7 +129,7 @@ def test_pack_delivered_during_send_installs_it():
     fut = engine.fetch_pack("b", "fetched")
     assert fut.done()
     assert fut.result() is True
-    assert engine.runtime_class(ClassKey("fetched", "C")) is not None
+    assert ClassKey("fetched", "C") in engine.classes
     assert engine.pending == {}
     assert engine.orphaned_replies == 0
     assert scheduler.live_timers() == []
@@ -147,7 +147,7 @@ def test_pack_of_another_package_fails_the_fetch_and_installs_nothing():
     assert "fetched other, wanted fetched" in str(exc.value)
     for package in ("other", "fetched"):
         assert engine.packstore.resolve(package) is None
-        assert engine.runtime_class(ClassKey(package, "C")) is None
+        assert ClassKey(package, "C") not in engine.classes
     assert engine.pending == {}
     assert engine._fetch_inflight == {}
     assert scheduler.live_timers() == []

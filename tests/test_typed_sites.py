@@ -477,7 +477,7 @@ def test_a_builtin_unknown_here_faults_when_it_runs():
     mc = machine.ir.MethodCode("f", 0, [], machine.ir.TD_INT, False, 0,
                                machine.ir.IrBlock([machine.ir.IrReturn(
                                    machine.ir.IrCallBuiltin("nope", []))]))
-    fn, _ = machine.compile_method(mc, S, [])
+    fn, _ = machine.compile_method(mc, S, machine.Image(S.package, []))
     engine = mesh_scenario(["a"], seed=2).hosts["a"].engine
     with pytest.raises(EngineError) as exc:
         fn(engine, None, None)
